@@ -28,6 +28,18 @@
 //! * **in-flight load/store counters** and ordered sequence queues of stores
 //!   and unresolved branches replace the per-cycle `rob.iter().filter()`
 //!   scans of the fetch, disambiguation and speculation-visibility paths;
+//! * issue is **wakeup/select** instead of a window scan: per-slot bitsets
+//!   (see the `wakeup` module) mark Waiting, operand-ready and
+//!   parked-retry entries. A consumer is linked at dispatch into the wakeup
+//!   list of each unfinished producer and becomes ready when the last one
+//!   turns `Done`; a load that finds an older store with an unknown address
+//!   is linked behind that store and woken when the store (or atomic) gets
+//!   its address. The issue stage visits only ready and retry candidates in
+//!   sequence order, bounded by the oldest serialising instruction past the
+//!   head and by the `iq_entries` window (a popcount rank over the Waiting
+//!   bits). It reads the bits live, so a load woken by an older store that
+//!   issued earlier in the same cycle is still tried in that cycle — the
+//!   same order a full window scan would try it in;
 //! * a tick that did no work reports itself [`quiescent`](OooCore::quiescent)
 //!   and can name the [`next_wake`](OooCore::next_wake) cycle, which lets the
 //!   driving loop **fast-forward over idle cycles** (crediting them via
@@ -51,6 +63,7 @@ use crate::branch::{BranchPredictor, BranchUpdate};
 use crate::context::ThreadContext;
 use crate::events::CoreEvent;
 use crate::memmodel::{MemAccessCtx, MemOutcome, MemoryModel};
+use crate::wakeup::{self, SlotBits, WaitLists};
 
 /// Whether `MUONTRAP_NAIVE_LOOP` asks for the naive one-tick-per-cycle loop
 /// (no idle-cycle fast-forward). Read once per process; the result is cached.
@@ -77,7 +90,6 @@ enum Status {
 
 /// One reorder-buffer entry.
 #[derive(Debug, Clone)]
-#[allow(dead_code)] // `predicted_taken` is kept for debugging and future recovery logic
 struct RobEntry {
     seq: u64,
     pc: usize,
@@ -98,12 +110,8 @@ struct RobEntry {
     store_data: Option<u64>,
     /// The memory model asked for this access to be retried later.
     mem_retry: bool,
-    /// Whether the load's value was forwarded from an older in-flight store.
-    forwarded: bool,
     /// Fetch-time prediction: the instruction index fetched after this one.
     predicted_next: usize,
-    /// Fetch-time direction prediction for conditional branches.
-    predicted_taken: bool,
     /// Resolved actual next PC (valid once `Done` for control flow).
     actual_next: usize,
 }
@@ -232,25 +240,45 @@ pub struct OooCore {
     /// [`next_wake`](Self::next_wake) is the heap minimum. Squashes leave
     /// stale tickets behind; they are validated (and discarded) on pop.
     completion_q: EventQueue<u64>,
-    /// Entries currently in `Status::Waiting` (operands/FU pending).
+    /// Entries currently in `Status::Waiting` (operands/FU pending): the
+    /// population of `waiting_bits`. The issue stage is skipped while it and
+    /// `retry_count` are both zero, and the `iq_entries` window rank is only
+    /// computed when it exceeds the window.
     waiting_count: usize,
     /// Entries parked by a memory-model retry (`mem_retry`, executing at
-    /// `Cycle::NEVER`), re-polled by the issue stage each cycle.
+    /// `Cycle::NEVER`): the population of `retry_bits`. Each is re-polled by
+    /// the issue stage every cycle it lies inside the window.
     retry_count: usize,
     /// Reusable scratch of due sequence numbers for the complete stage.
     due_scratch: Vec<u64>,
-    /// Memo of the last fruitless issue scan. While valid, every `Waiting`
-    /// entry with seq below `scan_floor_seq` was seen un-issuable and nothing
-    /// that could change that has happened since, so the next scan resumes at
-    /// the floor with the window counter primed to `scan_floor_rank` (the
-    /// number of Waiting entries below the floor). Fetch keeps the memo —
-    /// new entries land past the floor and get scanned; any commit,
-    /// completion, squash or issue invalidates it. This turns the common
-    /// "fetching while the ROB head waits on DRAM" cycles from a full
-    /// window scan into a scan of just the newly fetched entries.
-    scan_memo_valid: bool,
-    scan_floor_seq: u64,
-    scan_floor_rank: usize,
+
+    // --- wakeup/select (see the `wakeup` module) ------------------------
+    /// Number of ROB slots (`rob_entries`, at least 1); an entry's slot is
+    /// `seq % slots`.
+    slots: u64,
+    /// Slots holding a `Status::Waiting` entry.
+    waiting_bits: SlotBits,
+    /// Waiting slots whose operands are all available and that are not
+    /// parked behind an older store with an unknown address. Such an entry
+    /// may still be refused at issue (a functional unit, a head-only
+    /// instruction past the head, `rdcycle` behind unfinished work, or a
+    /// store it has not yet been parked behind); every other Waiting entry
+    /// provably would be.
+    ready_bits: SlotBits,
+    /// Slots parked by a memory-model retry.
+    retry_bits: SlotBits,
+    /// Slots holding a serialising instruction (valid for live slots only;
+    /// rewritten at dispatch).
+    serial_bits: SlotBits,
+    /// Per slot: producers this Waiting entry still waits for (0–2).
+    pending_srcs: Vec<u8>,
+    /// Operand wakeup lists: one list per producer slot, one node per
+    /// consumer source (`2 * slot + source`). Drained when the producer
+    /// turns `Done`.
+    operand_waiters: WaitLists,
+    /// Store-address wakeup lists: list = store (or atomic) slot, node =
+    /// load slot. Drained when the store computes its address.
+    store_waiters: WaitLists,
     // Reusable scratch for the taint walk (STT support) — allocated once.
     taint_stack: Vec<usize>,
     taint_visited: Vec<bool>,
@@ -260,6 +288,7 @@ impl OooCore {
     /// Creates a core with the given id using the pipeline and predictor
     /// parameters from `config`.
     pub fn new(core_id: usize, config: &SystemConfig) -> Self {
+        let slots = config.pipeline.rob_entries.max(1);
         OooCore {
             core_id,
             pipeline: config.pipeline,
@@ -285,9 +314,14 @@ impl OooCore {
             waiting_count: 0,
             retry_count: 0,
             due_scratch: Vec::new(),
-            scan_memo_valid: false,
-            scan_floor_seq: 0,
-            scan_floor_rank: 0,
+            slots: slots as u64,
+            waiting_bits: SlotBits::new(slots),
+            ready_bits: SlotBits::new(slots),
+            retry_bits: SlotBits::new(slots),
+            serial_bits: SlotBits::new(slots),
+            pending_srcs: vec![0; slots],
+            operand_waiters: WaitLists::new(slots, 2 * slots),
+            store_waiters: WaitLists::new(slots, slots),
             taint_stack: Vec::new(),
             taint_visited: Vec::new(),
         }
@@ -340,9 +374,11 @@ impl OooCore {
         self.completion_q.clear();
         self.waiting_count = 0;
         self.retry_count = 0;
-        self.scan_memo_valid = false;
-        self.scan_floor_seq = 0;
-        self.scan_floor_rank = 0;
+        self.waiting_bits.clear_all();
+        self.ready_bits.clear_all();
+        self.retry_bits.clear_all();
+        self.operand_waiters.clear_all();
+        self.store_waiters.clear_all();
         self.last_fetch_line = None;
         let old = self.thread.take();
         self.thread = new_thread;
@@ -416,6 +452,8 @@ impl OooCore {
         };
         let complete_active = self.complete_stage(now, mem);
         let issue_active = self.issue_stage(now, mem);
+        #[cfg(debug_assertions)]
+        self.check_wakeup_state();
         let fetch_active = self.fetch_stage(now, mem);
         self.tick_active = commit_active || complete_active || issue_active || fetch_active;
     }
@@ -488,9 +526,12 @@ impl OooCore {
 
     /// Updates the incremental structures for a popped (committed) entry.
     fn retire_bookkeeping(&mut self, entry: &RobEntry) {
-        // Commit shifts the ROB and can unblock issue (register fallback,
-        // head-only instructions): the fruitless-scan memo no longer holds.
-        self.scan_memo_valid = false;
+        // A finished entry was woken by every producer, woke its own waiters
+        // when it turned Done (or, for a store, when it got its address) and
+        // left every candidate set when it issued.
+        let slot = self.slot(entry.seq);
+        debug_assert!(self.operand_waiters.is_empty(slot) && self.store_waiters.is_empty(slot));
+        debug_assert!(!self.waiting_bits.get(slot) && !self.retry_bits.get(slot));
         if entry.is_load() {
             self.loads_in_flight -= 1;
         }
@@ -630,15 +671,11 @@ impl OooCore {
         due.dedup();
         let mut squash_after: Option<(usize, usize)> = None; // (rob index, redirect pc)
         let mut transitions = false;
-        if !due.is_empty() {
-            // Done transitions wake dependants: the fruitless-scan memo no
-            // longer holds.
-            self.scan_memo_valid = false;
-        }
         for &seq in due.iter() {
             let idx = (seq - head) as usize;
             transitions = true;
             self.rob[idx].status = Status::Done;
+            self.wake_consumers(seq);
             if idx == self.done_prefix {
                 // Extend the done prefix over this entry and any previously
                 // finished entries it unblocks.
@@ -697,7 +734,6 @@ impl OooCore {
         now: Cycle,
         mem: &mut dyn MemoryModel,
     ) {
-        self.scan_memo_valid = false;
         let removed = self.rob.len().saturating_sub(idx + 1);
         if removed > 0 {
             for e in self.rob.iter().skip(idx + 1) {
@@ -712,15 +748,27 @@ impl OooCore {
                     self.stores_in_flight -= 1;
                 }
                 // Completion tickets of removed entries go stale in the heap
-                // (validated away on pop); the issue-candidate counts must be
-                // maintained eagerly.
+                // (validated away on pop); the issue-candidate sets and the
+                // wakeup lists must be pruned eagerly — the slots are reused
+                // by the corrected path. A removed entry's own lists hold
+                // only younger (also removed) waiters, so unlinking every
+                // removed node empties them too.
+                let slot = (e.seq % self.slots) as usize;
                 match e.status {
-                    Status::Waiting => self.waiting_count -= 1,
+                    Status::Waiting => {
+                        self.waiting_count -= 1;
+                        self.waiting_bits.clear(slot);
+                        self.ready_bits.clear(slot);
+                    }
                     Status::Executing(t) if t == Cycle::NEVER && e.mem_retry => {
-                        self.retry_count -= 1
+                        self.retry_count -= 1;
+                        self.retry_bits.clear(slot);
                     }
                     _ => {}
                 }
+                self.operand_waiters.unlink(2 * slot);
+                self.operand_waiters.unlink(2 * slot + 1);
+                self.store_waiters.unlink(slot);
             }
             self.rob.truncate(idx + 1);
             self.done_prefix = self.done_prefix.min(idx + 1);
@@ -758,147 +806,313 @@ impl OooCore {
     /// Attempts to start execution of ready instructions. Returns whether any
     /// instruction issued or any parked memory access re-polled the memory
     /// model (both make the cycle non-quiescent).
+    ///
+    /// Selection is equivalent to walking the ROB from the head and trying
+    /// every Waiting entry and parked retry until `width` issue, stopping at
+    /// the first unfinished serialising instruction past the head and at the
+    /// `iq_entries + 1`-th Waiting entry. A Waiting entry that is not ready
+    /// would be refused by [`try_issue_at`](Self::try_issue_at) before it
+    /// touches any state, so only the ready and retry candidates are visited
+    /// — and the candidate bits are re-read after every issue, because
+    /// issuing a store wakes the younger loads parked behind it.
     fn issue_stage(&mut self, now: Cycle, mem: &mut dyn MemoryModel) -> bool {
-        // Issue candidates are the Waiting entries plus the parked memory
-        // retries; everything else in the ROB is just scanned past. The
-        // eagerly-maintained counts let the loop stop at the last candidate
-        // (and skip the stage entirely on a fully-stalled ROB).
-        let mut remaining = self.waiting_count + self.retry_count;
-        if remaining == 0 {
+        if self.waiting_count + self.retry_count == 0 {
             return false;
         }
         let head = self.head_seq();
+        let tail = head + self.rob.len() as u64;
+        // An unfinished serialising instruction blocks everything younger.
+        // It can itself execute only at the ROB head (where it is an
+        // ordinary candidate), so past the head it always ends the window.
+        let mut limit = self
+            .first_seq(head + 1, tail, |w| self.serial_bits.word(w))
+            .unwrap_or(tail);
+        // The instruction window: only the first `iq_entries` Waiting
+        // entries (counted at the start of the stage — entries issued during
+        // it keep their place) are candidates, and nothing past the next one
+        // is visited, parked retries included.
+        if self.waiting_count > self.pipeline.iq_entries {
+            if let Some(cutoff) = self.nth_waiting_seq(head, limit, self.pipeline.iq_entries) {
+                limit = cutoff;
+            }
+        }
+
         let mut issued = 0usize;
         let mut attempts = 0usize;
         let mut int_used = 0usize;
         let mut fp_used = 0usize;
         let mut muldiv_used = 0usize;
         let mut mem_ports_used = 0usize;
-        // The instruction window: only the first `iq_entries` waiting entries
-        // are candidates for issue.
-        let mut window_seen = 0usize;
-        // Resume past the memoized fruitless-scan floor: the skipped prefix
-        // holds only un-issuable Waiting entries (counted into the window)
-        // and non-candidates, and a scan over them has no side effects at
-        // all, so skipping it is invisible. A parked retry must be re-polled
-        // every cycle, but a retry can only appear through an issue, which
-        // invalidates the memo — valid memo implies no retries.
-        let start_idx = if self.scan_memo_valid {
-            debug_assert_eq!(self.retry_count, 0);
-            debug_assert!(self.scan_floor_seq >= head);
-            window_seen = self.scan_floor_rank;
-            remaining -= self.scan_floor_rank;
-            if remaining == 0 {
-                return false;
-            }
-            (self.scan_floor_seq - head) as usize
-        } else {
-            0
-        };
-        // Where scanning ceased, for the memo: `(index, waiting entries
-        // strictly below it)`. `None` means the loop ran off the ROB tail.
-        let mut stop: Option<(usize, usize)> = None;
-
-        for idx in start_idx..self.rob.len() {
-            if issued >= self.pipeline.width || remaining == 0 {
-                stop = Some((idx, window_seen));
+        let mut from = head;
+        while issued < self.pipeline.width {
+            let Some(seq) = self.first_seq(from, limit, |w| {
+                self.ready_bits.word(w) | self.retry_bits.word(w)
+            }) else {
                 break;
-            }
-            let status = self.rob[idx].status;
-            // Finished entries are scanned straight past: they hold no
-            // candidate and, being done, cannot be a serialising barrier.
-            if matches!(status, Status::Done) {
-                continue;
-            }
+            };
+            from = seq + 1;
+            let idx = (seq - head) as usize;
+            let slot = self.slot(seq);
 
-            // An unfinished serialising instruction blocks younger
-            // instructions from issuing. It can itself execute only at the
-            // ROB head, where the Waiting branch below handles it like any
-            // other candidate; past the head it cannot issue at all
-            // (`try_issue_at` refuses before touching any state), so there
-            // is nothing to try here.
-            if idx > 0 && self.rob[idx].inst.is_serialising() {
-                stop = Some((idx, window_seen));
-                break;
-            }
-
-            if matches!(status, Status::Waiting) {
-                remaining -= 1;
-                window_seen += 1;
-                if window_seen > self.pipeline.iq_entries {
-                    stop = Some((idx, window_seen - 1));
-                    break;
-                }
-                // Functional unit availability.
-                let class = self.rob[idx].inst.class();
-                let fu_ok = match class {
-                    InstClass::IntAlu
-                    | InstClass::Branch
-                    | InstClass::Jump
-                    | InstClass::Call
-                    | InstClass::Return
-                    | InstClass::Nop
-                    | InstClass::SandboxMarker
-                    | InstClass::Syscall
-                    | InstClass::Barrier
-                    | InstClass::Halt => int_used < self.pipeline.int_alus,
-                    InstClass::FpAlu => fp_used < self.pipeline.fp_alus,
-                    InstClass::MulDiv => muldiv_used < self.pipeline.mul_div_units,
-                    InstClass::Load | InstClass::Store | InstClass::Atomic => mem_ports_used < 4,
-                };
-                if !fu_ok {
-                    continue;
-                }
-                if self.try_issue_at(idx, now, mem) {
-                    issued += 1;
-                    self.waiting_count -= 1;
-                    if self.entry_is_parked(idx) {
-                        // The memory model parked the access for a later
-                        // retry: it left Waiting but remains a candidate.
-                        self.retry_count += 1;
-                    }
-                    match class {
-                        InstClass::FpAlu => fp_used += 1,
-                        InstClass::MulDiv => muldiv_used += 1,
-                        InstClass::Load | InstClass::Store | InstClass::Atomic => {
-                            mem_ports_used += 1
-                        }
-                        _ => int_used += 1,
-                    }
-                }
-            } else if matches!(status, Status::Executing(_)) && self.rob[idx].mem_retry {
+            if self.retry_bits.get(slot) {
                 // A previously delayed memory access: retry it (the memory
                 // model re-evaluates its condition; at the head it is
                 // non-speculative and must succeed). The poll reaches the
                 // memory model, so a cycle with a parked retry is never
                 // quiescent.
-                remaining -= 1;
                 attempts += 1;
                 if self.try_issue_at(idx, now, mem) {
                     issued += 1;
                     mem_ports_used += 1;
                     if !self.entry_is_parked(idx) {
                         // Completed (or forwarded): no longer a retry poll.
+                        self.retry_bits.clear(slot);
                         self.retry_count -= 1;
                     }
                 }
+                continue;
+            }
+
+            // Functional unit availability.
+            let class = self.rob[idx].inst.class();
+            let fu_ok = match class {
+                InstClass::IntAlu
+                | InstClass::Branch
+                | InstClass::Jump
+                | InstClass::Call
+                | InstClass::Return
+                | InstClass::Nop
+                | InstClass::SandboxMarker
+                | InstClass::Syscall
+                | InstClass::Barrier
+                | InstClass::Halt => int_used < self.pipeline.int_alus,
+                InstClass::FpAlu => fp_used < self.pipeline.fp_alus,
+                InstClass::MulDiv => muldiv_used < self.pipeline.mul_div_units,
+                InstClass::Load | InstClass::Store | InstClass::Atomic => mem_ports_used < 4,
+            };
+            if !fu_ok {
+                continue;
+            }
+            if self.try_issue_at(idx, now, mem) {
+                issued += 1;
+                self.waiting_count -= 1;
+                self.waiting_bits.clear(slot);
+                self.ready_bits.clear(slot);
+                if self.entry_is_parked(idx) {
+                    // The memory model parked the access for a later retry:
+                    // it left Waiting but remains a candidate.
+                    self.retry_bits.set(slot);
+                    self.retry_count += 1;
+                }
+                match class {
+                    InstClass::FpAlu => fp_used += 1,
+                    InstClass::MulDiv => muldiv_used += 1,
+                    InstClass::Load | InstClass::Store | InstClass::Atomic => mem_ports_used += 1,
+                    _ => int_used += 1,
+                }
             }
         }
-        let active = issued > 0 || attempts > 0;
-        if active {
-            // Something issued or polled: candidate state changed, so any
-            // previous fruitless-scan memo is dead.
-            self.scan_memo_valid = false;
-        } else {
-            // Nothing happened and nothing was perturbed: remember the scan
-            // frontier so the next scan (absent commits, completions or
-            // squashes) resumes there.
-            let (stop_idx, stop_rank) = stop.unwrap_or((self.rob.len(), window_seen));
-            self.scan_memo_valid = true;
-            self.scan_floor_seq = head + stop_idx as u64;
-            self.scan_floor_rank = stop_rank;
+        issued > 0 || attempts > 0
+    }
+
+    /// ROB slot of sequence number `seq`.
+    fn slot(&self, seq: u64) -> usize {
+        (seq % self.slots) as usize
+    }
+
+    /// The oldest sequence number in `from..to` (a span of live entries)
+    /// whose slot bit is set in the bitset whose words `word` returns.
+    fn first_seq(&self, from: u64, to: u64, word: impl Fn(usize) -> u64) -> Option<u64> {
+        let mut seq = from;
+        while seq < to {
+            // The span wraps around the end of the slot ring at most once.
+            let slot = self.slot(seq);
+            let run = (to - seq).min(self.slots - slot as u64);
+            if let Some(found) = wakeup::first_set(&word, slot, slot + run as usize) {
+                return Some(seq + (found - slot) as u64);
+            }
+            seq += run;
         }
-        active
+        None
+    }
+
+    /// The sequence number of the `n`-th (0-based) Waiting entry in
+    /// `from..to`, if there are more than `n`.
+    fn nth_waiting_seq(&self, from: u64, to: u64, mut n: usize) -> Option<u64> {
+        let word = |w| self.waiting_bits.word(w);
+        let mut seq = from;
+        while seq < to {
+            let slot = self.slot(seq);
+            let run = (to - seq).min(self.slots - slot as u64);
+            match wakeup::nth_set(word, slot, slot + run as usize, n) {
+                Ok(found) => return Some(seq + (found - slot) as u64),
+                Err(seen) => n -= seen,
+            }
+            seq += run;
+        }
+        None
+    }
+
+    /// Wakes the consumers linked to the producer `seq`, which just turned
+    /// `Done`: a consumer whose last unfinished producer this was becomes
+    /// ready.
+    fn wake_consumers(&mut self, seq: u64) {
+        let slot = self.slot(seq);
+        let pending = &mut self.pending_srcs;
+        let ready = &mut self.ready_bits;
+        self.operand_waiters.drain(slot, |node| {
+            let consumer = node / 2;
+            pending[consumer] -= 1;
+            if pending[consumer] == 0 {
+                ready.set(consumer);
+            }
+        });
+    }
+
+    /// Wakes the loads parked behind the store (or atomic) `seq`, which just
+    /// computed its address. They are tried again — this same cycle, if the
+    /// issue stage has not passed them yet.
+    fn wake_loads(&mut self, seq: u64) {
+        let slot = self.slot(seq);
+        let ready = &mut self.ready_bits;
+        self.store_waiters.drain(slot, |load| ready.set(load));
+    }
+
+    /// Parks the Waiting load `load_seq` behind the older store `store_seq`,
+    /// whose address is still unknown: the load leaves the ready set until
+    /// the store wakes it.
+    fn park_behind_store(&mut self, load_seq: u64, store_seq: u64) {
+        let (load, store) = (self.slot(load_seq), self.slot(store_seq));
+        self.ready_bits.clear(load);
+        self.store_waiters.link(store, load);
+    }
+
+    /// Registers the entry just dispatched as `seq` with the wakeup/select
+    /// state: it is Waiting, linked into the wakeup list of each producer
+    /// that has not finished, and ready at once if there is none.
+    fn dispatch_wakeup(&mut self, seq: u64, inst: &Instruction, src_producers: [u64; 2]) {
+        let slot = self.slot(seq);
+        debug_assert!(self.operand_waiters.is_empty(slot) && self.store_waiters.is_empty(slot));
+        let head = self.head_seq();
+        let mut pending = 0u8;
+        for (src, &producer) in src_producers.iter().enumerate() {
+            if producer == NO_PRODUCER {
+                continue;
+            }
+            debug_assert!(producer >= head, "scoreboard names a departed producer");
+            if !self.rob[(producer - head) as usize].is_done() {
+                let list = self.slot(producer);
+                self.operand_waiters.link(list, 2 * slot + src);
+                pending += 1;
+            }
+        }
+        self.pending_srcs[slot] = pending;
+        self.waiting_bits.set(slot);
+        if pending == 0 {
+            self.ready_bits.set(slot);
+        }
+        if inst.is_serialising() {
+            self.serial_bits.set(slot);
+        } else {
+            self.serial_bits.clear(slot);
+        }
+    }
+
+    /// Recomputes issue readiness from the ROB and checks the wakeup/select
+    /// state against it (debug builds, after every issue stage). The one
+    /// failure that would not show up as a crash is a *lost wakeup* — a
+    /// Waiting entry whose producers are all `Done` and that has no older
+    /// store with an unknown address, yet lacks its ready bit — which would
+    /// silently delay its issue; this catches it on the cycle it happens.
+    /// Slots outside the live ROB must be free of bits and waiters (checked
+    /// by population counts), which is what makes a squash followed by
+    /// sequence-number reuse safe.
+    #[cfg(any(test, debug_assertions))]
+    fn check_wakeup_state(&self) {
+        let head = self.head_seq();
+        let mut unknown_store_older = false;
+        let (mut waiting, mut ready_count, mut parked) = (0, 0, 0);
+        let (mut operand_links, mut store_links) = (0, 0);
+        for (idx, e) in self.rob.iter().enumerate() {
+            let seq = e.seq;
+            let slot = self.slot(seq);
+            let is_waiting = matches!(e.status, Status::Waiting);
+            let ready = self.ready_bits.get(slot);
+            let is_parked = self.entry_is_parked(idx);
+            assert_eq!(
+                self.waiting_bits.get(slot),
+                is_waiting,
+                "waiting bit of {seq}"
+            );
+            assert_eq!(self.retry_bits.get(slot), is_parked, "retry bit of {seq}");
+            assert_eq!(self.serial_bits.get(slot), e.inst.is_serialising());
+            waiting += usize::from(is_waiting);
+            ready_count += usize::from(ready);
+            parked += usize::from(is_parked);
+            if is_waiting {
+                let mut unfinished = 0;
+                for (src, &producer) in e.src_producers.iter().enumerate() {
+                    let node = 2 * slot + src;
+                    if producer != NO_PRODUCER
+                        && producer >= head
+                        && !self.rob[(producer - head) as usize].is_done()
+                    {
+                        unfinished += 1;
+                        let list = self.slot(producer);
+                        assert_eq!(
+                            self.operand_waiters.owner(node),
+                            Some(list),
+                            "{seq} unlinked"
+                        );
+                    } else {
+                        assert!(
+                            !self.operand_waiters.is_linked(node),
+                            "{seq} waits on nothing"
+                        );
+                    }
+                }
+                operand_links += unfinished;
+                assert_eq!(usize::from(self.pending_srcs[slot]), unfinished);
+                let blocked = e.is_load() && unknown_store_older;
+                assert!(
+                    ready || unfinished > 0 || blocked,
+                    "lost wakeup: seq {seq} can issue but is not ready"
+                );
+                assert!(
+                    !ready || unfinished == 0,
+                    "seq {seq} ready with producers pending"
+                );
+                if let Some(store_slot) = self.store_waiters.owner(slot) {
+                    store_links += 1;
+                    let offset = (store_slot as u64 + self.slots - head % self.slots) % self.slots;
+                    assert!(offset < idx as u64, "{seq} waits behind a younger slot");
+                    let store = &self.rob[offset as usize];
+                    assert!(store.is_store() && store.mem_addr.is_none());
+                    assert!(!ready, "{seq} both ready and parked behind a store");
+                }
+            } else {
+                assert!(!ready, "seq {seq} is ready but not Waiting");
+            }
+            if e.is_store() && e.mem_addr.is_none() {
+                unknown_store_older = true;
+            }
+        }
+        assert_eq!(waiting, self.waiting_count);
+        assert_eq!(parked, self.retry_count);
+        // Every set bit and every linked waiter belongs to a live entry.
+        assert_eq!(self.waiting_bits.count(), waiting, "stray waiting bit");
+        assert_eq!(self.ready_bits.count(), ready_count, "stray ready bit");
+        assert_eq!(self.retry_bits.count(), parked, "stray retry bit");
+        assert_eq!(
+            self.operand_waiters.linked(),
+            operand_links,
+            "stray operand waiter"
+        );
+        assert_eq!(
+            self.store_waiters.linked(),
+            store_links,
+            "stray store waiter"
+        );
     }
 
     /// Whether entry `idx` is parked waiting for a memory-model retry (it
@@ -1045,7 +1259,14 @@ impl OooCore {
                 let store = &self.rob[(store_seq - head) as usize];
                 debug_assert!(store.is_store());
                 match store.mem_addr {
-                    None => return false, // unknown older store address: wait
+                    None => {
+                        // Unknown older store address: wait until that store
+                        // computes it. (Only a Waiting load can get here: a
+                        // parked retry passed this check with the same or
+                        // an older set of stores.)
+                        self.park_behind_store(seq, store_seq);
+                        return false;
+                    }
                     Some(a) if a == addr => {
                         forwarded_value = store.store_data;
                         break;
@@ -1064,6 +1285,10 @@ impl OooCore {
         let speculative = idx != 0;
         let pc_vaddr = self.pc_addr(self.rob[idx].pc);
 
+        if matches!(inst.class(), InstClass::Store | InstClass::Atomic) {
+            // The address is known from here on.
+            self.wake_loads(self.rob[idx].seq);
+        }
         let entry = &mut self.rob[idx];
         entry.mem_addr = Some(addr);
         entry.store_data = data;
@@ -1099,7 +1324,6 @@ impl OooCore {
                     // Store-to-load forwarding: 1-cycle, no cache access.
                     let entry = &mut self.rob[idx];
                     entry.result = Some(value);
-                    entry.forwarded = true;
                     entry.actual_next = entry.pc + 1;
                     let done_at = now.saturating_add(1);
                     let seq = entry.seq;
@@ -1324,33 +1548,29 @@ impl OooCore {
             // Branch prediction decides the next fetch PC.
             let pc = self.fetch_pc;
             let pc_vaddr = self.pc_addr(pc);
-            let (predicted_next, predicted_taken) = match inst {
+            let predicted_next = match inst {
                 Instruction::Branch { target, .. } => {
-                    let taken = self.predictor.predict_direction(pc_vaddr);
-                    (if taken { target } else { pc + 1 }, taken)
+                    if self.predictor.predict_direction(pc_vaddr) {
+                        target
+                    } else {
+                        pc + 1
+                    }
                 }
-                Instruction::Jump { target } => (target, true),
-                Instruction::JumpIndirect { .. } => {
-                    let target = self
-                        .predictor
-                        .predict_indirect_target(pc_vaddr)
-                        .unwrap_or(pc + 1);
-                    (target, true)
-                }
+                Instruction::Jump { target } => target,
+                Instruction::JumpIndirect { .. } => self
+                    .predictor
+                    .predict_indirect_target(pc_vaddr)
+                    .unwrap_or(pc + 1),
                 Instruction::Call { target, .. } => {
                     self.predictor.push_return(pc + 1);
-                    (target, true)
+                    target
                 }
-                Instruction::Return { .. } => {
-                    let target = self
-                        .predictor
-                        .predict_return()
-                        .or_else(|| self.predictor.predict_indirect_target(pc_vaddr))
-                        .unwrap_or(pc + 1);
-                    (target, true)
-                }
-                Instruction::Halt => (pc + 1, false),
-                _ => (pc + 1, false),
+                Instruction::Return { .. } => self
+                    .predictor
+                    .predict_return()
+                    .or_else(|| self.predictor.predict_indirect_target(pc_vaddr))
+                    .unwrap_or(pc + 1),
+                _ => pc + 1,
             };
 
             // Capture the dispatch-time producer links from the scoreboard,
@@ -1373,11 +1593,10 @@ impl OooCore {
                 mem_addr: None,
                 store_data: None,
                 mem_retry: false,
-                forwarded: false,
                 predicted_next,
-                predicted_taken,
                 actual_next: pc + 1,
             };
+            self.dispatch_wakeup(entry.seq, &inst, src_producers);
             if let Some(dest) = inst.dest() {
                 self.reg_producer[dest.index()] = entry.seq;
             }
@@ -1828,6 +2047,254 @@ mod tests {
         let mut mem = FixedLatencyMemory::default();
         let result = core.run_to_halt(ThreadContext::new(p, 0), &mut mem, 5_000);
         assert!(result.is_err());
+    }
+
+    // --- wakeup/select -------------------------------------------------
+
+    /// A core with `program` installed and a fixed-latency memory whose data
+    /// accesses take `data_latency` cycles.
+    fn core_with(program: &Program, data_latency: u64) -> (OooCore, FixedLatencyMemory) {
+        let mut core = OooCore::new(0, &SystemConfig::paper_default());
+        core.swap_thread(Some(ThreadContext::new(program.clone(), 0)));
+        (core, FixedLatencyMemory::new(data_latency, 1))
+    }
+
+    /// One tick followed by the full wakeup-state check (which debug builds
+    /// also run inside `tick`; this keeps it on under `--release` too).
+    fn tick_checked(core: &mut OooCore, now: Cycle, mem: &mut FixedLatencyMemory) {
+        let mut events = Vec::new();
+        core.tick(now, mem, &mut events);
+        core.check_wakeup_state();
+    }
+
+    /// The live ROB entry fetched from instruction index `pc`, if any.
+    fn entry_at_pc(core: &OooCore, pc: usize) -> Option<&RobEntry> {
+        core.rob.iter().find(|e| e.pc == pc)
+    }
+
+    /// Whether the entry fetched from `pc` has left `Waiting`.
+    fn issued(core: &OooCore, pc: usize) -> bool {
+        entry_at_pc(core, pc).is_some_and(|e| !matches!(e.status, Status::Waiting))
+    }
+
+    /// Whether the entry fetched from `pc` is parked behind the store
+    /// fetched from `store_pc`.
+    fn parked_behind(core: &OooCore, pc: usize, store_pc: usize) -> bool {
+        let (Some(load), Some(store)) = (entry_at_pc(core, pc), entry_at_pc(core, store_pc)) else {
+            return false;
+        };
+        core.store_waiters.owner(core.slot(load.seq)) == Some(core.slot(store.seq))
+    }
+
+    /// (consumer seq, producer seq) for every operand wakeup link.
+    fn operand_links(core: &OooCore) -> Vec<(u64, u64)> {
+        let head = core.head_seq();
+        let mut links = Vec::new();
+        for e in core
+            .rob
+            .iter()
+            .filter(|e| matches!(e.status, Status::Waiting))
+        {
+            for &p in &e.src_producers {
+                if p != NO_PRODUCER && p >= head && !core.rob[(p - head) as usize].is_done() {
+                    links.push((e.seq, p));
+                }
+            }
+        }
+        links
+    }
+
+    #[test]
+    fn squash_mid_dependency_chain_prunes_waiters_before_sequence_reuse() {
+        // Consumers of a slow load sit behind an irregular branch. When the
+        // branch mispredicts, the wrong-path consumers are squashed while
+        // the load (older than the branch) is still executing: they must
+        // leave its wakeup list before the corrected path re-dispatches into
+        // the same sequence numbers and links to the same load again.
+        let mut b = ProgramBuilder::new("squash-chain");
+        let values: Vec<u64> = (0..48).map(|i| i * 3 + 1).collect();
+        b.data_u64(VirtAddr::new(0x1_0000), &values);
+        let top = b.new_label();
+        let skip = b.new_label();
+        b.li(Reg::X1, 0x1_0000);
+        b.li(Reg::X2, 0);
+        b.li(Reg::X3, 0);
+        b.li(Reg::X9, 2_654_435_761);
+        b.bind_label(top);
+        b.shli(Reg::X4, Reg::X2, 3);
+        b.add(Reg::X4, Reg::X1, Reg::X4);
+        b.load(Reg::X5, Reg::X4, 0);
+        b.mul(Reg::X7, Reg::X2, Reg::X9);
+        b.shri(Reg::X7, Reg::X7, 5);
+        b.andi(Reg::X7, Reg::X7, 1);
+        b.beq(Reg::X7, Reg::X0, skip);
+        b.add(Reg::X8, Reg::X5, Reg::X5);
+        b.add(Reg::X8, Reg::X8, Reg::X5);
+        b.add(Reg::X3, Reg::X3, Reg::X8);
+        b.bind_label(skip);
+        b.add(Reg::X3, Reg::X3, Reg::X5);
+        b.addi(Reg::X2, Reg::X2, 1);
+        b.blt_imm(Reg::X2, 48, top);
+        b.halt();
+        let p = b.build().unwrap();
+
+        let (mut core, mut mem) = core_with(&p, 20);
+        let mut pruned = Vec::new(); // squashed consumer seqs of surviving producers
+        let mut reused = 0;
+        let mut now = Cycle::ZERO;
+        while !core.is_halted() && now.raw() < 100_000 {
+            let links = operand_links(&core);
+            let squashed_before = core.stats().squashed;
+            tick_checked(&mut core, now, &mut mem);
+            if core.stats().squashed > squashed_before {
+                let tail = core.head_seq() + core.rob.len() as u64;
+                for &(consumer, producer) in &links {
+                    if consumer >= tail && producer >= core.head_seq() && producer < tail {
+                        // The squash rolled `next_seq` back over the consumer.
+                        assert!(core.next_seq <= consumer);
+                        pruned.push(consumer);
+                    }
+                }
+            }
+            reused += pruned
+                .iter()
+                .filter(|&&seq| core.rob.iter().any(|e| e.seq == seq))
+                .count();
+            pruned.retain(|&seq| !core.rob.iter().any(|e| e.seq == seq));
+            now += 1;
+        }
+        assert!(core.is_halted(), "program should halt");
+        assert!(core.stats().mispredictions > 0);
+        assert!(
+            reused > 0,
+            "no squashed waiter's sequence number was reused"
+        );
+        let finished = core.swap_thread(None).expect("thread present");
+        let golden = Interpreter::new(&p)
+            .run(5_000_000)
+            .expect("interpreter halts");
+        assert_eq!(finished.regs.read(Reg::X3), golden.regs.read(Reg::X3));
+    }
+
+    /// Runs `p` tick by tick and returns the tick at which the entry at
+    /// `store_pc` issued, asserting that the load at `load_pc` was parked
+    /// behind it before and issued in that very tick.
+    fn assert_woken_same_cycle(p: &Program, store_pc: usize, load_pc: usize) -> u64 {
+        let (mut core, mut mem) = core_with(p, 30);
+        let mut was_parked = false;
+        let mut now = Cycle::ZERO;
+        while !core.is_halted() && now.raw() < 10_000 {
+            let store_waiting = entry_at_pc(&core, store_pc).is_some() && !issued(&core, store_pc);
+            tick_checked(&mut core, now, &mut mem);
+            was_parked |= parked_behind(&core, load_pc, store_pc);
+            if store_waiting && issued(&core, store_pc) {
+                assert!(was_parked, "the load never waited for the store's address");
+                assert!(
+                    issued(&core, load_pc),
+                    "the load woken by the store must issue in the same cycle"
+                );
+                return now.raw();
+            }
+            now += 1;
+        }
+        panic!("the store never issued");
+    }
+
+    #[test]
+    fn load_parked_behind_a_store_issues_in_the_cycle_the_address_resolves() {
+        // The store's address comes from a slow load; the younger load's
+        // address is known at once, so it parks behind the store and must
+        // be tried again right after the store issues, in the same cycle.
+        let mut b = ProgramBuilder::new("store-wake");
+        b.data_u64(VirtAddr::new(0x8000), &[0x9000, 7]);
+        b.li(Reg::X1, 0x8000);
+        b.li(Reg::X3, 5);
+        b.load(Reg::X2, Reg::X1, 0); // pc 2: slow
+        b.store(Reg::X3, Reg::X2, 0); // pc 3: address waits for pc 2
+        b.load(Reg::X4, Reg::X1, 8); // pc 4: parks behind pc 3
+        b.halt();
+        let p = b.build().unwrap();
+        assert!(assert_woken_same_cycle(&p, 3, 4) >= 30);
+        assert_matches_interpreter(&p, &[Reg::X4]);
+    }
+
+    #[test]
+    fn load_parked_behind_an_atomic_issues_in_the_cycle_the_atomic_executes() {
+        // An atomic computes its address only when it executes at the ROB
+        // head; the younger load parks behind it until then.
+        let mut b = ProgramBuilder::new("atomic-wake");
+        b.data_u64(VirtAddr::new(0x8000), &[10, 7]);
+        b.li(Reg::X1, 0x8000);
+        b.li(Reg::X5, 2);
+        b.load(Reg::X2, Reg::X1, 0); // pc 2: slow, keeps the atomic off the head
+        b.amoadd(Reg::X3, Reg::X5, Reg::X1); // pc 3
+        b.load(Reg::X4, Reg::X1, 8); // pc 4: parks behind pc 3
+        b.halt();
+        let p = b.build().unwrap();
+        assert!(assert_woken_same_cycle(&p, 3, 4) >= 30);
+        assert_matches_interpreter(&p, &[Reg::X3, Reg::X4]);
+    }
+
+    #[test]
+    fn out_of_order_store_waiters_are_all_pruned_on_squash() {
+        // Three loads park behind one store in reverse dispatch order (the
+        // youngest's address is ready first), then a mispredicted indirect
+        // jump older than all three squashes them while the store survives.
+        let target = 18;
+        let mut b = ProgramBuilder::new("store-waiters-squash");
+        b.data_u64(VirtAddr::new(0x8000), &[0x9000]);
+        b.li(Reg::X1, 0x8000); // 0
+        b.li(Reg::X9, 0x8100); // 1
+        b.li(Reg::X14, 1); // 2
+        b.li(Reg::X13, target as u64); // 3
+        b.load(Reg::X2, Reg::X1, 0); // 4: slow
+        b.store(Reg::X3, Reg::X2, 0); // 5: address waits for 4
+        for _ in 0..4 {
+            b.mul(Reg::X13, Reg::X13, Reg::X14); // 6-9: delay the jump
+        }
+        b.jump_indirect(Reg::X13, 0); // 10: first sight, predicted pc + 1
+        b.mul(Reg::X8, Reg::X9, Reg::X14); // 11
+        b.mul(Reg::X7, Reg::X9, Reg::X14); // 12
+        b.mul(Reg::X7, Reg::X7, Reg::X14); // 13
+        b.load(Reg::X10, Reg::X7, 0); // 14: ready last
+        b.load(Reg::X11, Reg::X8, 8); // 15
+        b.load(Reg::X12, Reg::X9, 16); // 16: ready first
+        b.halt(); // 17
+        assert_eq!(b.len(), target);
+        b.load(Reg::X15, Reg::X9, 24); // 18: the corrected path
+        b.addi(Reg::X16, Reg::X15, 1);
+        b.halt();
+        let p = b.build().unwrap();
+
+        let (mut core, mut mem) = core_with(&p, 40);
+        let mut parked_at = [None; 3]; // first tick each load (pc 14..=16) parked
+        let mut pruned = false;
+        let mut now = Cycle::ZERO;
+        while !core.is_halted() && now.raw() < 10_000 {
+            let squashed_before = core.stats().squashed;
+            tick_checked(&mut core, now, &mut mem);
+            for (i, first) in parked_at.iter_mut().enumerate() {
+                if first.is_none() && parked_behind(&core, 14 + i, 5) {
+                    *first = Some(now.raw());
+                }
+            }
+            if core.stats().squashed > squashed_before && !pruned {
+                pruned = true;
+                let store = entry_at_pc(&core, 5).expect("the store survives the squash");
+                assert!(matches!(store.status, Status::Waiting));
+                assert!(
+                    core.store_waiters.is_empty(core.slot(store.seq)),
+                    "squashed loads left behind in the store's wait list"
+                );
+            }
+            now += 1;
+        }
+        assert!(core.is_halted() && pruned);
+        let [Some(l1), Some(l2), Some(l3)] = parked_at else {
+            panic!("every wrong-path load must park behind the store: {parked_at:?}");
+        };
+        assert!(l3 < l2 && l2 < l1, "loads must park out of dispatch order");
+        assert_matches_interpreter(&p, &[Reg::X15, Reg::X16]);
     }
 
     #[test]

@@ -26,6 +26,8 @@
 //! * [`context`] — an architectural thread context (program, registers,
 //!   functional memory),
 //! * [`core`] — the pipeline itself,
+//! * `wakeup` (private) — the slot bitsets and wakeup lists behind the
+//!   issue stage's wakeup/select,
 //! * [`events`] — events the core reports to the system layer (syscalls,
 //!   sandbox transitions, halts).
 
@@ -37,6 +39,7 @@ pub mod context;
 pub mod core;
 pub mod events;
 pub mod memmodel;
+mod wakeup;
 
 pub use crate::core::{CoreStats, OooCore};
 pub use branch::{BranchPredictor, BranchUpdate, Prediction};

@@ -1,0 +1,308 @@
+//! Wakeup/select bookkeeping for the issue stage.
+//!
+//! The issue stage of [`OooCore`](crate::OooCore) does not rescan its window
+//! every cycle. Instead every reorder-buffer entry owns a fixed *slot*
+//! (`seq % rob_entries`; the ROB holds at most `rob_entries` consecutive
+//! sequence numbers, so live slots never collide), and two kinds of
+//! allocation-free structures track which slots can make progress:
+//!
+//! * [`SlotBits`] — one bit per slot (Waiting entries, operand-ready entries,
+//!   parked memory retries, serialising instructions). Scans over them read
+//!   a handful of machine words; the `*_set` helpers answer "first set bit",
+//!   "n-th set bit" over a slot range so the core can walk candidates in
+//!   sequence order and rank the issue window by popcount.
+//! * [`WaitLists`] — intrusive, doubly-linked lists threaded through arrays
+//!   sized once at construction. A list belongs to a producer (or a store);
+//!   a node belongs to a consumer (or a load) and sits in at most one list.
+//!   Linking, unlinking and draining never allocate, and unlinking is O(1),
+//!   which is what lets a squash prune exactly the removed waiters.
+
+/// Sentinel for "no node" / "no list".
+const NIL: u32 = u32::MAX;
+
+/// A fixed-size bitset with one bit per reorder-buffer slot.
+#[derive(Debug, Clone)]
+pub(crate) struct SlotBits {
+    words: Vec<u64>,
+}
+
+impl SlotBits {
+    /// A bitset over `slots` slots, all clear.
+    pub(crate) fn new(slots: usize) -> Self {
+        SlotBits {
+            words: vec![0; slots.div_ceil(64)],
+        }
+    }
+
+    pub(crate) fn set(&mut self, slot: usize) {
+        self.words[slot / 64] |= 1 << (slot % 64);
+    }
+
+    pub(crate) fn clear(&mut self, slot: usize) {
+        self.words[slot / 64] &= !(1 << (slot % 64));
+    }
+
+    pub(crate) fn get(&self, slot: usize) -> bool {
+        self.words[slot / 64] & (1 << (slot % 64)) != 0
+    }
+
+    pub(crate) fn clear_all(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Number of set bits.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Word `i` of the bitset (bits `64 * i ..`), for the range helpers.
+    pub(crate) fn word(&self, i: usize) -> u64 {
+        self.words[i]
+    }
+}
+
+/// Word `w` of the bitset read through `word`, masked to the slots in
+/// `from..to` (the word must overlap the range).
+fn masked(word: &impl Fn(usize) -> u64, w: usize, from: usize, to: usize) -> u64 {
+    let lo = w * 64;
+    let mut bits = word(w);
+    if from > lo {
+        bits &= u64::MAX << (from - lo);
+    }
+    if to < lo + 64 {
+        bits &= (1u64 << (to - lo)) - 1;
+    }
+    bits
+}
+
+/// The first slot in `from..to` whose bit is set, where word `i` of the
+/// bitset is `word(i)` (so callers can scan a union of bitsets).
+pub(crate) fn first_set(word: impl Fn(usize) -> u64, from: usize, to: usize) -> Option<usize> {
+    if from >= to {
+        return None;
+    }
+    (from / 64..=(to - 1) / 64).find_map(|w| {
+        let bits = masked(&word, w, from, to);
+        (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
+    })
+}
+
+/// The `n`-th (0-based) slot in `from..to` whose bit is set, or `Err` with
+/// the number of set bits in the range when it holds `n` or fewer.
+pub(crate) fn nth_set(
+    word: impl Fn(usize) -> u64,
+    from: usize,
+    to: usize,
+    mut n: usize,
+) -> Result<usize, usize> {
+    let mut seen = 0;
+    if from < to {
+        for w in from / 64..=(to - 1) / 64 {
+            let mut bits = masked(&word, w, from, to);
+            let ones = bits.count_ones() as usize;
+            if n < ones {
+                for _ in 0..n {
+                    bits &= bits - 1;
+                }
+                return Ok(w * 64 + bits.trailing_zeros() as usize);
+            }
+            n -= ones;
+            seen += ones;
+        }
+    }
+    Err(seen)
+}
+
+/// Intrusive doubly-linked wait lists over fixed arrays: `lists` list heads,
+/// `nodes` nodes, each node in at most one list at a time.
+#[derive(Debug, Clone)]
+pub(crate) struct WaitLists {
+    first: Vec<u32>,
+    next: Vec<u32>,
+    prev: Vec<u32>,
+    /// The list a node is linked into, or [`NIL`].
+    owner: Vec<u32>,
+    /// Number of linked nodes.
+    linked: usize,
+}
+
+impl WaitLists {
+    pub(crate) fn new(lists: usize, nodes: usize) -> Self {
+        assert!(lists < NIL as usize && nodes < NIL as usize);
+        WaitLists {
+            first: vec![NIL; lists],
+            next: vec![NIL; nodes],
+            prev: vec![NIL; nodes],
+            owner: vec![NIL; nodes],
+            linked: 0,
+        }
+    }
+
+    /// Links the (unlinked) `node` into `list`.
+    pub(crate) fn link(&mut self, list: usize, node: usize) {
+        debug_assert!(!self.is_linked(node), "node {node} is already waiting");
+        let old_first = self.first[list];
+        if old_first != NIL {
+            self.prev[old_first as usize] = node as u32;
+        }
+        self.next[node] = old_first;
+        self.prev[node] = NIL;
+        self.owner[node] = list as u32;
+        self.first[list] = node as u32;
+        self.linked += 1;
+    }
+
+    /// Removes `node` from whatever list holds it (no-op when unlinked).
+    pub(crate) fn unlink(&mut self, node: usize) {
+        let list = self.owner[node];
+        if list == NIL {
+            return;
+        }
+        let (prev, next) = (self.prev[node], self.next[node]);
+        if prev == NIL {
+            self.first[list as usize] = next;
+        } else {
+            self.next[prev as usize] = next;
+        }
+        if next != NIL {
+            self.prev[next as usize] = prev;
+        }
+        self.next[node] = NIL;
+        self.prev[node] = NIL;
+        self.owner[node] = NIL;
+        self.linked -= 1;
+    }
+
+    /// Detaches every node of `list`, calling `wake` on each.
+    pub(crate) fn drain(&mut self, list: usize, mut wake: impl FnMut(usize)) {
+        let mut node = std::mem::replace(&mut self.first[list], NIL);
+        while node != NIL {
+            let n = node as usize;
+            node = self.next[n];
+            self.next[n] = NIL;
+            self.prev[n] = NIL;
+            self.owner[n] = NIL;
+            self.linked -= 1;
+            wake(n);
+        }
+    }
+
+    pub(crate) fn is_linked(&self, node: usize) -> bool {
+        self.owner[node] != NIL
+    }
+
+    /// The list `node` waits in, if any.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn owner(&self, node: usize) -> Option<usize> {
+        (self.owner[node] != NIL).then_some(self.owner[node] as usize)
+    }
+
+    pub(crate) fn is_empty(&self, list: usize) -> bool {
+        self.first[list] == NIL
+    }
+
+    /// Number of nodes linked into any list.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn linked(&self) -> usize {
+        self.linked
+    }
+
+    pub(crate) fn clear_all(&mut self) {
+        self.first.fill(NIL);
+        self.next.fill(NIL);
+        self.prev.fill(NIL);
+        self.owner.fill(NIL);
+        self.linked = 0;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn bits(slots: usize, set: &[usize]) -> SlotBits {
+        let mut b = SlotBits::new(slots);
+        for &s in set {
+            b.set(s);
+        }
+        b
+    }
+
+    #[test]
+    fn first_set_respects_range_bounds_across_words() {
+        let b = bits(192, &[3, 63, 64, 130, 191]);
+        let word = |i| b.word(i);
+        assert_eq!(first_set(word, 0, 192), Some(3));
+        assert_eq!(first_set(word, 4, 192), Some(63));
+        assert_eq!(first_set(word, 64, 65), Some(64));
+        assert_eq!(first_set(word, 65, 130), None);
+        assert_eq!(first_set(word, 65, 131), Some(130));
+        assert_eq!(first_set(word, 131, 191), None);
+        assert_eq!(first_set(word, 131, 192), Some(191));
+        assert_eq!(first_set(word, 10, 10), None);
+    }
+
+    #[test]
+    fn nth_set_ranks_by_popcount_or_reports_the_count() {
+        let b = bits(192, &[0, 5, 63, 64, 100, 150]);
+        assert_eq!(b.count(), 6);
+        let word = |i| b.word(i);
+        assert_eq!(nth_set(word, 0, 192, 0), Ok(0));
+        assert_eq!(nth_set(word, 0, 192, 2), Ok(63));
+        assert_eq!(nth_set(word, 0, 192, 3), Ok(64));
+        assert_eq!(nth_set(word, 1, 192, 4), Ok(150));
+        assert_eq!(nth_set(word, 1, 150, 4), Err(4));
+        assert_eq!(nth_set(word, 70, 70, 0), Err(0));
+    }
+
+    #[test]
+    fn union_of_bitsets_scans_as_one() {
+        let a = bits(70, &[40]);
+        let b = bits(70, &[12, 69]);
+        assert_eq!(first_set(|i| a.word(i) | b.word(i), 0, 70), Some(12));
+        assert_eq!(first_set(|i| a.word(i) | b.word(i), 13, 70), Some(40));
+        assert_eq!(first_set(|i| a.word(i) | b.word(i), 41, 70), Some(69));
+    }
+
+    #[test]
+    fn wait_lists_link_unlink_and_drain() {
+        let mut l = WaitLists::new(4, 8);
+        for node in [1, 5, 7] {
+            l.link(2, node);
+        }
+        l.link(3, 0);
+        assert_eq!(l.linked(), 4);
+        assert_eq!(l.owner(5), Some(2));
+        // Unlink from the middle, the head and the tail of the list.
+        l.unlink(5);
+        assert!(!l.is_linked(5));
+        l.unlink(5); // idempotent
+        let mut woken = Vec::new();
+        l.drain(2, |n| woken.push(n));
+        woken.sort_unstable();
+        assert_eq!(woken, vec![1, 7]);
+        assert!(l.is_empty(2));
+        assert!(!l.is_linked(1) && !l.is_linked(7));
+        assert_eq!(l.linked(), 1);
+        l.unlink(0);
+        assert!(l.is_empty(3));
+        // A drained node may be linked again elsewhere.
+        l.link(0, 7);
+        l.link(0, 1);
+        l.unlink(1);
+        l.unlink(7);
+        assert!(l.is_empty(0));
+    }
+
+    #[test]
+    fn clear_all_detaches_every_node() {
+        let mut l = WaitLists::new(2, 3);
+        l.link(0, 0);
+        l.link(1, 2);
+        l.clear_all();
+        assert_eq!(l.linked(), 0);
+        assert!(l.is_empty(0) && l.is_empty(1));
+        assert!((0..3).all(|n| !l.is_linked(n)));
+    }
+}

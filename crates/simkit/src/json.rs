@@ -386,6 +386,21 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote,
+            // backslash or control byte in one step. Those stop bytes are
+            // ASCII and the input is a `&str`, so the run is whole UTF-8
+            // characters; validating only the run keeps parsing linear in
+            // the document size.
+            let run_start = self.pos;
+            while let Some(&b) = self.bytes.get(self.pos) {
+                if b == b'"' || b == b'\\' || b < 0x20 {
+                    break;
+                }
+                self.pos += 1;
+            }
+            let run = std::str::from_utf8(&self.bytes[run_start..self.pos])
+                .map_err(|_| JsonError::parse("invalid UTF-8", run_start))?;
+            out.push_str(run);
             match self.peek() {
                 None => return Err(JsonError::parse("unterminated string", self.pos)),
                 Some(b'"') => {
@@ -422,18 +437,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so byte
-                    // boundaries are guaranteed valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError::parse("invalid UTF-8", self.pos))?;
-                    let c = rest.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(JsonError::parse("control character in string", self.pos));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(JsonError::parse("control character in string", self.pos)),
             }
         }
     }
@@ -584,6 +588,20 @@ mod tests {
         let text = Json::Str(original.to_string()).to_string_compact();
         assert_eq!(parse(&text).unwrap().as_str(), Some(original));
         assert_eq!(parse(r#""µops""#).unwrap().as_str(), Some("µops"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_runs_between_escapes() {
+        let piece = r#"plain µops → ünïcödé \"q\" \\ \n\té "#;
+        let text = format!("\"{}\"", piece.repeat(2000));
+        let decoded = "plain µops → ünïcödé \"q\" \\ \n\té ".repeat(2000);
+        assert_eq!(parse(&text).unwrap().as_str(), Some(decoded.as_str()));
+        // A raw control character is rejected at its own offset, also after
+        // multi-byte characters in the same run.
+        let err = parse("\"aµb\u{1}c\"").unwrap_err();
+        assert_eq!(err, JsonError::parse("control character in string", 5));
+        assert!(parse("\"abc").is_err());
+        assert!(parse(r#""ab\"#).is_err());
     }
 
     #[test]

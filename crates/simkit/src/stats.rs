@@ -24,8 +24,16 @@ impl StatSet {
     }
 
     /// Adds `delta` to the counter `name`, creating it if needed.
+    ///
+    /// The key is allocated only on the counter's first use, so bumping an
+    /// existing counter in a hot loop does not touch the allocator.
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(value) => *value += delta,
+            None => {
+                self.counters.insert(name.to_owned(), delta);
+            }
+        }
     }
 
     /// Increments the counter `name` by one.

@@ -100,7 +100,8 @@ static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// default, bit-compatible with every store directory written before the
 /// backend trait existed. Objects are files under `root` (names map to
 /// relative paths), `put_atomic` is the classic temp-file + `rename`, and
-/// `create_new` is `O_CREAT|O_EXCL`.
+/// `create_new` writes a temp file and hard-links it into place (the link
+/// fails if the name exists), so neither ever exposes a partial object.
 #[derive(Debug)]
 pub struct FsBackend {
     root: PathBuf,
@@ -171,16 +172,15 @@ impl StoreBackend for FsBackend {
         let path = self.path_of(name);
         let dir = path.parent().expect("object paths always have a parent");
         std::fs::create_dir_all(dir)?;
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&path)
-        {
-            Ok(mut file) => {
-                use io::Write as _;
-                file.write_all(bytes)?;
-                Ok(true)
-            }
+        // Creating the name empty and then writing it would let a racing
+        // reader see an empty object — a lease that reads as abandoned and
+        // gets stolen. The content is complete before the name appears.
+        let temp = dir.join(Self::temp_name());
+        std::fs::write(&temp, bytes)?;
+        let linked = std::fs::hard_link(&temp, &path);
+        let _ = std::fs::remove_file(&temp);
+        match linked {
+            Ok(()) => Ok(true),
             Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(false),
             Err(e) => Err(e),
         }
@@ -795,6 +795,40 @@ mod tests {
     fn fs_backend_satisfies_the_contract() {
         let root = temp_root("contract-fs");
         exercise_contract(&FsBackend::new(&root));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn fs_create_new_never_exposes_a_partial_object() {
+        // A reader racing lease creation must see no object or the whole
+        // one: an empty lease file reads as abandoned and gets stolen. The
+        // reader runs for as long as the writer keeps creating and removing.
+        let root = temp_root("create-visibility");
+        let backend = FsBackend::new(&root);
+        let payload = vec![b'x'; 64 * 1024];
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                start.wait();
+                while !done.load(Ordering::SeqCst) {
+                    if let Some(bytes) = backend.read("ab/lease").unwrap() {
+                        assert_eq!(bytes.len(), payload.len(), "partial object visible");
+                    }
+                }
+            });
+            start.wait();
+            for _ in 0..300 {
+                assert!(backend.create_new("ab/lease", &payload).unwrap());
+                assert!(!backend.create_new("ab/lease", b"loser").unwrap());
+                backend.remove("ab/lease").unwrap();
+            }
+            done.store(true, Ordering::SeqCst);
+            reader.join().unwrap();
+        });
+        // No writer temp file outlives its call.
+        let litter = std::fs::read_dir(root.join("ab")).unwrap().count();
+        assert_eq!(litter, 0);
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -39,7 +39,18 @@ impl SparseMemory {
     }
 
     /// Reads `width` bytes at `addr`, little-endian, zero-extended to 64 bits.
+    ///
+    /// An access that stays inside one chunk costs a single chunk lookup;
+    /// only an access straddling two chunks falls back to byte steps.
     pub fn read(&self, addr: VirtAddr, width: MemWidth) -> u64 {
+        if let Some((chunk, offset, len)) = Self::within_chunk(addr, width) {
+            let Some(bytes) = self.chunks.get(&chunk) else {
+                return 0;
+            };
+            let mut buf = [0u8; 8];
+            buf[..len].copy_from_slice(&bytes[offset..offset + len]);
+            return u64::from_le_bytes(buf);
+        }
         let mut value = 0u64;
         for i in 0..width.bytes() {
             let byte = self.read_byte(addr.raw().wrapping_add(i));
@@ -50,6 +61,11 @@ impl SparseMemory {
 
     /// Writes the low `width` bytes of `value` at `addr`, little-endian.
     pub fn write(&mut self, addr: VirtAddr, value: u64, width: MemWidth) {
+        if let Some((chunk, offset, len)) = Self::within_chunk(addr, width) {
+            let bytes = self.chunk_mut(chunk);
+            bytes[offset..offset + len].copy_from_slice(&value.to_le_bytes()[..len]);
+            return;
+        }
         for i in 0..width.bytes() {
             let byte = ((value >> (8 * i)) & 0xff) as u8;
             self.write_byte(addr.raw().wrapping_add(i), byte);
@@ -75,6 +91,21 @@ impl SparseMemory {
         self.chunks.len()
     }
 
+    /// `(chunk, offset, length)` of an access that lies wholly inside one
+    /// chunk, or `None` when it straddles a chunk boundary.
+    fn within_chunk(addr: VirtAddr, width: MemWidth) -> Option<(u64, usize, usize)> {
+        let addr = addr.raw();
+        let offset = addr % CHUNK_BYTES;
+        let len = width.bytes();
+        (offset + len <= CHUNK_BYTES).then_some((addr / CHUNK_BYTES, offset as usize, len as usize))
+    }
+
+    fn chunk_mut(&mut self, chunk: u64) -> &mut [u8; CHUNK_BYTES as usize] {
+        self.chunks
+            .entry(chunk)
+            .or_insert_with(|| Box::new([0u8; CHUNK_BYTES as usize]))
+    }
+
     fn read_byte(&self, addr: u64) -> u8 {
         let chunk = addr / CHUNK_BYTES;
         let offset = (addr % CHUNK_BYTES) as usize;
@@ -84,11 +115,7 @@ impl SparseMemory {
     fn write_byte(&mut self, addr: u64, value: u8) {
         let chunk = addr / CHUNK_BYTES;
         let offset = (addr % CHUNK_BYTES) as usize;
-        let entry = self
-            .chunks
-            .entry(chunk)
-            .or_insert_with(|| Box::new([0u8; CHUNK_BYTES as usize]));
-        entry[offset] = value;
+        self.chunk_mut(chunk)[offset] = value;
     }
 }
 
@@ -125,6 +152,62 @@ mod tests {
         mem.write(addr, 0xaabb_ccdd_eeff_0011, MemWidth::Double);
         assert_eq!(mem.read(addr, MemWidth::Double), 0xaabb_ccdd_eeff_0011);
         assert_eq!(mem.allocated_chunks(), 2);
+    }
+
+    #[test]
+    fn every_width_round_trips_at_every_offset_across_a_chunk_boundary() {
+        // Start 8 bytes before the boundary and end past it, so each width is
+        // exercised wholly inside the first chunk, straddling the boundary
+        // and wholly inside the second chunk; the byte view must agree.
+        let widths = [
+            MemWidth::Byte,
+            MemWidth::Half,
+            MemWidth::Word,
+            MemWidth::Double,
+        ];
+        for width in widths {
+            let mask = match width.bytes() {
+                8 => u64::MAX,
+                n => (1u64 << (8 * n)) - 1,
+            };
+            for start in CHUNK_BYTES - 8..=CHUNK_BYTES {
+                let mut mem = SparseMemory::new();
+                let addr = VirtAddr::new(start);
+                let value = 0x8877_6655_4433_2211u64 ^ start;
+                mem.write(addr, value, width);
+                assert_eq!(
+                    mem.read(addr, width),
+                    value & mask,
+                    "{width:?} at {start:#x}"
+                );
+                let bytes = mem.read_bytes(addr, width.bytes() as usize);
+                assert_eq!(bytes, (value & mask).to_le_bytes()[..bytes.len()].to_vec());
+                // Neighbouring bytes stay zero; reads spanning them see it.
+                assert_eq!(mem.read(VirtAddr::new(start - 1), MemWidth::Byte), 0);
+                let after = VirtAddr::new(start + width.bytes());
+                assert_eq!(mem.read(after, MemWidth::Byte), 0);
+                let spanning = mem.read(VirtAddr::new(start - 4), MemWidth::Double);
+                assert_eq!(spanning, (value & mask) << 32);
+                let chunks = if start + width.bytes() > CHUNK_BYTES && start < CHUNK_BYTES {
+                    2
+                } else {
+                    1
+                };
+                assert_eq!(mem.allocated_chunks(), chunks, "{width:?} at {start:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn unwritten_chunk_reads_zero_without_allocating() {
+        let mut mem = SparseMemory::new();
+        mem.write(VirtAddr::new(CHUNK_BYTES - 2), 0xbeef, MemWidth::Half);
+        assert_eq!(
+            mem.read(VirtAddr::new(CHUNK_BYTES - 2), MemWidth::Double),
+            0xbeef
+        );
+        assert_eq!(mem.read(VirtAddr::new(5 * CHUNK_BYTES), MemWidth::Word), 0);
+        assert_eq!(mem.allocated_chunks(), 1);
     }
 
     #[test]
