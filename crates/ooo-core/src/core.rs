@@ -34,12 +34,15 @@
 //!   list of each unfinished producer and becomes ready when the last one
 //!   turns `Done`; a load that finds an older store with an unknown address
 //!   is linked behind that store and woken when the store (or atomic) gets
-//!   its address. The issue stage visits only ready and retry candidates in
-//!   sequence order, bounded by the oldest serialising instruction past the
-//!   head and by the `iq_entries` window (a popcount rank over the Waiting
-//!   bits). It reads the bits live, so a load woken by an older store that
-//!   issued earlier in the same cycle is still tried in that cycle — the
-//!   same order a full window scan would try it in;
+//!   its address. The issue stage is one walk over the slot ring, a 64-slot
+//!   word at a time from the head: in each word it truncates at the first
+//!   serialising instruction past the head, spends the `iq_entries` window
+//!   budget with a popcount of the Waiting bits, and visits the ready and
+//!   retry candidates in sequence order. It reads the candidate bits live,
+//!   so a load woken by an older store that issued earlier in the same
+//!   cycle is still tried in that cycle — the same order a full window scan
+//!   would try it in. A parked retry re-polls the memory model from its
+//!   stored address, skipping the operand gather and the store-queue walk;
 //! * a tick that did no work reports itself [`quiescent`](OooCore::quiescent)
 //!   and can name the [`next_wake`](OooCore::next_wake) cycle, which lets the
 //!   driving loop **fast-forward over idle cycles** (crediting them via
@@ -63,7 +66,7 @@ use crate::branch::{BranchPredictor, BranchUpdate};
 use crate::context::ThreadContext;
 use crate::events::CoreEvent;
 use crate::memmodel::{MemAccessCtx, MemOutcome, MemoryModel};
-use crate::wakeup::{self, SlotBits, WaitLists};
+use crate::wakeup::{SlotBits, WaitLists};
 
 /// Whether `MUONTRAP_NAIVE_LOOP` asks for the naive one-tick-per-cycle loop
 /// (no idle-cycle fast-forward). Read once per process; the result is cached.
@@ -253,9 +256,10 @@ pub struct OooCore {
     due_scratch: Vec<u64>,
 
     // --- wakeup/select (see the `wakeup` module) ------------------------
-    /// Number of ROB slots (`rob_entries`, at least 1); an entry's slot is
-    /// `seq % slots`.
-    slots: u64,
+    /// `slots - 1`, where `slots` is the size of the slot ring:
+    /// `rob_entries` rounded up to a power of two. An entry's slot is
+    /// `seq & slot_mask`.
+    slot_mask: u64,
     /// Slots holding a `Status::Waiting` entry.
     waiting_bits: SlotBits,
     /// Waiting slots whose operands are all available and that are not
@@ -288,7 +292,7 @@ impl OooCore {
     /// Creates a core with the given id using the pipeline and predictor
     /// parameters from `config`.
     pub fn new(core_id: usize, config: &SystemConfig) -> Self {
-        let slots = config.pipeline.rob_entries.max(1);
+        let slots = config.pipeline.rob_entries.max(1).next_power_of_two();
         OooCore {
             core_id,
             pipeline: config.pipeline,
@@ -314,7 +318,7 @@ impl OooCore {
             waiting_count: 0,
             retry_count: 0,
             due_scratch: Vec::new(),
-            slots: slots as u64,
+            slot_mask: slots as u64 - 1,
             waiting_bits: SlotBits::new(slots),
             ready_bits: SlotBits::new(slots),
             retry_bits: SlotBits::new(slots),
@@ -753,7 +757,7 @@ impl OooCore {
                 // by the corrected path. A removed entry's own lists hold
                 // only younger (also removed) waiters, so unlinking every
                 // removed node empties them too.
-                let slot = (e.seq % self.slots) as usize;
+                let slot = (e.seq & self.slot_mask) as usize;
                 match e.status {
                     Status::Waiting => {
                         self.waiting_count -= 1;
@@ -807,35 +811,29 @@ impl OooCore {
     /// instruction issued or any parked memory access re-polled the memory
     /// model (both make the cycle non-quiescent).
     ///
-    /// Selection is equivalent to walking the ROB from the head and trying
-    /// every Waiting entry and parked retry until `width` issue, stopping at
-    /// the first unfinished serialising instruction past the head and at the
-    /// `iq_entries + 1`-th Waiting entry. A Waiting entry that is not ready
-    /// would be refused by [`try_issue_at`](Self::try_issue_at) before it
-    /// touches any state, so only the ready and retry candidates are visited
-    /// — and the candidate bits are re-read after every issue, because
-    /// issuing a store wakes the younger loads parked behind it.
+    /// Equivalent to walking the ROB from the head, trying every Waiting
+    /// entry and parked retry until `width` issue, and stopping at the first
+    /// serialising instruction past the head and at the `iq_entries + 1`-th
+    /// Waiting entry counted at the start of the stage. A Waiting entry that
+    /// is not ready would be refused without side effects, so only the
+    /// `ready | retry` bits are visited, one slot word at a time; the live
+    /// word is re-read after every candidate because issuing a store wakes
+    /// the younger loads parked behind it. A word's Waiting bits are counted
+    /// only when the walk reaches it, which gives the stage-start rank: issue
+    /// clears only bits the walk has passed, and wakeups set only ready bits.
     fn issue_stage(&mut self, now: Cycle, mem: &mut dyn MemoryModel) -> bool {
         if self.waiting_count + self.retry_count == 0 {
             return false;
         }
+        #[cfg(any(test, debug_assertions))]
+        let expected_end = self.window_end_by_rob_walk();
         let head = self.head_seq();
         let tail = head + self.rob.len() as u64;
-        // An unfinished serialising instruction blocks everything younger.
-        // It can itself execute only at the ROB head (where it is an
-        // ordinary candidate), so past the head it always ends the window.
-        let mut limit = self
-            .first_seq(head + 1, tail, |w| self.serial_bits.word(w))
-            .unwrap_or(tail);
-        // The instruction window: only the first `iq_entries` Waiting
-        // entries (counted at the start of the stage — entries issued during
-        // it keep their place) are candidates, and nothing past the next one
-        // is visited, parked retries included.
-        if self.waiting_count > self.pipeline.iq_entries {
-            if let Some(cutoff) = self.nth_waiting_seq(head, limit, self.pipeline.iq_entries) {
-                limit = cutoff;
-            }
-        }
+        let width = self.pipeline.width;
+        // Waiting entries the window still admits; the rank is needed only
+        // when more entries wait than the window holds.
+        let mut budget =
+            (self.waiting_count > self.pipeline.iq_entries).then_some(self.pipeline.iq_entries);
 
         let mut issued = 0usize;
         let mut attempts = 0usize;
@@ -843,114 +841,160 @@ impl OooCore {
         let mut fp_used = 0usize;
         let mut muldiv_used = 0usize;
         let mut mem_ports_used = 0usize;
-        let mut from = head;
-        while issued < self.pipeline.width {
-            let Some(seq) = self.first_seq(from, limit, |w| {
-                self.ready_bits.word(w) | self.retry_bits.word(w)
-            }) else {
+        let mut chunk = head;
+        while issued < width {
+            if chunk == tail {
+                #[cfg(any(test, debug_assertions))]
+                assert_eq!(tail, expected_end, "the issue window ends early");
                 break;
-            };
-            from = seq + 1;
-            let idx = (seq - head) as usize;
-            let slot = self.slot(seq);
+            }
+            let first_slot = self.slot(chunk);
+            let (w, first_bit) = (first_slot / 64, first_slot % 64);
+            let ring_left = (self.slot_mask + 1) as usize - first_slot;
+            let run = (64 - first_bit).min(ring_left).min((tail - chunk) as usize);
+            let mut window = (u64::MAX >> (64 - run)) << first_bit;
+            let seq_of = |bit: u32| chunk + (bit as usize - first_bit) as u64;
+            let mut stop = None;
 
-            if self.retry_bits.get(slot) {
-                // A previously delayed memory access: retry it (the memory
-                // model re-evaluates its condition; at the head it is
-                // non-speculative and must succeed). The poll reaches the
-                // memory model, so a cycle with a parked retry is never
-                // quiescent.
-                attempts += 1;
+            // An unfinished serialising instruction blocks everything
+            // younger. It can itself execute only at the ROB head (where it
+            // is an ordinary candidate), so past the head it always ends the
+            // window.
+            let mut serial = self.serial_bits.word(w) & window;
+            if chunk == head {
+                serial &= !(1 << first_bit);
+            }
+            if serial != 0 {
+                let bit = serial.trailing_zeros();
+                window &= (1 << bit) - 1;
+                stop = Some(bit);
+            }
+            // The instruction window: nothing from the `iq_entries + 1`-th
+            // Waiting entry on is visited, parked retries included.
+            if let Some(left) = budget.as_mut() {
+                let mut waiting = self.waiting_bits.word(w) & window;
+                let count = waiting.count_ones() as usize;
+                if count > *left {
+                    for _ in 0..*left {
+                        waiting &= waiting - 1;
+                    }
+                    let bit = waiting.trailing_zeros();
+                    window &= (1 << bit) - 1;
+                    stop = Some(bit);
+                } else {
+                    *left -= count;
+                }
+            }
+            #[cfg(any(test, debug_assertions))]
+            if let Some(bit) = stop {
+                assert_eq!(seq_of(bit), expected_end, "the issue window ends elsewhere");
+            }
+
+            while issued < width {
+                let candidates = (self.ready_bits.word(w) | self.retry_bits.word(w)) & window;
+                if candidates == 0 {
+                    break;
+                }
+                let bit = candidates.trailing_zeros();
+                window &= !(u64::MAX >> (63 - bit));
+                let seq = seq_of(bit);
+                #[cfg(any(test, debug_assertions))]
+                assert!(seq < expected_end, "{seq} is past the issue window");
+                let idx = (seq - head) as usize;
+                let slot = self.slot(seq);
+
+                if self.retry_bits.get(slot) {
+                    // A previously delayed memory access: retry it (the
+                    // memory model re-evaluates its condition; at the head it
+                    // is non-speculative and must succeed). The poll reaches
+                    // the memory model, so a cycle with a parked retry is
+                    // never quiescent.
+                    attempts += 1;
+                    if self.retry_parked(idx, now, mem) {
+                        issued += 1;
+                        mem_ports_used += 1;
+                        if !self.entry_is_parked(idx) {
+                            // Completed: no longer a retry poll.
+                            self.retry_bits.clear(slot);
+                            self.retry_count -= 1;
+                        }
+                    }
+                    continue;
+                }
+
+                // Functional unit availability.
+                let class = self.rob[idx].inst.class();
+                let fu_ok = match class {
+                    InstClass::IntAlu
+                    | InstClass::Branch
+                    | InstClass::Jump
+                    | InstClass::Call
+                    | InstClass::Return
+                    | InstClass::Nop
+                    | InstClass::SandboxMarker
+                    | InstClass::Syscall
+                    | InstClass::Barrier
+                    | InstClass::Halt => int_used < self.pipeline.int_alus,
+                    InstClass::FpAlu => fp_used < self.pipeline.fp_alus,
+                    InstClass::MulDiv => muldiv_used < self.pipeline.mul_div_units,
+                    InstClass::Load | InstClass::Store | InstClass::Atomic => mem_ports_used < 4,
+                };
+                if !fu_ok {
+                    continue;
+                }
                 if self.try_issue_at(idx, now, mem) {
                     issued += 1;
-                    mem_ports_used += 1;
-                    if !self.entry_is_parked(idx) {
-                        // Completed (or forwarded): no longer a retry poll.
-                        self.retry_bits.clear(slot);
-                        self.retry_count -= 1;
+                    self.waiting_count -= 1;
+                    self.waiting_bits.clear(slot);
+                    self.ready_bits.clear(slot);
+                    if self.entry_is_parked(idx) {
+                        // The memory model parked the access for a later
+                        // retry: it left Waiting but remains a candidate.
+                        self.retry_bits.set(slot);
+                        self.retry_count += 1;
+                    }
+                    match class {
+                        InstClass::FpAlu => fp_used += 1,
+                        InstClass::MulDiv => muldiv_used += 1,
+                        InstClass::Load | InstClass::Store | InstClass::Atomic => {
+                            mem_ports_used += 1
+                        }
+                        _ => int_used += 1,
                     }
                 }
-                continue;
             }
-
-            // Functional unit availability.
-            let class = self.rob[idx].inst.class();
-            let fu_ok = match class {
-                InstClass::IntAlu
-                | InstClass::Branch
-                | InstClass::Jump
-                | InstClass::Call
-                | InstClass::Return
-                | InstClass::Nop
-                | InstClass::SandboxMarker
-                | InstClass::Syscall
-                | InstClass::Barrier
-                | InstClass::Halt => int_used < self.pipeline.int_alus,
-                InstClass::FpAlu => fp_used < self.pipeline.fp_alus,
-                InstClass::MulDiv => muldiv_used < self.pipeline.mul_div_units,
-                InstClass::Load | InstClass::Store | InstClass::Atomic => mem_ports_used < 4,
-            };
-            if !fu_ok {
-                continue;
+            if stop.is_some() {
+                break;
             }
-            if self.try_issue_at(idx, now, mem) {
-                issued += 1;
-                self.waiting_count -= 1;
-                self.waiting_bits.clear(slot);
-                self.ready_bits.clear(slot);
-                if self.entry_is_parked(idx) {
-                    // The memory model parked the access for a later retry:
-                    // it left Waiting but remains a candidate.
-                    self.retry_bits.set(slot);
-                    self.retry_count += 1;
-                }
-                match class {
-                    InstClass::FpAlu => fp_used += 1,
-                    InstClass::MulDiv => muldiv_used += 1,
-                    InstClass::Load | InstClass::Store | InstClass::Atomic => mem_ports_used += 1,
-                    _ => int_used += 1,
-                }
-            }
+            chunk += run as u64;
         }
         issued > 0 || attempts > 0
     }
 
+    /// Where the issue stage must stop, recomputed with a plain ROB walk:
+    /// at the first unfinished serialising entry past the head or at the
+    /// `iq_entries + 1`-th Waiting entry, whichever comes first, else at the
+    /// tail. The oracle for the word walk in [`issue_stage`](Self::issue_stage).
+    #[cfg(any(test, debug_assertions))]
+    fn window_end_by_rob_walk(&self) -> u64 {
+        let mut waiting = 0;
+        for (idx, e) in self.rob.iter().enumerate() {
+            if idx > 0 && e.inst.is_serialising() && !e.is_done() {
+                return e.seq;
+            }
+            if matches!(e.status, Status::Waiting) {
+                if waiting == self.pipeline.iq_entries {
+                    return e.seq;
+                }
+                waiting += 1;
+            }
+        }
+        self.head_seq() + self.rob.len() as u64
+    }
+
     /// ROB slot of sequence number `seq`.
     fn slot(&self, seq: u64) -> usize {
-        (seq % self.slots) as usize
-    }
-
-    /// The oldest sequence number in `from..to` (a span of live entries)
-    /// whose slot bit is set in the bitset whose words `word` returns.
-    fn first_seq(&self, from: u64, to: u64, word: impl Fn(usize) -> u64) -> Option<u64> {
-        let mut seq = from;
-        while seq < to {
-            // The span wraps around the end of the slot ring at most once.
-            let slot = self.slot(seq);
-            let run = (to - seq).min(self.slots - slot as u64);
-            if let Some(found) = wakeup::first_set(&word, slot, slot + run as usize) {
-                return Some(seq + (found - slot) as u64);
-            }
-            seq += run;
-        }
-        None
-    }
-
-    /// The sequence number of the `n`-th (0-based) Waiting entry in
-    /// `from..to`, if there are more than `n`.
-    fn nth_waiting_seq(&self, from: u64, to: u64, mut n: usize) -> Option<u64> {
-        let word = |w| self.waiting_bits.word(w);
-        let mut seq = from;
-        while seq < to {
-            let slot = self.slot(seq);
-            let run = (to - seq).min(self.slots - slot as u64);
-            match wakeup::nth_set(word, slot, slot + run as usize, n) {
-                Ok(found) => return Some(seq + (found - slot) as u64),
-                Err(seen) => n -= seen,
-            }
-            seq += run;
-        }
-        None
+        (seq & self.slot_mask) as usize
     }
 
     /// Wakes the consumers linked to the producer `seq`, which just turned
@@ -1084,7 +1128,7 @@ impl OooCore {
                 );
                 if let Some(store_slot) = self.store_waiters.owner(slot) {
                     store_links += 1;
-                    let offset = (store_slot as u64 + self.slots - head % self.slots) % self.slots;
+                    let offset = (store_slot as u64).wrapping_sub(head) & self.slot_mask;
                     assert!(offset < idx as u64, "{seq} waits behind a younger slot");
                     let store = &self.rob[offset as usize];
                     assert!(store.is_store() && store.mem_addr.is_none());
@@ -1247,43 +1291,21 @@ impl OooCore {
 
         // Memory disambiguation: a load may not issue past an older store
         // whose address is unknown; if an older store to the same address has
-        // its data, forward it. Only the in-flight stores are walked (youngest
-        // first), not every older ROB entry.
+        // its data, forward it.
         let is_load = matches!(inst.class(), InstClass::Load | InstClass::Atomic);
         let mut forwarded_value = None;
         if is_load {
-            let head = self.head_seq();
-            let seq = self.rob[idx].seq;
-            let older = self.store_seqs.partition_point(|&s| s < seq);
-            for &store_seq in self.store_seqs.range(..older).rev() {
-                let store = &self.rob[(store_seq - head) as usize];
-                debug_assert!(store.is_store());
-                match store.mem_addr {
-                    None => {
-                        // Unknown older store address: wait until that store
-                        // computes it. (Only a Waiting load can get here: a
-                        // parked retry passed this check with the same or
-                        // an older set of stores.)
-                        self.park_behind_store(seq, store_seq);
-                        return false;
-                    }
-                    Some(a) if a == addr => {
-                        forwarded_value = store.store_data;
-                        break;
-                    }
-                    Some(_) => continue,
+            if let Some(store_seq) = self.conflicting_older_store(idx, addr) {
+                let store = &self.rob[(store_seq - self.head_seq()) as usize];
+                if store.mem_addr.is_none() {
+                    // Unknown older store address: wait until that store
+                    // computes it.
+                    self.park_behind_store(self.rob[idx].seq, store_seq);
+                    return false;
                 }
+                forwarded_value = store.store_data;
             }
         }
-
-        let under_unresolved_branch = self.has_older_unresolved_branch(idx);
-        let (ts, tf) = if mem.needs_taint_tracking() {
-            self.address_taint(idx)
-        } else {
-            (false, false)
-        };
-        let speculative = idx != 0;
-        let pc_vaddr = self.pc_addr(self.rob[idx].pc);
 
         if matches!(inst.class(), InstClass::Store | InstClass::Atomic) {
             // The address is known from here on.
@@ -1292,6 +1314,68 @@ impl OooCore {
         let entry = &mut self.rob[idx];
         entry.mem_addr = Some(addr);
         entry.store_data = data;
+        self.access_memory(idx, now, mem, forwarded_value)
+    }
+
+    /// The youngest in-flight store older than entry `idx` that a load from
+    /// `addr` must respect: one whose address is still unknown (the load
+    /// waits for it) or one to `addr` (the load forwards from it). Only the
+    /// in-flight stores are walked, youngest first, not every older entry.
+    fn conflicting_older_store(&self, idx: usize, addr: VirtAddr) -> Option<u64> {
+        let head = self.head_seq();
+        let older = self.store_seqs.partition_point(|&s| s < self.rob[idx].seq);
+        self.store_seqs
+            .range(..older)
+            .rev()
+            .copied()
+            .find(|&store_seq| {
+                let store = &self.rob[(store_seq - head) as usize];
+                debug_assert!(store.is_store());
+                store.mem_addr.is_none_or(|a| a == addr)
+            })
+    }
+
+    /// Re-polls the memory model for the parked load (or head atomic) at ROB
+    /// index `idx`; returns whether the poll counts as an issue. A parked
+    /// load passed disambiguation (every older store had a known, different
+    /// address) and older stores can only commit since, so the poll starts
+    /// from the stored address; speculation, branch and taint state are
+    /// recomputed by [`access_memory`](Self::access_memory).
+    fn retry_parked(&mut self, idx: usize, now: Cycle, mem: &mut dyn MemoryModel) -> bool {
+        let addr = self.rob[idx]
+            .mem_addr
+            .expect("a parked access has its address");
+        debug_assert!(
+            self.conflicting_older_store(idx, addr).is_none(),
+            "a parked access gained an older conflicting store"
+        );
+        debug_assert!(idx == 0 || matches!(self.rob[idx].inst.class(), InstClass::Load));
+        self.access_memory(idx, now, mem, None)
+    }
+
+    /// Issues the memory side of the operation at ROB index `idx`, whose
+    /// address and store data are recorded: a store notifies the memory
+    /// model; a load completes from `forwarded` or through the memory model,
+    /// which may park it. Returns whether the access counts as an issue.
+    fn access_memory(
+        &mut self,
+        idx: usize,
+        now: Cycle,
+        mem: &mut dyn MemoryModel,
+        forwarded: Option<u64>,
+    ) -> bool {
+        let inst = self.rob[idx].inst;
+        let addr = self.rob[idx].mem_addr.expect("memory op has an address");
+        let data = self.rob[idx].store_data;
+        let under_unresolved_branch = self.has_older_unresolved_branch(idx);
+        let (ts, tf) = if mem.needs_taint_tracking() {
+            self.address_taint(idx)
+        } else {
+            (false, false)
+        };
+        let speculative = idx != 0;
+        let pc_vaddr = self.pc_addr(self.rob[idx].pc);
+        let entry = &mut self.rob[idx];
 
         match inst.class() {
             InstClass::Store => {
@@ -1320,7 +1404,7 @@ impl OooCore {
             InstClass::Load | InstClass::Atomic => {
                 let pc_addr = pc_vaddr;
                 let is_atomic = matches!(inst.class(), InstClass::Atomic);
-                if let Some(value) = forwarded_value {
+                if let Some(value) = forwarded {
                     // Store-to-load forwarding: 1-cycle, no cache access.
                     let entry = &mut self.rob[idx];
                     entry.result = Some(value);
@@ -2295,6 +2379,92 @@ mod tests {
         };
         assert!(l3 < l2 && l2 < l1, "loads must park out of dispatch order");
         assert_matches_interpreter(&p, &[Reg::X15, Reg::X16]);
+    }
+
+    // --- issue window walk ----------------------------------------------
+
+    /// A program whose slow load, at instruction `load_pc`, sits at the ROB
+    /// head while `waiters` dependents of it fill the ROB behind it, with a
+    /// speculation barrier before dependent number `barrier_at`, if any.
+    fn stalled_window(load_pc: usize, waiters: usize, barrier_at: Option<usize>) -> Program {
+        let mut b = ProgramBuilder::new("stalled-window");
+        b.data_u64(VirtAddr::new(0x8000), &[5]);
+        b.li(Reg::X1, 0x8000);
+        for _ in 1..load_pc {
+            b.nop();
+        }
+        b.load(Reg::X2, Reg::X1, 0);
+        for i in 0..waiters {
+            if barrier_at == Some(i) {
+                b.spec_barrier();
+            }
+            b.addi(Reg::X3, Reg::X2, i as i64);
+        }
+        b.halt();
+        b.build().unwrap()
+    }
+
+    /// Runs `p` tick by tick on a core with `rob` ROB entries and an
+    /// `iq`-entry issue window, checks the result against the interpreter,
+    /// and returns each distinct `(head slot, end slot, ends at a serialising
+    /// entry)` of an issue window that ended before the ROB tail. Every
+    /// issue stage checks its word walk against the ROB-walk oracle.
+    fn window_ends(p: &Program, rob: usize, iq: usize) -> Vec<(usize, usize, bool)> {
+        let mut cfg = SystemConfig::paper_default();
+        cfg.pipeline.rob_entries = rob;
+        cfg.pipeline.iq_entries = iq;
+        let mut core = OooCore::new(0, &cfg);
+        core.swap_thread(Some(ThreadContext::new(p.clone(), 0)));
+        let mut mem = FixedLatencyMemory::new(300, 1);
+        let mut ends = Vec::new();
+        let mut now = Cycle::ZERO;
+        while !core.is_halted() && now.raw() < 10_000 {
+            let (head, end) = (core.head_seq(), core.window_end_by_rob_walk());
+            if end < head + core.rob.len() as u64 {
+                let serial = core.rob[(end - head) as usize].inst.is_serialising();
+                let seen = (core.slot(head), core.slot(end), serial);
+                if !ends.contains(&seen) {
+                    ends.push(seen);
+                }
+            }
+            tick_checked(&mut core, now, &mut mem);
+            now += 1;
+        }
+        let finished = core.swap_thread(None).expect("thread present");
+        let golden = Interpreter::new(p)
+            .run(1_000_000)
+            .expect("interpreter halts");
+        assert_eq!(finished.regs.snapshot(), golden.regs.snapshot());
+        ends
+    }
+
+    #[test]
+    fn window_cutoff_falls_in_the_wrapped_second_chunk() {
+        // The load heads the ROB at slot 201 of the 256-slot ring, so 54
+        // Waiting entries fill the rest of its word and the 65th Waiting
+        // entry lies at slot 10, past the wrap.
+        let ends = window_ends(&stalled_window(201, 190, None), 192, 64);
+        assert!(ends.contains(&(201, 10, false)), "{ends:?}");
+    }
+
+    #[test]
+    fn serialising_limit_falls_in_the_wrapped_second_chunk() {
+        // As above with a window larger than the ROB, and a barrier as the
+        // 75th entry past the head, at slot 20 past the wrap.
+        let ends = window_ends(&stalled_window(201, 190, Some(74)), 192, 192);
+        assert!(ends.contains(&(201, 20, true)), "{ends:?}");
+    }
+
+    #[test]
+    fn windows_of_64_and_65_entries_end_at_the_start_of_the_next_word() {
+        // The load heads the ROB at slot 63, so the Waiting entries start on
+        // a word boundary: a 64-entry window fills word 1 exactly and ends at
+        // bit 0 of word 2, a 65-entry one at bit 1.
+        let p = stalled_window(63, 150, None);
+        let ends = window_ends(&p, 192, 64);
+        assert!(ends.contains(&(63, 128, false)), "{ends:?}");
+        let ends = window_ends(&p, 192, 65);
+        assert!(ends.contains(&(63, 129, false)), "{ends:?}");
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Wakeup/select bookkeeping for the issue stage.
 //!
 //! The issue stage of [`OooCore`](crate::OooCore) does not rescan its window
-//! every cycle. Instead every reorder-buffer entry owns a fixed *slot*
-//! (`seq % rob_entries`; the ROB holds at most `rob_entries` consecutive
-//! sequence numbers, so live slots never collide), and two kinds of
-//! allocation-free structures track which slots can make progress:
+//! every cycle. Instead every reorder-buffer entry owns a fixed *slot* on a
+//! power-of-two ring (`seq & (ring - 1)`, where the ring is `rob_entries`
+//! rounded up to a power of two; the ROB holds at most `rob_entries`
+//! consecutive sequence numbers, so live slots never collide), and two kinds
+//! of allocation-free structures track which slots can make progress:
 //!
 //! * [`SlotBits`] — one bit per slot (Waiting entries, operand-ready entries,
-//!   parked memory retries, serialising instructions). Scans over them read
-//!   a handful of machine words; the `*_set` helpers answer "first set bit",
-//!   "n-th set bit" over a slot range so the core can walk candidates in
-//!   sequence order and rank the issue window by popcount.
+//!   parked memory retries, serialising instructions). The issue stage reads
+//!   them a machine word at a time, so one 64-slot chunk of the window costs
+//!   a few word operations (see `OooCore::issue_stage`).
 //! * [`WaitLists`] — intrusive, doubly-linked lists threaded through arrays
 //!   sized once at construction. A list belongs to a producer (or a store);
 //!   a node belongs to a consumer (or a load) and sits in at most one list.
@@ -56,62 +56,10 @@ impl SlotBits {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Word `i` of the bitset (bits `64 * i ..`), for the range helpers.
+    /// Word `i` of the bitset (bits `64 * i ..`).
     pub(crate) fn word(&self, i: usize) -> u64 {
         self.words[i]
     }
-}
-
-/// Word `w` of the bitset read through `word`, masked to the slots in
-/// `from..to` (the word must overlap the range).
-fn masked(word: &impl Fn(usize) -> u64, w: usize, from: usize, to: usize) -> u64 {
-    let lo = w * 64;
-    let mut bits = word(w);
-    if from > lo {
-        bits &= u64::MAX << (from - lo);
-    }
-    if to < lo + 64 {
-        bits &= (1u64 << (to - lo)) - 1;
-    }
-    bits
-}
-
-/// The first slot in `from..to` whose bit is set, where word `i` of the
-/// bitset is `word(i)` (so callers can scan a union of bitsets).
-pub(crate) fn first_set(word: impl Fn(usize) -> u64, from: usize, to: usize) -> Option<usize> {
-    if from >= to {
-        return None;
-    }
-    (from / 64..=(to - 1) / 64).find_map(|w| {
-        let bits = masked(&word, w, from, to);
-        (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
-    })
-}
-
-/// The `n`-th (0-based) slot in `from..to` whose bit is set, or `Err` with
-/// the number of set bits in the range when it holds `n` or fewer.
-pub(crate) fn nth_set(
-    word: impl Fn(usize) -> u64,
-    from: usize,
-    to: usize,
-    mut n: usize,
-) -> Result<usize, usize> {
-    let mut seen = 0;
-    if from < to {
-        for w in from / 64..=(to - 1) / 64 {
-            let mut bits = masked(&word, w, from, to);
-            let ones = bits.count_ones() as usize;
-            if n < ones {
-                for _ in 0..n {
-                    bits &= bits - 1;
-                }
-                return Ok(w * 64 + bits.trailing_zeros() as usize);
-            }
-            n -= ones;
-            seen += ones;
-        }
-    }
-    Err(seen)
 }
 
 /// Intrusive doubly-linked wait lists over fixed arrays: `lists` list heads,
@@ -220,50 +168,6 @@ impl WaitLists {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn bits(slots: usize, set: &[usize]) -> SlotBits {
-        let mut b = SlotBits::new(slots);
-        for &s in set {
-            b.set(s);
-        }
-        b
-    }
-
-    #[test]
-    fn first_set_respects_range_bounds_across_words() {
-        let b = bits(192, &[3, 63, 64, 130, 191]);
-        let word = |i| b.word(i);
-        assert_eq!(first_set(word, 0, 192), Some(3));
-        assert_eq!(first_set(word, 4, 192), Some(63));
-        assert_eq!(first_set(word, 64, 65), Some(64));
-        assert_eq!(first_set(word, 65, 130), None);
-        assert_eq!(first_set(word, 65, 131), Some(130));
-        assert_eq!(first_set(word, 131, 191), None);
-        assert_eq!(first_set(word, 131, 192), Some(191));
-        assert_eq!(first_set(word, 10, 10), None);
-    }
-
-    #[test]
-    fn nth_set_ranks_by_popcount_or_reports_the_count() {
-        let b = bits(192, &[0, 5, 63, 64, 100, 150]);
-        assert_eq!(b.count(), 6);
-        let word = |i| b.word(i);
-        assert_eq!(nth_set(word, 0, 192, 0), Ok(0));
-        assert_eq!(nth_set(word, 0, 192, 2), Ok(63));
-        assert_eq!(nth_set(word, 0, 192, 3), Ok(64));
-        assert_eq!(nth_set(word, 1, 192, 4), Ok(150));
-        assert_eq!(nth_set(word, 1, 150, 4), Err(4));
-        assert_eq!(nth_set(word, 70, 70, 0), Err(0));
-    }
-
-    #[test]
-    fn union_of_bitsets_scans_as_one() {
-        let a = bits(70, &[40]);
-        let b = bits(70, &[12, 69]);
-        assert_eq!(first_set(|i| a.word(i) | b.word(i), 0, 70), Some(12));
-        assert_eq!(first_set(|i| a.word(i) | b.word(i), 13, 70), Some(40));
-        assert_eq!(first_set(|i| a.word(i) | b.word(i), 41, 70), Some(69));
-    }
 
     #[test]
     fn wait_lists_link_unlink_and_drain() {

@@ -339,10 +339,15 @@ impl ExperimentSession {
         let mut seen: HashMap<Fingerprint, usize> = HashMap::new();
         let mut cells: Vec<WorkUnit> = Vec::new();
         for workload in &self.workloads {
+            let programs = store::programs_digest(workload);
             for column in &columns {
                 let baseline_config = baseline_machine(&column.config);
-                let baseline_fp =
-                    store::cell_fingerprint(workload, DefenseKind::Unprotected, &baseline_config);
+                let baseline_fp = store::cell_fingerprint_with_programs(
+                    workload,
+                    programs,
+                    DefenseKind::Unprotected,
+                    &baseline_config,
+                );
                 // With memoization, one baseline unit per distinct machine;
                 // without, one per cell (the validation mode's semantics).
                 if !self.memoize || !seen.contains_key(&baseline_fp) {
@@ -364,7 +369,12 @@ impl ExperimentSession {
                     // An explicit Unprotected column *is* the baseline.
                     baseline_fp
                 } else {
-                    store::cell_fingerprint(workload, column.kind, &column.config)
+                    store::cell_fingerprint_with_programs(
+                        workload,
+                        programs,
+                        column.kind,
+                        &column.config,
+                    )
                 };
                 cells.push(WorkUnit {
                     kind: UnitKind::Cell,

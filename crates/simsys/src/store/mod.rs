@@ -127,6 +127,24 @@ pub fn cell_fingerprint(
     kind: DefenseKind,
     config: &SystemConfig,
 ) -> Fingerprint {
+    cell_fingerprint_with_programs(workload, programs_digest(workload), kind, config)
+}
+
+/// The digest of `workload`'s thread programs (code and data segments) that
+/// [`cell_fingerprint`] keys on. Hashing the programs dominates the cost of
+/// a fingerprint, so a caller keying many cells of one workload computes it
+/// once and passes it to [`cell_fingerprint_with_programs`].
+pub(crate) fn programs_digest(workload: &Workload) -> Fingerprint {
+    fingerprint::of_hash(&workload.thread_programs)
+}
+
+/// [`cell_fingerprint`] with the workload's [`programs_digest`] supplied.
+pub(crate) fn cell_fingerprint_with_programs(
+    workload: &Workload,
+    programs: Fingerprint,
+    kind: DefenseKind,
+    config: &SystemConfig,
+) -> Fingerprint {
     let defense = match kind {
         // Custom kinds share the "muontrap-custom" label; the protection
         // payload is what distinguishes them.
@@ -145,10 +163,7 @@ pub fn cell_fingerprint(
                 ("threads", Json::UInt(workload.num_threads() as u64)),
                 ("shared_memory", Json::Bool(workload.shared_memory)),
                 ("cycle_budget", Json::UInt(workload.cycle_budget)),
-                (
-                    "programs",
-                    Json::Str(fingerprint::of_hash(&workload.thread_programs).to_hex()),
-                ),
+                ("programs", Json::Str(programs.to_hex())),
             ]),
         ),
         ("defense", defense),
