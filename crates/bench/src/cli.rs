@@ -323,7 +323,7 @@ pub fn write_metrics(options: &CliOptions) {
     }
 }
 
-/// [`write_metrics`] for binaries with their own flag parsing (`perf`).
+/// [`write_metrics`] for binaries with their own flag parsing (`fleet`).
 pub fn write_metrics_to(path: &std::path::Path) {
     let result = std::fs::OpenOptions::new()
         .create(true)

@@ -1,4 +1,4 @@
-//! Shared harness code behind the figure binaries and benches.
+//! Shared harness code behind the figure binaries.
 //!
 //! Every table and figure in the paper's evaluation section (§6) has a
 //! function here that produces its data, and a thin binary in `src/bin/` that
@@ -41,7 +41,6 @@
 pub mod cli;
 pub mod fleet;
 pub mod lint;
-pub mod perf;
 pub mod render;
 pub mod watch;
 
@@ -625,7 +624,7 @@ pub fn security_json(config: &SystemConfig) -> Json {
 
 /// Runs one workload under one defense and returns its simulated cycle count:
 /// exactly one simulation, no baseline. A convenience for ad-hoc throughput
-/// measurements (the benches time whole figure grids instead).
+/// measurements.
 pub fn one_run_cycles(workload: &Workload, kind: DefenseKind, config: &SystemConfig) -> u64 {
     simsys::session::simulate(workload, kind, config).cycles
 }

@@ -5,17 +5,13 @@
 //! cheaper than row misses) and per-bank busy time, so bursts of misses to the
 //! same bank queue behind each other.
 //!
-//! Each bank is a serialized [`TimedServer`]: an access starts when the bank
-//! frees up, occupies it for the row hit/miss service time, and the returned
-//! [`Ticket`](simkit::timeq::Ticket) names the completion cycle. The service
-//! law's `bytes_per_cycle` is 0 (the data-bus transfer is folded into the
-//! row latencies), which reproduces the original latency-annotated model
-//! bit-for-bit.
+//! A bank serves one access at a time: an access starts when the bank frees
+//! up (`max(now, busy_until)`) and occupies it for the row hit/miss latency,
+//! which includes the data-bus transfer.
 
 use simkit::addr::LineAddr;
 use simkit::config::DramConfig;
 use simkit::cycles::Cycle;
-use simkit::timeq::{ServiceLaw, TimedServer};
 
 /// The result of a DRAM access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,9 +25,9 @@ pub struct DramAccess {
 #[derive(Debug, Clone)]
 struct Bank {
     open_row: Option<u64>,
-    /// One access at a time; requests queue behind the busy window. The
-    /// per-request row hit/miss latency is supplied at request time.
-    server: TimedServer,
+    /// When the bank finishes its last accepted access; later requests
+    /// queue behind it.
+    busy_until: Cycle,
 }
 
 /// A banked DRAM timing model with open-row tracking.
@@ -49,7 +45,7 @@ impl Dram {
     pub fn new(config: DramConfig, line_bytes: u64) -> Self {
         let bank = Bank {
             open_row: None,
-            server: TimedServer::serialized(ServiceLaw::fixed(0)),
+            busy_until: Cycle::ZERO,
         };
         Dram {
             banks: vec![bank; config.banks.max(1)],
@@ -77,7 +73,6 @@ impl Dram {
         let addr_bytes = line.raw() * self.line_bytes;
         let row = addr_bytes / self.config.row_bytes;
         let bank_idx = (row as usize) % self.banks.len();
-        let line_bytes = self.line_bytes;
         let bank = &mut self.banks[bank_idx];
 
         let row_hit = bank.open_row == Some(row);
@@ -90,16 +85,11 @@ impl Dram {
             self.row_hits += 1;
         }
         bank.open_row = Some(row);
-        // The bank is occupied for the service time; with the neutral law
-        // (bytes_per_cycle = 0) the data-bus transfer is folded into it. The
-        // queue is unbounded, so the request is always accepted.
-        let ticket = bank
-            .server
-            .request_with_latency(now, service, line_bytes)
-            .expect("unbounded bank queue never pushes back");
+        let start = now.max_of(bank.busy_until);
+        bank.busy_until = start.saturating_add(service);
 
         DramAccess {
-            latency: ticket.latency(now),
+            latency: bank.busy_until.since(now),
             row_hit,
         }
     }
@@ -150,15 +140,43 @@ mod tests {
 
     #[test]
     fn back_to_back_accesses_queue_behind_bank_busy_time() {
+        let system = SystemConfig::paper_default();
+        let cfg = system.dram;
         let mut d = dram();
         let first = d.access(LineAddr::new(0), Cycle::ZERO);
-        // Immediately issue another access to the same bank: it must wait.
+        assert_eq!(first.latency, cfg.row_miss_latency);
+        // A same-row access queued at the same cycle starts when the bank
+        // frees up, then pays the row hit.
         let second = d.access(LineAddr::new(1), Cycle::ZERO);
-        assert!(
-            second.latency > first.latency / 2,
-            "second access should see queueing delay"
+        assert!(second.row_hit);
+        assert_eq!(
+            second.latency,
+            cfg.row_miss_latency + cfg.row_hit_latency,
+            "second access waits out the first"
         );
-        assert!(second.latency >= d.config.row_hit_latency);
+        // Another bank is free at the same cycle: no queueing.
+        let lines_per_row = cfg.row_bytes / system.line_bytes;
+        let other_bank = d.access(LineAddr::new(lines_per_row), Cycle::ZERO);
+        assert!(!other_bank.row_hit);
+        assert_eq!(other_bank.latency, cfg.row_miss_latency);
+    }
+
+    #[test]
+    fn serialized_bank_queues_requests() {
+        let cfg = SystemConfig::paper_default().dram;
+        let mut d = dram();
+        let first = d.access(LineAddr::new(0), Cycle::new(5));
+        assert_eq!(first.latency, cfg.row_miss_latency);
+        // Arriving mid-service, the second access waits only for the
+        // remainder of the first (ready at 5 + miss), then pays its own hit.
+        let second = d.access(LineAddr::new(1), Cycle::new(7));
+        assert!(second.row_hit);
+        let queue_delay = cfg.row_miss_latency - 2;
+        assert_eq!(second.latency, queue_delay + cfg.row_hit_latency);
+        // Once the bank is idle again, a request sees no queueing.
+        let idle_at = Cycle::new(5 + cfg.row_miss_latency + cfg.row_hit_latency);
+        let third = d.access(LineAddr::new(2), idle_at);
+        assert_eq!(third.latency, cfg.row_hit_latency);
     }
 
     #[test]

@@ -21,7 +21,6 @@ use simkit::addr::LineAddr;
 use simkit::config::SystemConfig;
 use simkit::cycles::Cycle;
 use simkit::stats::StatSet;
-use simkit::timeq::{ServiceLaw, TimedServer};
 
 use crate::cache::CacheArray;
 use crate::dram::Dram;
@@ -60,11 +59,8 @@ pub struct MemoryHierarchy {
     stats: StatSet,
     l1d_hit_latency: u64,
     l1i_hit_latency: u64,
-    /// The shared L2 lookup path as a timed server: a latency pipe whose
-    /// service law is the L2 hit latency with the line transfer folded in
-    /// (`bytes_per_cycle = 0`), reproducing the original constant exactly.
-    l2_server: TimedServer,
-    line_bytes: u64,
+    /// Latency of one shared-L2 tag/data lookup (line transfer included).
+    l2_hit_latency: u64,
 }
 
 impl MemoryHierarchy {
@@ -88,19 +84,8 @@ impl MemoryHierarchy {
             stats: StatSet::new(),
             l1d_hit_latency: config.l1d.hit_latency,
             l1i_hit_latency: config.l1i.hit_latency,
-            l2_server: TimedServer::pipe(ServiceLaw::fixed(config.l2.hit_latency)),
-            line_bytes: config.line_bytes,
+            l2_hit_latency: config.l2.hit_latency,
         }
-    }
-
-    /// One L2 tag/data lookup through the timed-server model: returns the
-    /// lookup latency (the service law applied to one line).
-    fn l2_lookup_latency(&mut self, when: Cycle) -> u64 {
-        let ticket = self
-            .l2_server
-            .request(when, self.line_bytes)
-            .expect("the L2 lookup pipe is unbounded");
-        ticket.latency(when)
     }
 
     /// Number of cores the hierarchy was built for.
@@ -406,7 +391,7 @@ impl MemoryHierarchy {
             // The forward rides through the L2 lookup (which discovered the
             // remote owner) plus the core-to-core transfer.
             served_by = ServiceLevel::RemoteL1;
-            latency += self.l2_lookup_latency(req.when) + REMOTE_FORWARD_LATENCY;
+            latency += self.l2_hit_latency + REMOTE_FORWARD_LATENCY;
             let was_dirty = self.downgrade_remote_copies(req.core, req.line, wants_exclusive);
             writeback = was_dirty;
             if was_dirty {
@@ -489,7 +474,7 @@ impl MemoryHierarchy {
         when: Cycle,
         fill: FillLevel,
     ) -> (u64, ServiceLevel) {
-        let mut latency = self.l2_lookup_latency(when);
+        let mut latency = self.l2_hit_latency;
         if self.l2.lookup(line).is_some() {
             self.stats.bump("hierarchy.l2_hits");
             return (latency, ServiceLevel::L2);

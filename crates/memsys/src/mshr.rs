@@ -8,7 +8,6 @@
 
 use simkit::addr::LineAddr;
 use simkit::cycles::Cycle;
-use simkit::timeq::Backpressure;
 
 /// One outstanding miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,11 +20,11 @@ struct MshrEntry {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MshrOutcome {
     /// Set when every MSHR was busy: the file refused to issue the miss
-    /// until `retry_at` (when the earliest in-flight fill retires). In this
+    /// until this cycle (when the earliest in-flight fill retires). In this
     /// latency-annotated model the requester absorbs the stall as
     /// [`issue_delay`](Self::issue_delay) cycles rather than literally
     /// retrying.
-    pub backpressure: Option<Backpressure>,
+    pub retry_at: Option<Cycle>,
     /// Whether the miss coalesced onto an existing in-flight entry for the
     /// same line; if so `fill_ready_at` is that entry's completion time.
     pub coalesced: bool,
@@ -37,7 +36,7 @@ impl MshrOutcome {
     /// Extra cycles the requester must wait *before* its miss can even be
     /// issued — zero unless the file pushed back.
     pub fn issue_delay(&self, now: Cycle) -> u64 {
-        self.backpressure.map_or(0, |bp| bp.retry_at.since(now))
+        self.retry_at.map_or(0, |at| at.since(now))
     }
 }
 
@@ -79,22 +78,22 @@ impl MshrFile {
     /// Consults the MSHR file for a miss to `line` at cycle `now`.
     ///
     /// If the line is already being fetched, the miss coalesces. Otherwise, if
-    /// all MSHRs are busy, the returned outcome carries [`Backpressure`]
-    /// naming the cycle a register frees up. The caller is expected to call
+    /// all MSHRs are busy, the returned outcome's `retry_at` names the cycle
+    /// a register frees up. The caller is expected to call
     /// [`MshrFile::allocate`] afterwards with the final completion time.
     pub fn check(&mut self, line: LineAddr, now: Cycle) -> MshrOutcome {
         self.retire_completed(now);
         if let Some(entry) = self.entries.iter().find(|e| e.line == line) {
             self.coalesced_count += 1;
             return MshrOutcome {
-                backpressure: None,
+                retry_at: None,
                 coalesced: true,
                 fill_ready_at: entry.ready_at,
             };
         }
         if self.entries.len() < self.capacity {
             return MshrOutcome {
-                backpressure: None,
+                retry_at: None,
                 coalesced: false,
                 fill_ready_at: now,
             };
@@ -103,7 +102,7 @@ impl MshrFile {
         let earliest = self.entries.iter().map(|e| e.ready_at).min().unwrap_or(now);
         self.structural_stalls += 1;
         MshrOutcome {
-            backpressure: Some(Backpressure { retry_at: earliest }),
+            retry_at: Some(earliest),
             coalesced: false,
             fill_ready_at: earliest,
         }
@@ -167,8 +166,7 @@ mod tests {
         let outcome = m.check(LineAddr::new(3), Cycle::new(10));
         assert!(!outcome.coalesced);
         // Pushes back until line 1 retires at cycle 50.
-        let bp = outcome.backpressure.expect("file is full");
-        assert_eq!(bp.retry_at, Cycle::new(50));
+        assert_eq!(outcome.retry_at, Some(Cycle::new(50)), "file is full");
         assert_eq!(outcome.issue_delay(Cycle::new(10)), 40);
         assert_eq!(m.structural_stalls(), 1);
     }
@@ -179,7 +177,7 @@ mod tests {
         m.allocate(LineAddr::new(1), Cycle::new(20));
         // At cycle 30 the entry has completed, so a new miss issues freely.
         let outcome = m.check(LineAddr::new(2), Cycle::new(30));
-        assert_eq!(outcome.backpressure, None);
+        assert_eq!(outcome.retry_at, None);
         assert_eq!(m.in_flight(Cycle::new(30)), 0);
     }
 
@@ -187,7 +185,7 @@ mod tests {
     fn capacity_is_at_least_one() {
         let mut m = MshrFile::new(0);
         let outcome = m.check(LineAddr::new(9), Cycle::new(0));
-        assert_eq!(outcome.backpressure, None);
+        assert_eq!(outcome.retry_at, None);
     }
 
     #[test]

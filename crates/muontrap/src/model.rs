@@ -11,7 +11,6 @@ use simkit::addr::{LineAddr, VirtAddr};
 use simkit::config::{ProtectionConfig, SystemConfig};
 use simkit::cycles::Cycle;
 use simkit::stats::StatSet;
-use simkit::timeq::{ServiceLaw, TimedServer};
 
 use memsys::hierarchy::MemoryHierarchy;
 use memsys::tlb::{Mmu, PageTable};
@@ -29,13 +28,6 @@ struct CoreState {
     inst_filter: FilterCache,
     filter_tlb: FilterTlb,
     mmu: Mmu,
-    /// The filter-cache fill path as a timed server: each miss's fill is a
-    /// request whose completion ticket becomes the line's `fill_ready_at`
-    /// (later hits ride along with an in-flight fill like coalesced misses).
-    /// A latency pipe with a zero-latency law — the per-fill service time is
-    /// the hierarchy latency supplied at request time, and the neutral
-    /// `bytes_per_cycle = 0` folds the line transfer into it.
-    fill_server: TimedServer,
 }
 
 /// The MuonTrap protection scheme as a pluggable memory model.
@@ -65,7 +57,6 @@ impl MuonTrap {
                     &config.tlb,
                     PageTable::new(config.tlb.page_bytes, (i as u64 + 1) << 32),
                 ),
-                fill_server: TimedServer::pipe(ServiceLaw::fixed(0)),
             })
             .collect();
         MuonTrap {
@@ -182,17 +173,6 @@ impl MuonTrap {
         }
     }
 
-    /// Submits a filter-cache fill on `core`'s fill server and returns the
-    /// completion cycle for the line's `fill_ready_at`. `latency` is the full
-    /// latency of the access that fetches the data.
-    fn fill_ready_at(&mut self, core: usize, when: Cycle, latency: u64) -> Cycle {
-        self.cores[core]
-            .fill_server
-            .request_with_latency(when, latency, self.config.line_bytes)
-            .expect("the fill pipe is unbounded")
-            .ready_at
-    }
-
     /// The extra lookup penalty the L0 adds in front of the L1 (§4, "Adding
     /// this small cache increases lookup time in the L1 by one cycle"), unless
     /// the parallel-lookup option is enabled.
@@ -284,13 +264,12 @@ impl MuonTrap {
             && !self.hierarchy.own_l1_contains(core, line);
 
         let latency = resp.latency + self.l0_miss_penalty() + xlat_latency;
-        let fill_ready_at = self.fill_ready_at(core, ctx.when, latency);
         let evicted = self.cores[core].data_filter.insert_speculative(
             line,
             ctx.vaddr,
             resp.served_by,
             exclusive_eligible,
-            fill_ready_at,
+            ctx.when + latency,
         );
         if evicted.is_some() {
             self.stats.bump("muontrap.l0d_uncommitted_evictions");
@@ -349,13 +328,12 @@ impl MemoryModel for MuonTrap {
                 .without_prefetch_training();
             let resp = self.hierarchy.access(&req);
             let latency = resp.latency + self.config.inst_filter.hit_latency + t.latency;
-            let fill_ready_at = self.fill_ready_at(core, ctx.when, latency);
             self.cores[core].inst_filter.insert_speculative(
                 line,
                 ctx.vaddr,
                 resp.served_by,
                 false,
-                fill_ready_at,
+                ctx.when + latency,
             );
             MemOutcome::Done { latency }
         } else {
@@ -405,13 +383,12 @@ impl MemoryModel for MuonTrap {
         let resp = self.hierarchy.access(&req);
         if !resp.coherence_delayed {
             self.stats.bump("muontrap.store_prefetches");
-            let fill_ready_at = self.fill_ready_at(ctx.core, ctx.when, resp.latency);
             self.cores[ctx.core].data_filter.insert_speculative(
                 line,
                 ctx.vaddr,
                 resp.served_by,
                 false,
-                fill_ready_at,
+                ctx.when + resp.latency,
             );
         }
     }

@@ -50,7 +50,6 @@
 //!   statistics — see `tests/hotpath_golden.rs` for the equivalence proof.
 
 use std::collections::VecDeque;
-use std::sync::OnceLock;
 
 use simkit::addr::VirtAddr;
 use simkit::config::{PipelineConfig, SystemConfig};
@@ -67,15 +66,6 @@ use crate::context::ThreadContext;
 use crate::events::CoreEvent;
 use crate::memmodel::{MemAccessCtx, MemOutcome, MemoryModel};
 use crate::wakeup::{SlotBits, WaitLists};
-
-/// Whether `MUONTRAP_NAIVE_LOOP` asks for the naive one-tick-per-cycle loop
-/// (no idle-cycle fast-forward). Read once per process; the result is cached.
-/// The simulated behaviour is bit-identical either way — the switch exists so
-/// the `perf` binary can measure the speedup and tests can cross-check.
-pub fn naive_loop_requested() -> bool {
-    static NAIVE: OnceLock<bool> = OnceLock::new();
-    *NAIVE.get_or_init(|| std::env::var_os("MUONTRAP_NAIVE_LOOP").is_some_and(|v| v != "0"))
-}
 
 /// Sentinel for "no in-flight producer: read the architectural register".
 const NO_PRODUCER: u64 = u64::MAX;
@@ -414,7 +404,6 @@ impl OooCore {
         max_cycles: u64,
     ) -> Result<u64, u64> {
         self.swap_thread(Some(thread));
-        let fast_forward = !naive_loop_requested();
         let mut events = Vec::new();
         let mut now = Cycle::ZERO;
         while !self.halted && now.raw() < max_cycles {
@@ -423,7 +412,7 @@ impl OooCore {
             now += 1;
             // Skip only when this tick did nothing AND the memory model has
             // no queued background work its per-cycle tick would advance.
-            if fast_forward && !self.tick_active && mem.is_idle(self.core_id) {
+            if !self.tick_active && mem.is_idle(self.core_id) {
                 let wake = self.next_wake(now).raw().min(max_cycles);
                 if wake > now.raw() {
                     self.skip_idle_cycles(wake - now.raw());

@@ -1,209 +1,16 @@
-//! Time-queue primitives for event-driven simulation.
+//! The time queue of the event-driven simulation loop.
 //!
-//! The simulator's memory system is built from *timed servers*: components
-//! that accept a request at some cycle and promise its completion at a later
-//! one. A [`TimedServer`] combines a [`ServiceLaw`] (fixed latency plus an
-//! optional bytes-per-cycle transfer term) with an occupancy model — either a
-//! pure latency pipe (unlimited concurrency) or a serialized unit that queues
-//! requests behind a busy window — and answers each request with a
-//! [`Ticket`] naming the completion cycle, or [`Backpressure`] naming the
-//! earliest retry cycle when its bounded queue is full.
-//!
-//! [`EventQueue`] is the companion min-heap of `(Cycle, payload)` pairs that
-//! drives the event loop: the out-of-order core keys completion tickets by
+//! [`EventQueue`] is a min-heap of `(Cycle, payload)` pairs that drives the
+//! event loop: the out-of-order core keys completion tickets by
 //! sequence number, and `System::run` sleeps each core until the earliest
 //! entry. Entries may go stale (a squash removes the instruction a ticket
 //! names); consumers validate on pop, which keeps the queue write paths
 //! O(log n) with no removal support needed.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::cycles::Cycle;
-
-/// How long a server takes to process one request: a fixed `latency` plus a
-/// size-proportional transfer term. `bytes_per_cycle == 0` means the transfer
-/// time is folded into the fixed latency (an infinite-bandwidth law) — the
-/// neutral default that reproduces a purely latency-annotated model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceLaw {
-    /// Fixed service latency in cycles.
-    pub latency: u64,
-    /// Transfer bandwidth; 0 disables the transfer term.
-    pub bytes_per_cycle: u64,
-}
-
-impl ServiceLaw {
-    /// A law with only a fixed latency (infinite bandwidth).
-    pub const fn fixed(latency: u64) -> Self {
-        ServiceLaw {
-            latency,
-            bytes_per_cycle: 0,
-        }
-    }
-
-    /// Total service time for a request of `bytes` bytes: the fixed latency
-    /// plus the (rounded-up) transfer time.
-    pub fn service_time(&self, bytes: u64) -> u64 {
-        let transfer = if self.bytes_per_cycle == 0 {
-            0
-        } else {
-            bytes.div_ceil(self.bytes_per_cycle)
-        };
-        self.latency.saturating_add(transfer)
-    }
-}
-
-/// A promise that a request completes at `ready_at`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ticket {
-    /// The cycle at which the request's data is available.
-    pub ready_at: Cycle,
-    /// Cycles the request waited in the server's queue before service began.
-    pub queue_delay: u64,
-}
-
-impl Ticket {
-    /// The request's total latency as seen from `now`.
-    pub fn latency(&self, now: Cycle) -> u64 {
-        self.ready_at.since(now)
-    }
-}
-
-/// A server refused a request because its queue is full. The request is *not*
-/// enqueued; the issuer retries no earlier than `retry_at` (when the oldest
-/// in-flight request completes and frees a slot).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Backpressure {
-    /// Earliest cycle at which a retry can be accepted.
-    pub retry_at: Cycle,
-}
-
-/// A timed server: accepts requests, answers with completion [`Ticket`]s.
-///
-/// Two occupancy models:
-/// * **pipe** (`serialized == false`): unlimited concurrency, every request
-///   is serviced immediately — a latency-annotated wire. This is the neutral
-///   default for components the simulator previously modelled with a bare
-///   latency constant (the L2 lookup path, the filter-cache fill path).
-/// * **serialized** (`serialized == true`): one request at a time; a request
-///   arriving while the server is busy starts when the previous one finishes
-///   (a DRAM bank).
-///
-/// Either way a bounded queue (`queue_capacity > 0`) makes the server refuse
-/// requests with [`Backpressure`] once `queue_capacity` requests are in
-/// flight; completed requests free their slots implicitly with time.
-#[derive(Debug, Clone)]
-pub struct TimedServer {
-    law: ServiceLaw,
-    serialized: bool,
-    /// In-flight completion times, oldest first; drained lazily as time
-    /// passes. Only tracked when a queue bound is set (the unbounded case
-    /// needs just `busy_until`).
-    in_flight: VecDeque<Cycle>,
-    /// 0 = unbounded.
-    queue_capacity: usize,
-    /// For serialized servers: when the unit frees up.
-    busy_until: Cycle,
-}
-
-impl TimedServer {
-    /// An unlimited-concurrency, unbounded-queue server: a pure latency pipe.
-    pub fn pipe(law: ServiceLaw) -> Self {
-        TimedServer {
-            law,
-            serialized: false,
-            in_flight: VecDeque::new(),
-            queue_capacity: 0,
-            busy_until: Cycle::ZERO,
-        }
-    }
-
-    /// A one-request-at-a-time server with an unbounded queue.
-    pub fn serialized(law: ServiceLaw) -> Self {
-        TimedServer {
-            serialized: true,
-            ..Self::pipe(law)
-        }
-    }
-
-    /// Bounds the number of in-flight requests; further requests get
-    /// [`Backpressure`] until a slot frees.
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity;
-        self
-    }
-
-    /// The server's service law.
-    pub fn law(&self) -> ServiceLaw {
-        self.law
-    }
-
-    /// When a serialized server next becomes free (`Cycle::ZERO` if idle or
-    /// not serialized).
-    pub fn busy_until(&self) -> Cycle {
-        self.busy_until
-    }
-
-    /// Submits a request of `bytes` bytes at `now` under the server's own
-    /// law.
-    pub fn request(&mut self, now: Cycle, bytes: u64) -> Result<Ticket, Backpressure> {
-        let service = self.law.service_time(bytes);
-        self.request_serviced(now, service)
-    }
-
-    /// Submits a request whose service time is supplied by the caller (plus
-    /// the law's transfer term for `bytes`). DRAM banks use this: the fixed
-    /// part depends on whether the open row matches.
-    pub fn request_with_latency(
-        &mut self,
-        now: Cycle,
-        latency: u64,
-        bytes: u64,
-    ) -> Result<Ticket, Backpressure> {
-        let transfer = ServiceLaw {
-            latency: 0,
-            bytes_per_cycle: self.law.bytes_per_cycle,
-        }
-        .service_time(bytes);
-        self.request_serviced(now, latency.saturating_add(transfer))
-    }
-
-    fn request_serviced(&mut self, now: Cycle, service: u64) -> Result<Ticket, Backpressure> {
-        if self.queue_capacity > 0 {
-            // Free the slots of requests that have completed by `now`.
-            while self.in_flight.front().is_some_and(|&t| t <= now) {
-                self.in_flight.pop_front();
-            }
-            if self.in_flight.len() >= self.queue_capacity {
-                let oldest = *self.in_flight.front().expect("capacity > 0");
-                return Err(Backpressure { retry_at: oldest });
-            }
-        }
-        let start = if self.serialized {
-            now.max_of(self.busy_until)
-        } else {
-            now
-        };
-        let ready_at = start.saturating_add(service);
-        if self.serialized {
-            self.busy_until = ready_at;
-        }
-        if self.queue_capacity > 0 {
-            self.in_flight.push_back(ready_at);
-        }
-        Ok(Ticket {
-            ready_at,
-            queue_delay: start.since(now),
-        })
-    }
-
-    /// Forgets all in-flight work (simulation reset between cells).
-    pub fn clear(&mut self) {
-        self.in_flight.clear();
-        self.busy_until = Cycle::ZERO;
-    }
-}
 
 /// A min-heap of `(Cycle, payload)` events, earliest first; ties pop in
 /// payload order (so completion tickets keyed by sequence number pop
@@ -272,51 +79,6 @@ impl<T: Ord + Copy> EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn service_law_folds_or_charges_transfer() {
-        let folded = ServiceLaw::fixed(30);
-        assert_eq!(folded.service_time(64), 30);
-        let law = ServiceLaw {
-            latency: 30,
-            bytes_per_cycle: 16,
-        };
-        assert_eq!(law.service_time(64), 34);
-        assert_eq!(law.service_time(65), 35, "transfer rounds up");
-    }
-
-    #[test]
-    fn pipe_server_is_a_latency_wire() {
-        let mut s = TimedServer::pipe(ServiceLaw::fixed(12));
-        let a = s.request(Cycle::new(100), 64).unwrap();
-        let b = s.request(Cycle::new(100), 64).unwrap();
-        assert_eq!(a.ready_at, Cycle::new(112));
-        assert_eq!(b.ready_at, Cycle::new(112), "no serialization");
-        assert_eq!(a.queue_delay, 0);
-    }
-
-    #[test]
-    fn serialized_server_queues_requests() {
-        let mut s = TimedServer::serialized(ServiceLaw::fixed(10));
-        let a = s.request(Cycle::new(5), 0).unwrap();
-        assert_eq!(a.ready_at, Cycle::new(15));
-        let b = s.request(Cycle::new(7), 0).unwrap();
-        assert_eq!(b.ready_at, Cycle::new(25), "starts after a");
-        assert_eq!(b.queue_delay, 8);
-        assert_eq!(b.latency(Cycle::new(7)), 18);
-    }
-
-    #[test]
-    fn bounded_queue_pushes_back() {
-        let mut s = TimedServer::serialized(ServiceLaw::fixed(10)).with_queue_capacity(2);
-        let a = s.request(Cycle::new(0), 0).unwrap();
-        s.request(Cycle::new(0), 0).unwrap();
-        let refused = s.request(Cycle::new(0), 0).unwrap_err();
-        assert_eq!(refused.retry_at, a.ready_at, "retry when the oldest frees");
-        // After the first completes, a slot frees.
-        let c = s.request(a.ready_at, 0).unwrap();
-        assert_eq!(c.ready_at, Cycle::new(30));
-    }
 
     #[test]
     fn event_queue_pops_in_time_then_payload_order() {

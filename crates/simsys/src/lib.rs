@@ -11,8 +11,8 @@
 //!   completion. Syscalls, sandbox markers and context switches are forwarded
 //!   to the memory model as [`ooo_core::DomainSwitch`] events so every defense
 //!   sees exactly the same OS behaviour.
-//! * [`session`] — the measurement harness used by the figure binaries and
-//!   benches: declare a (workloads × defenses) grid on an
+//! * [`session`] — the measurement harness used by the figure binaries:
+//!   declare a (workloads × defenses) grid on an
 //!   [`session::ExperimentSession`], run it in parallel with shared
 //!   `Unprotected` baselines, and get a JSON-serialisable
 //!   [`session::RunReport`] back.

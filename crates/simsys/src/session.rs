@@ -512,10 +512,6 @@ pub fn simulate(workload: &Workload, kind: DefenseKind, config: &SystemConfig) -
         &[("defense", kind.label())],
         started.elapsed().as_millis() as u64,
     );
-    // Timing-loop traffic: per-core pipeline ticks the run performed
-    // (the naive loop ticks every running core every cycle). `perf` reads
-    // the delta to derive sim-cycles-per-event.
-    obs::global().inc("sim.events", &[], system.events_processed());
     ExperimentResult {
         workload: workload.name.clone(),
         defense: kind.label().to_string(),

@@ -9,11 +9,18 @@ use simkit::stats::StatSet;
 
 use memsys::tlb::PageTable;
 use ooo_core::context::{shared_memory_for, SharedMemory, ThreadContext};
-pub use ooo_core::core::naive_loop_requested;
 use ooo_core::core::OooCore;
 use ooo_core::events::CoreEvent;
 use ooo_core::memmodel::{DomainSwitch, MemoryModel};
 use uarch_isa::prog::Program;
+
+/// Whether the naive one-tick-per-cycle loop was requested: always `false`.
+/// [`System::run`] is event-driven only; [`System::tick`] remains the
+/// every-core-every-cycle reference for equivalence tests. Kept for callers
+/// that record the loop mode (the benchmark's host fingerprint).
+pub const fn naive_loop_requested() -> bool {
+    false
+}
 
 /// Identifier of a process (protection domain).
 pub type ProcessId = usize;
@@ -85,11 +92,6 @@ pub struct System {
     /// Reusable per-tick buffer for core events — the hot loop never
     /// allocates for event delivery.
     event_scratch: Vec<CoreEvent>,
-    /// Whether [`run`](Self::run) may drive the event queue instead of
-    /// ticking every core every cycle. Defaults to on unless
-    /// `MUONTRAP_NAIVE_LOOP` is set; either way the simulated behaviour is
-    /// bit-identical (see `tests/hotpath_golden.rs`).
-    fast_forward: bool,
     /// Per-core event queue entry: the next cycle each core must be ticked.
     /// A quiescent core sleeps until its earliest completion ticket (or a
     /// scheduler event); an active core is due every cycle.
@@ -101,7 +103,7 @@ pub struct System {
     /// sleeping core costs nothing per skipped cycle.
     accounted_until: Vec<u64>,
     /// Number of `(core, cycle)` ticks actually performed — the event count
-    /// of the event-driven loop. The naive loop performs
+    /// of the event-driven loop. Ticking every cycle would perform
     /// `cycles × running cores` of them; the ratio is the speedup lever.
     events_processed: u64,
 }
@@ -123,18 +125,10 @@ impl System {
             context_switches: 0,
             flush_btb_on_switch: true,
             event_scratch: Vec::new(),
-            fast_forward: !ooo_core::core::naive_loop_requested(),
             core_wake: vec![Cycle::ZERO; config.cores],
             accounted_until: vec![0; config.cores],
             events_processed: 0,
         }
-    }
-
-    /// Enables or disables the idle-cycle fast-forward in [`run`](Self::run).
-    /// Reported cycle counts and statistics are identical either way; the
-    /// switch exists for performance measurement and equivalence tests.
-    pub fn set_fast_forward(&mut self, enabled: bool) {
-        self.fast_forward = enabled;
     }
 
     /// Current simulation time.
@@ -247,15 +241,15 @@ impl System {
     /// earliest wake among the cores and the scheduler's own events
     /// (quantum expiries, pending dispatches). Skipped cycles are credited
     /// lazily at each core's next tick. The resulting report is
-    /// bit-identical to ticking every core every cycle
-    /// (`tests/hotpath_golden.rs` proves it against pre-optimization
-    /// recordings); only the wall clock shrinks.
+    /// bit-identical to calling [`tick`](Self::tick) every cycle
+    /// (`tests/hotpath_golden.rs` checks it live and against
+    /// pre-optimization recordings); only the wall clock shrinks.
     pub fn run(&mut self, max_cycles: u64) -> SystemReport {
         while !self.all_finished() && self.now.raw() < max_cycles {
             self.step(max_cycles);
         }
         // Catch up the stats of cores that were asleep when the run ended:
-        // the naive loop would have kept ticking them (idly) to the end.
+        // `tick` would have kept ticking them (idly) to the end.
         for core_idx in 0..self.cores.len() {
             if self.running[core_idx].is_some() {
                 self.credit_skipped(core_idx);
@@ -278,24 +272,26 @@ impl System {
     }
 
     /// Advances the machine by exactly one cycle, ticking every running core
-    /// (no event skipping). External single-steppers get naive-loop
-    /// semantics; [`run`](Self::run) uses the event-driven `step` internally.
+    /// (no event skipping): the reference the event-driven
+    /// [`run`](Self::run) must match. Driving `tick` until every thread
+    /// finishes (or the budget runs out) and then calling `run(budget)` for
+    /// the report yields the same report as `run(budget)` alone.
     pub fn tick(&mut self) {
         self.process_cycle(true);
         self.now += 1;
     }
 
-    /// Number of `(core, cycle)` pipeline ticks performed so far. The naive
-    /// loop performs one per running core per cycle; the event-driven loop
-    /// skips the quiescent ones, so `cycles × cores / events` measures how
+    /// Number of `(core, cycle)` pipeline ticks performed so far.
+    /// [`tick`](Self::tick) performs one per running core; the event-driven
+    /// loop skips the quiescent ones, so `cycles × cores / events` measures how
     /// much of the grid the event queue jumped over.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
 
     /// Credits the cycles a sleeping core skipped since its last tick, so
-    /// its cycle counter reads as if the naive loop had kept (idly) ticking
-    /// it through `self.now` (exclusive).
+    /// its cycle counter reads as if [`tick`](Self::tick) had kept (idly)
+    /// ticking it through `self.now` (exclusive).
     fn credit_skipped(&mut self, core_idx: usize) {
         let behind = self
             .now
@@ -308,18 +304,18 @@ impl System {
     }
 
     /// One scheduling decision plus one tick of every *due* running core —
-    /// every running core when `force_all` is set (the naive loop), else
+    /// every running core when `force_all` is set ([`tick`](Self::tick)), else
     /// only the cores whose wake cycle has arrived or whose memory model
     /// has queued background work.
     ///
-    /// Cores are visited in index order, exactly as the naive loop visits
-    /// them, so cross-core interactions through the shared memory model
-    /// (invalidation queues) happen on identical cycles: a sleeping core's
+    /// Cores are visited in index order either way, so cross-core
+    /// interactions through the shared memory model (invalidation queues)
+    /// happen on identical cycles: a sleeping core's
     /// due-check consults `MemoryModel::next_event` *at its slot in the
     /// order*, which observes whatever earlier-indexed cores queued this
     /// cycle; work queued by later-indexed cores is caught by the post-pass
-    /// in [`step`](Self::step) and ticks the core next cycle — just as the
-    /// naive loop would.
+    /// in [`step`](Self::step) and ticks the core next cycle — just as
+    /// `tick` would.
     fn process_cycle(&mut self, force_all: bool) {
         self.schedule();
         let now = self.now;
@@ -359,17 +355,13 @@ impl System {
     /// Processes the current cycle, then advances the clock to the next
     /// event: the earliest core wake, a memory-model event for a sleeping
     /// core, a scheduler-quantum expiry (whenever a ready thread is waiting,
-    /// so preemptions happen on exactly the cycle the naive loop performs
+    /// so preemptions happen on exactly the cycle `tick` performs
     /// them), or a pending dispatch onto a freed core. `limit` caps the jump
     /// (the cycle budget of [`run`](Self::run)). Skipped cycles are credited
     /// to each sleeping core lazily, at its next tick.
     fn step(&mut self, limit: u64) {
-        let force_all = !self.fast_forward;
-        self.process_cycle(force_all);
+        self.process_cycle(false);
         self.now += 1;
-        if force_all {
-            return;
-        }
         let mut target = Cycle::new(limit);
         let ready_waiting = !self.ready.is_empty();
         let mut free_core = false;
@@ -459,7 +451,7 @@ impl System {
         self.scheduled_at[core_idx] = self.now;
         // The incoming thread is due immediately; cycles before now belong
         // to the previous occupant (already accounted) or to an empty core
-        // (never accounted, as in the naive loop).
+        // (never accounted, as under `tick`).
         self.core_wake[core_idx] = self.now;
         self.accounted_until[core_idx] = self.now.raw();
         self.context_switches += 1;

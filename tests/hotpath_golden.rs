@@ -14,11 +14,12 @@
 //!    reported number. The tiny-scale sweep runs in the default test suite;
 //!    the small-scale sweep is `#[ignore]`d (minutes of simulation) and runs
 //!    in the CI perf-smoke job under `--release`.
-//! 2. **Live naive-vs-optimised comparison.** `fast_forward_is_invisible`
-//!    (below) re-runs grids in the same binary with the event-skipping loop
-//!    disabled (`ExperimentSession` machinery untouched) and asserts the
-//!    reports match field-for-field — so the equivalence also holds on
-//!    whatever machine the tests run on, not just the recording host.
+//! 2. **Live tick-vs-event comparison.** `fast_forward_is_invisible`
+//!    (below) re-runs workloads in the same binary, once through the
+//!    event-driven `System::run` and once driven by `System::tick` (every
+//!    running core, every cycle), and asserts the reports match
+//!    field-for-field — so the equivalence also holds on whatever machine
+//!    the tests run on, not just the recording host.
 //!
 //! Regenerate the goldens (only after an *intentional* semantic change, with
 //! a store-format bump) with:
@@ -139,16 +140,25 @@ fn small_reports_match_pre_optimization_goldens() {
     }
 }
 
-/// Live equivalence on this machine: the same `System`s run with the
-/// event-skipping loop enabled and disabled must produce identical reports —
+/// Live equivalence on this machine: the same `System`s run through the
+/// event-driven `run` and ticked every cycle must produce identical reports —
 /// cycle counts, committed instructions, context switches and every single
 /// statistic. Covers single- and multi-core workloads, preemption (more
 /// threads than cores), memory-retry defenses and domain switches.
 #[test]
 fn fast_forward_is_invisible() {
     use defenses::{build_defense, DefenseKind};
-    use simsys::system::System;
+    use simsys::system::{System, SystemReport};
     use workloads::{domain_switch_suite, parsec_suite, spec_suite};
+
+    // The reference drives `System::tick` (every running core, every cycle)
+    // until the run is over; `run` then only assembles the report.
+    fn finish(mut system: System, budget: u64, tick_every_cycle: bool) -> SystemReport {
+        while tick_every_cycle && !system.all_finished() && system.now().raw() < budget {
+            system.tick();
+        }
+        system.run(budget)
+    }
 
     let cfg = SystemConfig::small_test();
     let mut picks: Vec<workloads::Workload> = Vec::new();
@@ -163,14 +173,13 @@ fn fast_forward_is_invisible() {
         DefenseKind::SttSpectre,
     ] {
         for workload in &picks {
-            let run = |fast_forward: bool| {
+            let run = |tick_every_cycle: bool| {
                 let mut system = System::new(&cfg, build_defense(kind, &cfg));
-                system.set_fast_forward(fast_forward);
                 system.load_workload(&workload.thread_programs, workload.shared_memory);
-                system.run(workload.cycle_budget)
+                finish(system, workload.cycle_budget, tick_every_cycle)
             };
-            let fast = run(true);
-            let naive = run(false);
+            let fast = run(false);
+            let naive = run(true);
             let label = format!("{} under {kind:?}", workload.name);
             assert_eq!(fast.cycles, naive.cycles, "cycles diverge: {label}");
             assert_eq!(
@@ -195,16 +204,15 @@ fn fast_forward_is_invisible() {
     one_core.cores = 1;
     one_core.scheduler_quantum = 1_500;
     for kind in [DefenseKind::MuonTrap, DefenseKind::Unprotected] {
-        let run = |fast_forward: bool| {
+        let run = |tick_every_cycle: bool| {
             let mut system = System::new(&one_core, build_defense(kind, &one_core));
-            system.set_fast_forward(fast_forward);
             for workload in spec_suite(Scale::Tiny).iter().take(2) {
                 system.load_workload(&workload.thread_programs, workload.shared_memory);
             }
-            system.run(20_000_000)
+            finish(system, 20_000_000, tick_every_cycle)
         };
-        let fast = run(true);
-        let naive = run(false);
+        let fast = run(false);
+        let naive = run(true);
         assert!(naive.context_switches >= 2, "test must exercise preemption");
         assert_eq!(fast.cycles, naive.cycles, "preemption cycles diverge");
         assert_eq!(fast.context_switches, naive.context_switches);

@@ -15,7 +15,7 @@ use simkit::config::CacheConfig;
 use simkit::cycles::Cycle;
 use simkit::rng::SimRng;
 use simkit::stats::{geometric_mean, Histogram, StatSet};
-use simkit::timeq::{EventQueue, ServiceLaw, TimedServer};
+use simkit::timeq::EventQueue;
 use uarch_isa::inst::{eval_alu, AluOp, MemWidth};
 use uarch_isa::mem::SparseMemory;
 use uarch_isa::Interpreter;
@@ -279,45 +279,6 @@ fn event_queue_never_releases_a_future_event() {
     });
 }
 
-#[test]
-fn backpressured_requests_never_complete_ahead_of_accepted_ones() {
-    for_each_case(64, |rng| {
-        let latency = rng.in_range(1, 50);
-        let capacity = rng.in_range(1, 8) as usize;
-        let mut server =
-            TimedServer::serialized(ServiceLaw::fixed(latency)).with_queue_capacity(capacity);
-        let mut now = Cycle::ZERO;
-        let mut last_ready = Cycle::ZERO;
-        for _ in 0..100 {
-            now = now.saturating_add(rng.below(latency * 2));
-            match server.request(now, 0) {
-                Ok(ticket) => {
-                    assert!(
-                        ticket.ready_at >= last_ready,
-                        "serialized completions must be FIFO"
-                    );
-                    assert!(ticket.latency(now) >= latency, "service law undercut");
-                    last_ready = ticket.ready_at;
-                }
-                Err(refused) => {
-                    // A full queue refuses outright: nothing was enqueued, so
-                    // the retry cannot jump ahead of already-accepted work.
-                    assert!(refused.retry_at > now, "retry hint must be in the future");
-                    now = refused.retry_at;
-                    let ticket = server
-                        .request(now, 0)
-                        .expect("the oldest slot frees exactly at retry_at");
-                    assert!(
-                        ticket.ready_at >= last_ready,
-                        "backpressured request reordered ahead of accepted ones"
-                    );
-                    last_ready = ticket.ready_at;
-                }
-            }
-        }
-    });
-}
-
 // ---------------------------------------------------------------------------
 // Random programs: out-of-order core vs functional interpreter
 // ---------------------------------------------------------------------------
@@ -424,19 +385,23 @@ fn event_driven_and_naive_loops_report_identical_timing() {
             DefenseKind::MuonTrap
         };
         let cfg = SystemConfig::small_test();
-        let run = |fast_forward: bool| {
+        const BUDGET: u64 = 10_000_000;
+        let run = |tick_every_cycle: bool| {
             let mut sys = System::new(&cfg, build_defense(kind, &cfg));
-            sys.set_fast_forward(fast_forward);
             let process = sys.add_process();
             sys.add_thread(process, program.clone());
-            sys.run(10_000_000)
+            while tick_every_cycle && !sys.all_finished() && sys.now().raw() < BUDGET {
+                sys.tick();
+            }
+            sys.run(BUDGET)
         };
-        let event_driven = run(true);
-        let naive = run(false);
+        let event_driven = run(false);
+        let naive = run(true);
         assert_eq!(event_driven.cycles, naive.cycles, "cycle counts diverged");
         assert_eq!(event_driven.committed, naive.committed);
         assert_eq!(event_driven.completed, naive.completed);
         assert_eq!(event_driven.context_switches, naive.context_switches);
+        assert_eq!(event_driven.stats, naive.stats, "statistics diverged");
     });
 }
 
