@@ -11,7 +11,7 @@
 //! grid and honours `--scale`, `--threads`, `--store` and `--events` —
 //! `--html FILE` renders it as the domain figure's self-contained page
 //! (chart + flush-counter table; the security matrix stays text/JSON). For
-//! a sharded run of the grid alone, use `shard --figure domain`.
+//! a sharded run of the grid alone, use `figure domain --shard-id I …`.
 
 use simkit::json::{Json, ToJson};
 
@@ -20,19 +20,25 @@ fn main() {
     if options.shard_id.is_some() {
         eprintln!(
             "attacks_report mixes security probes with the domain-switch grid and \
-             cannot run as one shard; use `shard --figure domain` for the grid"
+             cannot run as one shard; use `figure domain --shard-id I` for the grid"
         );
         std::process::exit(2);
     }
     let config = simkit::config::SystemConfig::paper_default();
     let store = options.open_store();
     let mut events = bench::cli::open_events(&options);
-    let domain =
-        bench::domain_switch_session(options.scale, &config, options.threads, store.as_ref())
-            .run_with_events(match &mut events {
-                Some(file) => Some(file),
-                None => None,
-            });
+    let domain = bench::figure_session(
+        "domain",
+        options.scale,
+        &config,
+        options.threads,
+        store.as_ref(),
+    )
+    .expect("domain is a registered figure")
+    .run_with_events(match &mut events {
+        Some(file) => Some(file),
+        None => None,
+    });
     bench::cli::write_html(&options, || {
         bench::render::figure_document("domain", &domain, &options.run_id)
             .expect("domain is a registered figure")

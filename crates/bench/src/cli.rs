@@ -1,6 +1,9 @@
-//! The tiny shared argument parser behind every figure binary.
+//! The tiny shared argument parser behind every binary.
 //!
-//! All the binaries accept the same flags:
+//! All the binaries accept the same flags, and this module is the only code
+//! that knows which of them take a value. Bare arguments (the figure name of
+//! `figure`, the event logs of `merge`) are collected in
+//! [`CliOptions::args`] for the binary to interpret:
 //!
 //! * `--json` — emit the machine-readable report instead of the text table,
 //! * `--scale <tiny|small|large>` — workload scale (default `small`),
@@ -22,28 +25,20 @@
 //! * `--run-id <id>` — the identifier shared by every shard of one logical
 //!   run (and reused when resuming it). Required with `--shard-id`, and must
 //!   be unique per logical run,
-//! * `--lease-ttl-ms <ms>` — override the shard lease TTL (default 30000).
-//!   The heartbeat interval is clamped to a third of it, so short TTLs (used
-//!   by the `fleet` supervisor to reclaim killed shards quickly) keep live
-//!   shards beating well inside their leases,
 //! * `--html <file>` — additionally render the report as a self-contained
 //!   HTML page (inline SVG chart, inline CSS, no external assets) via
 //!   [`crate::render`]. On `report`, the page covers every figure plus the
-//!   domain-switch table; on a figure binary or `merge`, that one figure,
+//!   domain-switch table; on `figure` or `merge`, that one figure,
 //! * `--html-only` — with `--html`: write the HTML artefact and suppress the
 //!   stdout report,
 //! * `--metrics <file>` — on exit, append one [`obs::metrics`] snapshot of
 //!   the process-global registry to `file` as a JSONL line (unit latencies,
 //!   event counts — whatever the run instrumented),
-//! * `--tiny` — backwards-compatible alias for `--scale tiny`,
 //! * `--help` — print usage.
 
 use std::path::PathBuf;
 
-use simkit::config::SystemConfig;
-use simkit::json::ToJson;
 use simsys::runner::ShardOptions;
-use simsys::session::{ExperimentSession, RunReport};
 use simsys::store::ResultStore;
 use workloads::Scale;
 
@@ -75,8 +70,6 @@ pub struct CliOptions {
     pub shard_count: usize,
     /// Identifier shared by all shards of one logical run (`--run-id`).
     pub run_id: String,
-    /// Shard lease TTL override in milliseconds (`--lease-ttl-ms`).
-    pub lease_ttl_ms: Option<u64>,
     /// Write a self-contained HTML rendering to this file (`--html`).
     pub html: Option<PathBuf>,
     /// Suppress the stdout report, keeping only the HTML artefact
@@ -85,6 +78,8 @@ pub struct CliOptions {
     /// Append an [`obs::metrics`] registry snapshot (one JSONL line) to this
     /// file on exit (`--metrics`).
     pub metrics: Option<PathBuf>,
+    /// The bare (non-flag) arguments, in order.
+    pub args: Vec<String>,
 }
 
 impl Default for CliOptions {
@@ -99,10 +94,10 @@ impl Default for CliOptions {
             shard_id: None,
             shard_count: 1,
             run_id: DEFAULT_RUN_ID.to_string(),
-            lease_ttl_ms: None,
             html: None,
             html_only: false,
             metrics: None,
+            args: Vec::new(),
         }
     }
 }
@@ -124,7 +119,6 @@ impl CliOptions {
         while let Some(arg) = args.next() {
             match arg.as_ref() {
                 "--json" => options.json = true,
-                "--tiny" => options.scale = Scale::Tiny,
                 "--scale" => {
                     let value = args.next().ok_or("--scale needs a value")?;
                     options.scale = value.as_ref().parse::<Scale>().map_err(|e| e.to_string())?;
@@ -174,17 +168,6 @@ impl CliOptions {
                     let value = args.next().ok_or("--run-id needs a value")?;
                     options.run_id = value.as_ref().to_string();
                 }
-                "--lease-ttl-ms" => {
-                    let value = args.next().ok_or("--lease-ttl-ms needs a value")?;
-                    let parsed: u64 = value
-                        .as_ref()
-                        .parse()
-                        .map_err(|_| format!("invalid lease TTL `{}`", value.as_ref()))?;
-                    if parsed == 0 {
-                        return Err("--lease-ttl-ms must be at least 1".to_string());
-                    }
-                    options.lease_ttl_ms = Some(parsed);
-                }
                 "--html" => {
                     let value = args.next().ok_or("--html needs a file")?;
                     options.html = Some(PathBuf::from(value.as_ref()));
@@ -195,7 +178,10 @@ impl CliOptions {
                     options.metrics = Some(PathBuf::from(value.as_ref()));
                 }
                 "--help" | "-h" => return Err(usage()),
-                other => return Err(format!("unknown flag `{other}`\n{}", usage())),
+                flag if flag.starts_with('-') => {
+                    return Err(format!("unknown flag `{flag}`\n{}", usage()))
+                }
+                bare => options.args.push(bare.to_string()),
             }
         }
         if options.html_only && options.html.is_none() {
@@ -262,44 +248,47 @@ impl CliOptions {
     }
 
     /// The [`ShardOptions`] for this invocation, when `--shard-id` was given.
-    /// `--lease-ttl-ms` overrides the TTL, clamping the heartbeat interval
-    /// to a third of it so the shard always beats well inside its lease.
     pub fn shard_options(&self) -> Option<ShardOptions> {
-        self.shard_id.map(|id| {
-            let mut opts = ShardOptions::new(id, self.shard_count, self.run_id.clone());
-            if let Some(ttl) = self.lease_ttl_ms {
-                opts.lease_ttl_ms = ttl;
-                opts.heartbeat_ms = opts.heartbeat_ms.min((ttl / 3).max(1));
-            }
-            opts
-        })
+        self.shard_id
+            .map(|id| ShardOptions::new(id, self.shard_count, self.run_id.clone()))
     }
 }
 
-/// The usage text shared by every binary.
-pub fn usage() -> String {
-    "usage: <binary> [--json] [--scale tiny|small|large] [--threads N] \
+/// The flags every binary shares, as the usage messages print them.
+pub const FLAGS: &str = "[--json] [--scale tiny|small|large] [--threads N] \
      [--store DIR] [--no-store] [--store-readonly] [--events FILE] \
-     [--shard-id I --shard-count N] [--run-id ID] [--lease-ttl-ms MS] \
-     [--html FILE [--html-only]] [--metrics FILE] [--tiny]"
-        .to_string()
+     [--shard-id I --shard-count N] [--run-id ID] \
+     [--html FILE [--html-only]] [--metrics FILE]";
+
+/// The usage text shared by the binaries that take no bare argument.
+pub fn usage() -> String {
+    format!("usage: <binary> {FLAGS}")
 }
 
-/// Parses `std::env::args`, exiting with the usage message on `--help` or a
-/// parse error.
-pub fn parse_or_exit() -> CliOptions {
+/// Parses `std::env::args`, printing `usage` and exiting 0 on `--help`, or
+/// printing the error and exiting 2 on a parse error. Bare arguments are
+/// left in [`CliOptions::args`].
+pub fn parse_args_or_exit(usage: &str) -> CliOptions {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage());
+        println!("{usage}");
         std::process::exit(0);
     }
-    match CliOptions::parse(args) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("{message}");
-            std::process::exit(2);
-        }
+    CliOptions::parse(args).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    })
+}
+
+/// [`parse_args_or_exit`] for the binaries that take no bare argument: one
+/// is a usage error (exit 2).
+pub fn parse_or_exit() -> CliOptions {
+    let options = parse_args_or_exit(&usage());
+    if let Some(arg) = options.args.first() {
+        eprintln!("unexpected argument `{arg}`\n{}", usage());
+        std::process::exit(2);
     }
+    options
 }
 
 /// Opens the `--events` sink, exiting with a diagnostic on failure.
@@ -318,13 +307,9 @@ pub fn open_events(options: &CliOptions) -> Option<std::fs::File> {
 /// than truncating) lets a wrapper collect several invocations into one
 /// telemetry log.
 pub fn write_metrics(options: &CliOptions) {
-    if let Some(path) = &options.metrics {
-        write_metrics_to(path);
-    }
-}
-
-/// [`write_metrics`] for binaries with their own flag parsing (`fleet`).
-pub fn write_metrics_to(path: &std::path::Path) {
+    let Some(path) = &options.metrics else {
+        return;
+    };
     let result = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -344,74 +329,6 @@ pub fn write_html(options: &CliOptions, html: impl FnOnce() -> String) {
             eprintln!("cannot write HTML report {}: {e}", path.display());
             std::process::exit(2);
         });
-    }
-}
-
-/// Standard main body for a figure binary: parse flags, open the store,
-/// build the *session* for the figure registered as `name` (see
-/// [`crate::FIGURE_NAMES`]), then either run it locally (printing JSON with
-/// `--json`, or Table 1 plus the rendered figure; `--html` additionally
-/// writes the figure's self-contained HTML page) or — with `--shard-id` —
-/// execute one shard of it against the shared store, streaming events to
-/// `--events` and printing the [`simsys::runner::ShardSummary`] as JSON.
-/// Every execution path goes through the [`simsys::runner`] pipeline.
-pub fn figure_main(
-    name: &str,
-    build: impl FnOnce(&CliOptions, &SystemConfig, Option<&ResultStore>) -> ExperimentSession,
-) {
-    figure_main_rendered(name, build, |report| {
-        crate::Figure::from_report(report).render()
-    });
-}
-
-/// [`figure_main`] with a custom text-mode rendering (used by `fig7`, whose
-/// figure is the invalidation-broadcast *rates* derived from the report's
-/// counters, not the normalised times). `--json` still emits the full
-/// [`RunReport`], and the sharded path is identical. (`--html` needs no
-/// such override: the chart shape is the registry's
-/// [`FigureMeta`](reportgen::FigureMeta), which already encodes the
-/// counter-ratio derivation.)
-pub fn figure_main_rendered(
-    name: &str,
-    build: impl FnOnce(&CliOptions, &SystemConfig, Option<&ResultStore>) -> ExperimentSession,
-    render: impl FnOnce(&RunReport) -> String,
-) {
-    let options = parse_or_exit();
-    let config = SystemConfig::paper_default();
-    let store = options.open_store();
-    let session = build(&options, &config, store.as_ref());
-    if let Some(shard) = options.shard_options() {
-        let mut events = open_events(&options).expect("--shard-id implies --events");
-        match session.run_sharded(&shard, &mut events) {
-            Ok(summary) => {
-                write_metrics(&options);
-                println!("{}", summary.to_json().to_string_pretty());
-            }
-            Err(e) => {
-                eprintln!("shard {} failed: {e}", shard.shard_id);
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let mut events = open_events(&options);
-    let report = session.run_with_events(match &mut events {
-        Some(file) => Some(file),
-        None => None,
-    });
-    write_metrics(&options);
-    write_html(&options, || {
-        crate::render::figure_document(name, &report, &options.run_id)
-            .unwrap_or_else(|| panic!("figure binaries pass registered names; got `{name}`"))
-    });
-    if options.html_only {
-        return;
-    }
-    if options.json {
-        println!("{}", report.to_json().to_string_pretty());
-    } else {
-        println!("{}", crate::table1());
-        println!("{}", render(&report));
     }
 }
 
@@ -465,9 +382,26 @@ mod tests {
     }
 
     #[test]
-    fn tiny_is_an_alias_for_scale_tiny() {
-        let options = CliOptions::parse(["--tiny"]).unwrap();
-        assert_eq!(options.scale, Scale::Tiny);
+    fn bare_arguments_are_collected_and_flag_values_are_not() {
+        let options = CliOptions::parse([
+            "fig5",
+            "--metrics",
+            "m.jsonl",
+            "--events",
+            "e.jsonl",
+            "s0.jsonl",
+            "--json",
+            "s1.jsonl",
+        ])
+        .unwrap();
+        assert_eq!(options.args, ["fig5", "s0.jsonl", "s1.jsonl"]);
+        assert_eq!(options.metrics, Some(PathBuf::from("m.jsonl")));
+        assert_eq!(options.events, Some(PathBuf::from("e.jsonl")));
+        assert!(options.json);
+        assert!(CliOptions::parse(Vec::<String>::new())
+            .unwrap()
+            .args
+            .is_empty());
     }
 
     #[test]
@@ -524,44 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn lease_ttl_overrides_shard_options_and_clamps_the_heartbeat() {
-        let shard = |extra: &[&str]| {
-            let mut args = vec![
-                "--shard-id",
-                "0",
-                "--shard-count",
-                "2",
-                "--store",
-                "/tmp/s",
-                "--events",
-                "/tmp/e",
-                "--run-id",
-                "r1",
-            ];
-            args.extend_from_slice(extra);
-            CliOptions::parse(args).unwrap().shard_options().unwrap()
-        };
-        let default = shard(&[]);
-        assert_eq!(default.lease_ttl_ms, 30_000);
-        assert_eq!(default.heartbeat_ms, 5_000);
-        let long = shard(&["--lease-ttl-ms", "60000"]);
-        assert_eq!(long.lease_ttl_ms, 60_000);
-        assert_eq!(
-            long.heartbeat_ms, 5_000,
-            "a longer TTL keeps the default beat"
-        );
-        let short = shard(&["--lease-ttl-ms", "300"]);
-        assert_eq!(short.lease_ttl_ms, 300);
-        assert_eq!(
-            short.heartbeat_ms, 100,
-            "the beat is clamped to a third of the TTL"
-        );
-        assert!(CliOptions::parse(["--lease-ttl-ms", "0"]).is_err());
-        assert!(CliOptions::parse(["--lease-ttl-ms"]).is_err());
-        assert!(usage().contains("--lease-ttl-ms"));
-    }
-
-    #[test]
     fn html_flags_parse_and_validate() {
         let options = CliOptions::parse(["--html", "/tmp/report.html", "--html-only"]).unwrap();
         assert_eq!(options.html, Some(PathBuf::from("/tmp/report.html")));
@@ -609,8 +505,9 @@ mod tests {
         let path = dir.join("snap.jsonl");
         let _ = std::fs::remove_file(&path);
         obs::metrics::global().inc("cli.test_counter", &[], 1);
-        write_metrics_to(&path);
-        write_metrics_to(&path);
+        let options = CliOptions::parse(["--metrics", path.to_str().unwrap()]).unwrap();
+        write_metrics(&options);
+        write_metrics(&options);
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2, "each call appends one JSONL line");
         assert!(text.contains("cli.test_counter"));

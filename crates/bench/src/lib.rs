@@ -1,45 +1,36 @@
-//! Shared harness code behind the figure binaries.
+//! Shared harness code behind the binaries.
 //!
-//! Every table and figure in the paper's evaluation section (§6) has a
-//! function here that produces its data, and a thin binary in `src/bin/` that
-//! prints it. All figure functions run on
-//! [`simsys::session::ExperimentSession`], so baselines are memoized per
-//! workload and grid cells run in parallel; each returns a structured
-//! [`RunReport`] that serialises to JSON (`--json` on every binary) or
-//! renders as the classic aligned text table.
+//! Every figure in the paper's evaluation section (§6) is an
+//! [`ExperimentSession`] that [`figure_session`] resolves by name (see
+//! [`FIGURE_NAMES`]), so baselines are memoized per workload and grid cells
+//! run in parallel; running one yields a structured [`RunReport`] that
+//! serialises to JSON (`--json` on every binary) or renders as the classic
+//! aligned text table.
 //!
-//! | Paper artefact | Function | Binary |
-//! |----------------|----------|--------|
+//! | Paper artefact | Name / function | Binary |
+//! |----------------|-----------------|--------|
 //! | Table 1        | [`table1`] | `table1` |
-//! | Figure 3       | [`figure3`] | `fig3` |
-//! | Figure 4       | [`figure4`] | `fig4` |
-//! | Figure 5       | [`figure5`] | `fig5` |
-//! | Figure 6       | [`figure6`] | `fig6` |
-//! | Figure 7       | [`figure7`] | `fig7` |
-//! | Figure 8       | [`figure8`] | `fig8` |
-//! | Figure 9       | [`figure9`] | `fig9` |
-//! | §4.8 stress    | [`domain_switch_report`] | `attacks_report` |
+//! | Figures 3–9    | `"fig3"`…`"fig9"` | `figure fig3` … `figure fig9` |
+//! | Shoot-out      | `"shootout"` | `figure shootout` |
+//! | §4.8 stress    | `"domain"` | `figure domain`, `attacks_report` |
 //! | Attacks 1–6    | [`security_matrix`] | `attacks_report` |
 //! | Static census  | [`lint::corpus_census`] | `speclint` |
 //!
-//! Each `figureN` has a `figureN_session` sibling returning the *un-run*
-//! [`ExperimentSession`], and [`figure_session`] resolves the same sessions
-//! by name (`"fig3"`…`"fig9"`, `"domain"`). The named form is what the
-//! `shard` and `merge` binaries use: every process of a multi-host run
-//! rebuilds the identical plan from the figure name, then coordinates purely
-//! through the shared store directory (see [`simsys::runner`]).
+//! Resolving by name is what makes the multi-process workflow work: every
+//! `figure NAME --shard-id I` process and `merge` rebuild the identical plan
+//! from the figure name, then coordinate purely through the shared store
+//! directory (see [`simsys::runner`]).
 //!
 //! The `report` binary regenerates everything at once into one JSON
 //! document, and — with `--html` — into one self-contained HTML page: one
 //! SVG chart per figure plus the domain-switch summary table, rendered by
 //! the [`reportgen`] crate through this crate's chart-metadata registry
-//! ([`render::figure_meta`]). Each figure binary and `merge` accept the same
-//! flag for their single figure.
+//! ([`render::figure_meta`]). `figure` and `merge` accept the same flag for
+//! their single figure.
 
 #![forbid(unsafe_code)]
 
 pub mod cli;
-pub mod fleet;
 pub mod lint;
 pub mod render;
 pub mod watch;
@@ -169,9 +160,9 @@ pub fn table1_json() -> Json {
     ])
 }
 
-/// The [`ExperimentSession`] behind [`figure3`], un-run (for planning,
-/// sharding, or event streaming).
-pub fn figure3_session(
+/// Figure 3: normalised execution time on the SPEC-CPU2006-like suite for
+/// MuonTrap, InvisiSpec (both variants) and STT (both variants).
+fn figure3_session(
     scale: Scale,
     config: &SystemConfig,
     threads: usize,
@@ -188,19 +179,8 @@ pub fn figure3_session(
     .defenses(DefenseKind::figure3_set())
 }
 
-/// Figure 3: normalised execution time on the SPEC-CPU2006-like suite for
-/// MuonTrap, InvisiSpec (both variants) and STT (both variants).
-pub fn figure3(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> RunReport {
-    figure3_session(scale, config, threads, store).run()
-}
-
-/// The [`ExperimentSession`] behind [`figure4`], un-run.
-pub fn figure4_session(
+/// Figure 4: normalised execution time on the Parsec-like suite (4 threads).
+fn figure4_session(
     scale: Scale,
     config: &SystemConfig,
     threads: usize,
@@ -217,18 +197,10 @@ pub fn figure4_session(
     .defenses(DefenseKind::figure3_set())
 }
 
-/// Figure 4: normalised execution time on the Parsec-like suite (4 threads).
-pub fn figure4(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> RunReport {
-    figure4_session(scale, config, threads, store).run()
-}
-
-/// The [`ExperimentSession`] behind [`figure5`], un-run.
-pub fn figure5_session(
+/// Figure 5: Parsec-like performance as the (fully-associative) data filter
+/// cache is swept from 64 B to 4 KiB. One baseline per workload: the swept
+/// filter-cache geometry is invisible to the unprotected machine.
+fn figure5_session(
     scale: Scale,
     config: &SystemConfig,
     threads: usize,
@@ -254,20 +226,9 @@ pub fn figure5_session(
     .config_sweep(sweep)
 }
 
-/// Figure 5: Parsec-like performance as the (fully-associative) data filter
-/// cache is swept from 64 B to 4 KiB. One baseline per workload: the swept
-/// filter-cache geometry is invisible to the unprotected machine.
-pub fn figure5(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> RunReport {
-    figure5_session(scale, config, threads, store).run()
-}
-
-/// The [`ExperimentSession`] behind [`figure6`], un-run.
-pub fn figure6_session(
+/// Figure 6: Parsec-like performance as the associativity of a 2 KiB filter
+/// cache is swept from direct-mapped to fully associative.
+fn figure6_session(
     scale: Scale,
     config: &SystemConfig,
     threads: usize,
@@ -287,19 +248,10 @@ pub fn figure6_session(
     .config_sweep(sweep)
 }
 
-/// Figure 6: Parsec-like performance as the associativity of a 2 KiB filter
-/// cache is swept from direct-mapped to fully associative.
-pub fn figure6(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> RunReport {
-    figure6_session(scale, config, threads, store).run()
-}
-
-/// The [`ExperimentSession`] behind [`figure7`], un-run.
-pub fn figure7_session(
+/// Figure 7: runs the SPEC-like suite under full MuonTrap; the figure's
+/// invalidation-broadcast rates come from [`invalidate_rates`] over the
+/// report's cell statistics.
+fn figure7_session(
     scale: Scale,
     config: &SystemConfig,
     threads: usize,
@@ -316,20 +268,8 @@ pub fn figure7_session(
     .defenses([DefenseKind::MuonTrap])
 }
 
-/// Figure 7: runs the SPEC-like suite under full MuonTrap; the figure's
-/// invalidation-broadcast rates come from [`invalidate_rates`] over the
-/// returned report's cell statistics.
-pub fn figure7(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> RunReport {
-    figure7_session(scale, config, threads, store).run()
-}
-
 /// The per-workload invalidation-broadcast rates behind figure 7, derived
-/// from a [`figure7`] report's `muontrap.*` counters.
+/// from a `"fig7"` report's `muontrap.*` counters.
 pub fn invalidate_rates(report: &RunReport) -> Figure {
     Figure {
         title: report.title.clone(),
@@ -423,8 +363,8 @@ pub fn cumulative_protection_kinds(include_parallel_l1: bool) -> Vec<(String, De
     kinds
 }
 
-/// The [`ExperimentSession`] behind [`figure8`], un-run.
-pub fn figure8_session(
+/// Figure 8: cumulatively adding protection mechanisms, Parsec-like suite.
+fn figure8_session(
     scale: Scale,
     config: &SystemConfig,
     threads: usize,
@@ -441,18 +381,9 @@ pub fn figure8_session(
     .defenses_labeled(cumulative_protection_kinds(false))
 }
 
-/// Figure 8: cumulatively adding protection mechanisms, Parsec-like suite.
-pub fn figure8(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> RunReport {
-    figure8_session(scale, config, threads, store).run()
-}
-
-/// The [`ExperimentSession`] behind [`figure9`], un-run.
-pub fn figure9_session(
+/// Figure 9: cumulatively adding protection mechanisms plus the parallel
+/// L0/L1 lookup option, SPEC-like suite.
+fn figure9_session(
     scale: Scale,
     config: &SystemConfig,
     threads: usize,
@@ -469,19 +400,13 @@ pub fn figure9_session(
     .defenses_labeled(cumulative_protection_kinds(true))
 }
 
-/// Figure 9: cumulatively adding protection mechanisms plus the parallel
-/// L0/L1 lookup option, SPEC-like suite.
-pub fn figure9(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> RunReport {
-    figure9_session(scale, config, threads, store).run()
-}
-
-/// The [`ExperimentSession`] behind [`shootout`], un-run.
-pub fn shootout_session(
+/// The cross-defense shoot-out: the SPEC-like suite under every member of
+/// the defense zoo ([`DefenseKind::shootout_set`]) — the insecure L0, Fence,
+/// DelayLoads, SafeBet, MuonTrap, InvisiSpec-Spectre and STT-Spectre — all
+/// normalised to the unprotected baseline, so the cost of each protection
+/// family lands on one axis. Shares its MuonTrap/InvisiSpec/STT cells (and
+/// every baseline) with figure 3 through the result store.
+fn shootout_session(
     scale: Scale,
     config: &SystemConfig,
     threads: usize,
@@ -498,23 +423,11 @@ pub fn shootout_session(
     .defenses(DefenseKind::shootout_set())
 }
 
-/// The cross-defense shoot-out: the SPEC-like suite under every member of
-/// the defense zoo ([`DefenseKind::shootout_set`]) — the insecure L0, Fence,
-/// DelayLoads, SafeBet, MuonTrap, InvisiSpec-Spectre and STT-Spectre — all
-/// normalised to the unprotected baseline, so the cost of each protection
-/// family lands on one axis. Shares its MuonTrap/InvisiSpec/STT cells (and
-/// every baseline) with figure 3 through the result store.
-pub fn shootout(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> RunReport {
-    shootout_session(scale, config, threads, store).run()
-}
-
-/// The [`ExperimentSession`] behind [`domain_switch_report`], un-run.
-pub fn domain_switch_session(
+/// The §4.8 domain-switch stress grid: the syscall/sandbox-transition
+/// kernels (which force a filter-cache flush every few hundred instructions)
+/// under the figure-3 defense set. Printed by `attacks_report` alongside the
+/// security matrix and included in the `report` document.
+fn domain_switch_session(
     scale: Scale,
     config: &SystemConfig,
     threads: usize,
@@ -531,19 +444,6 @@ pub fn domain_switch_session(
     .defenses(DefenseKind::figure3_set())
 }
 
-/// The §4.8 domain-switch stress grid: the syscall/sandbox-transition
-/// kernels (which force a filter-cache flush every few hundred instructions)
-/// under the figure-3 defense set. Printed by `attacks_report` alongside the
-/// security matrix and included in the `report` document.
-pub fn domain_switch_report(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> RunReport {
-    domain_switch_session(scale, config, threads, store).run()
-}
-
 /// The names [`figure_session`] resolves, in `report`-document order.
 pub const FIGURE_NAMES: [&str; 9] = [
     "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "shootout", "domain",
@@ -552,9 +452,9 @@ pub const FIGURE_NAMES: [&str; 9] = [
 /// Resolves a figure name (see [`FIGURE_NAMES`]) to its un-run
 /// [`ExperimentSession`].
 ///
-/// This is the planning entry point of the multi-process workflow: the
-/// `shard` and `merge` binaries both rebuild the session from the name, so
-/// every process of a run derives the identical
+/// This is the planning entry point of the multi-process workflow: sharded
+/// `figure NAME` processes and `merge` all rebuild the session from the
+/// name, so every process of a run derives the identical
 /// [`Plan`](simsys::runner::Plan) and they coordinate purely through the
 /// shared store directory.
 pub fn figure_session(
@@ -710,7 +610,7 @@ mod tests {
             assert!(!plan.cells.is_empty(), "figure {name} plans an empty grid");
             assert!(!plan.title.is_empty());
             // Planning is deterministic across resolutions — the property
-            // the shard/merge binaries rely on.
+            // sharded `figure` runs and `merge` rely on.
             let again = figure_session(name, Scale::Tiny, &cfg, 1, None)
                 .unwrap()
                 .plan();

@@ -195,7 +195,7 @@ pub fn domain_switch_table(report: &RunReport) -> SummaryTable {
 }
 
 /// Renders a single figure as a complete self-contained HTML page (what
-/// `fig5 --html page.html` and `merge --html page.html` write). `None` for
+/// `figure fig5 --html page.html` and `merge --html page.html` write). `None` for
 /// unregistered names.
 pub fn figure_document(name: &str, report: &RunReport, run_id: &str) -> Option<String> {
     let figure = report_figure(name, report, run_id)?;

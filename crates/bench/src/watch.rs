@@ -1,4 +1,4 @@
-//! The live fleet dashboard behind `merge --watch` and `merge --html-live`.
+//! The live dashboard behind `merge --watch`.
 //!
 //! A multi-host run streams one JSONL [`RunEvent`] log per shard; this module
 //! tails any number of those logs *while the shards are still writing them*
@@ -7,19 +7,10 @@
 //! over resolution timestamps) and the ETA it implies, plus stalled-shard
 //! detection from heartbeat age.
 //!
-//! Two renderers share the view:
-//!
-//! * [`render_frame`] — the plain-text terminal dashboard. Pure string
-//!   generation (the `merge` binary owns the screen-clearing), so a frame is
-//!   byte-deterministic given a view and golden-testable via
-//!   `merge --watch --once`.
-//! * [`live_document`] — the intermediate `--html-live` page: the figure
-//!   chart rendered from a lenient partial merge (unresolved cells become
-//!   NaN placeholders the chart renderer already tolerates), a fleet
-//!   progress table, and a script-free `<meta>` refresh so the page reloads
-//!   itself. Once the fleet completes, the `merge` binary switches to the
-//!   strict merge and the ordinary figure document, so the final page is
-//!   byte-identical to a post-hoc `merge --html`.
+//! [`render_frame`] draws the view as the plain-text terminal dashboard.
+//! It is pure string generation (the `merge` binary owns the
+//! screen-clearing), so a frame is byte-deterministic given a view and
+//! golden-testable via `merge --watch --once`.
 //!
 //! Determinism: every quantity here is computed from event timestamps, never
 //! from the wall clock, unless [`WatchOptions::now_ms`] is left unset. The
@@ -34,10 +25,9 @@ use std::path::{Path, PathBuf};
 
 use obs::dash::{fmt_duration_ms, fmt_percent, fmt_rate_per_sec, progress_bar};
 use obs::Ewma;
-use reportgen::{HtmlDocument, SummaryTable};
 use simkit::json;
 use simkit::json::FromJson;
-use simsys::runner::{self, Plan, RunEvent, UnitKind};
+use simsys::runner::{Plan, RunEvent, UnitKind};
 
 /// How a watch computes and renders its view.
 #[derive(Debug, Clone)]
@@ -65,7 +55,7 @@ impl Default for WatchOptions {
 
 /// An incremental reader over one shard's JSONL event log.
 ///
-/// Unlike [`runner::read_events`] (strict, whole-file), a tail must tolerate
+/// Unlike [`simsys::runner::read_events`] (strict, whole-file), a tail must tolerate
 /// everything a live log does mid-write: the file not existing yet, a final
 /// line cut mid-JSON (kept buffered until its newline arrives), garbage
 /// lines (counted in [`malformed`](Self::malformed), skipped), and the file
@@ -528,97 +518,4 @@ pub fn render_frame(view: &FleetView, opts: &WatchOptions) -> String {
         );
     }
     out
-}
-
-/// The fleet-progress table embedded in the live HTML page.
-pub fn fleet_table(view: &FleetView, stall_after_ms: u64) -> SummaryTable {
-    let mut table = SummaryTable::new([
-        "shard",
-        "resolved",
-        "executed",
-        "cached",
-        "stolen",
-        "heartbeats",
-        "sim p50/p95",
-        "state",
-    ]);
-    for shard in view.shards.values() {
-        let latency = shard
-            .sim_latency_p50_p95()
-            .map_or("-".to_string(), |(p50, p95)| {
-                format!("{}/{}", fmt_duration_ms(p50), fmt_duration_ms(p95))
-            });
-        table.row([
-            (shard.shard.to_string(), true),
-            (format!("{}/{}", shard.resolved, shard.units_total), true),
-            (shard.executed.to_string(), true),
-            (shard.cached.to_string(), true),
-            (shard.stolen.to_string(), true),
-            (shard.heartbeats.to_string(), true),
-            (latency, true),
-            (shard.state_label(view.now_ms, stall_after_ms), false),
-        ]);
-    }
-    table
-}
-
-/// Renders the *intermediate* `--html-live` page: the figure chart from a
-/// lenient partial merge, the fleet progress table, and a script-free
-/// self-refresh. `None` for figure names without registered chart metadata.
-///
-/// Once [`FleetView::complete`] the caller must stop using this and render
-/// the ordinary strict figure document instead — that (plus this function
-/// never being called again) is what makes the final on-disk page
-/// byte-identical to a post-hoc `merge --html`.
-pub fn live_document(
-    figure: &str,
-    plan: &Plan,
-    events: Vec<RunEvent>,
-    view: &FleetView,
-    run_id: &str,
-    refresh_seconds: u32,
-    stall_after_ms: u64,
-) -> Option<String> {
-    let wall_clock_ms = runner::merged_wall_clock_ms(events.iter());
-    let (report, missing) = runner::merge_events_lenient(plan, events, wall_clock_ms);
-    let section = crate::render::report_figure(figure, &report, run_id)?;
-    let mut doc = HtmlDocument::new(format!("{} — live", report.title));
-    doc.meta_refresh(refresh_seconds);
-    doc.intro(format!(
-        "LIVE: {}/{} units resolved, {} cell(s) still pending. This page reloads itself \
-         every {}s (no scripts — a meta refresh) and is replaced by the final report the \
-         moment the fleet completes.",
-        view.resolved_units, view.total_units, missing, refresh_seconds
-    ));
-    doc.figure(section);
-    doc.table(
-        "fleet",
-        "Fleet progress",
-        "One row per shard log being tailed. Counts are per-shard and overlap across \
-         shards (every shard walks the whole plan); the headline unit count above the \
-         figure is deduplicated.",
-        fleet_table(view, stall_after_ms),
-    );
-    Some(doc.render())
-}
-
-/// Writes `contents` to `path` atomically (unique temp file in the same
-/// directory, then rename), so a browser mid-refresh never reads a partial
-/// page.
-///
-/// # Errors
-/// Returns the underlying I/O error if the write or rename fails.
-pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let temp = dir
-        .unwrap_or_else(|| Path::new("."))
-        .join(format!(".live-{}.tmp", std::process::id()));
-    fs::write(&temp, contents)?;
-    match fs::rename(&temp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = fs::remove_file(&temp);
-            Err(e)
-        }
-    }
 }

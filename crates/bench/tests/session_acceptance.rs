@@ -3,7 +3,7 @@
 //! * figure 3 costs exactly one `Unprotected` simulation per workload,
 //! * parallel and serial grid runs are result-identical, and parallelism
 //!   pays off wherever the host actually has more than one core,
-//! * the `fig3 --json` binary output parses back into a [`RunReport`].
+//! * the `figure fig3 --json` binary output parses back into a [`RunReport`].
 
 use std::process::Command;
 
@@ -12,10 +12,16 @@ use simkit::json::{self, FromJson};
 use simsys::session::RunReport;
 use workloads::Scale;
 
+fn figure3(config: &SystemConfig, threads: usize) -> RunReport {
+    bench::figure_session("fig3", Scale::Tiny, config, threads, None)
+        .unwrap()
+        .run()
+}
+
 #[test]
 fn figure3_runs_exactly_one_baseline_simulation_per_workload() {
     let config = SystemConfig::small_test();
-    let report = bench::figure3(Scale::Tiny, &config, 2, None);
+    let report = figure3(&config, 2);
     assert_eq!(
         report.baseline_sims,
         report.workloads.len(),
@@ -36,8 +42,8 @@ fn figure3_runs_exactly_one_baseline_simulation_per_workload() {
 #[test]
 fn four_thread_figure3_matches_serial_and_wins_on_multicore_hosts() {
     let config = SystemConfig::small_test();
-    let serial = bench::figure3(Scale::Tiny, &config, 1, None);
-    let parallel = bench::figure3(Scale::Tiny, &config, 4, None);
+    let serial = figure3(&config, 1);
+    let parallel = figure3(&config, 4);
     assert_eq!(
         serial.cells, parallel.cells,
         "thread count must not change results"
@@ -54,8 +60,8 @@ fn four_thread_figure3_matches_serial_and_wins_on_multicore_hosts() {
                 break;
             }
             timings.push((
-                bench::figure3(Scale::Tiny, &config, 1, None).wall_clock_ms,
-                bench::figure3(Scale::Tiny, &config, 4, None).wall_clock_ms,
+                figure3(&config, 1).wall_clock_ms,
+                figure3(&config, 4).wall_clock_ms,
             ));
         }
         let (best_serial, best_parallel) = best_of(&timings);
@@ -88,14 +94,17 @@ fn best_of(timings: &[(f64, f64)]) -> (f64, f64) {
 
 #[test]
 fn fig3_json_output_parses_back_into_a_run_report() {
-    let output = Command::new(env!("CARGO_BIN_EXE_fig3"))
-        .args(["--json", "--scale", "tiny", "--threads", "2"])
+    let output = Command::new(env!("CARGO_BIN_EXE_figure"))
+        .args(["fig3", "--json", "--scale", "tiny", "--threads", "2"])
         .output()
-        .expect("fig3 binary runs");
-    assert!(output.status.success(), "fig3 --json failed: {output:?}");
-    let stdout = String::from_utf8(output.stdout).expect("fig3 emits UTF-8");
-    let parsed = json::parse(&stdout).expect("fig3 --json emits valid JSON");
-    let report = RunReport::from_json(&parsed).expect("fig3 --json is a RunReport");
+        .expect("figure binary runs");
+    assert!(
+        output.status.success(),
+        "figure fig3 --json failed: {output:?}"
+    );
+    let stdout = String::from_utf8(output.stdout).expect("figure emits UTF-8");
+    let parsed = json::parse(&stdout).expect("figure fig3 --json emits valid JSON");
+    let report = RunReport::from_json(&parsed).expect("figure fig3 --json is a RunReport");
     assert_eq!(report.scale.as_deref(), Some("tiny"));
     assert_eq!(report.threads, 2);
     assert_eq!(

@@ -1,16 +1,11 @@
-//! Acceptance tests for the live fleet dashboard (`merge --watch`) and the
-//! self-refreshing live report (`merge --html-live`):
+//! Acceptance tests for the live dashboard (`merge --watch`):
 //!
 //! * golden single-frame snapshots of `merge --watch --once` over synthetic
 //!   shard logs (regenerate with `MUONTRAP_REGEN_WATCH_GOLDENS=1`);
 //! * seeded property tests: frames are NaN/inf-free for arbitrary event
 //!   interleavings, zero-shard views render, stalled shards are flagged, and
 //!   [`LogTail`] reassembles logs delivered in mid-line fragments exactly as
-//!   a strict whole-file parse would;
-//! * binary end-to-end: over a complete log, `--html-live` converges to a
-//!   page byte-identical to `merge --html`, while the intermediate page from
-//!   a truncated log self-refreshes without tripping the no-external-refs
-//!   gate.
+//!   a strict whole-file parse would.
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -20,8 +15,7 @@ use bench::watch::{render_frame, FleetView, LogTail, WatchOptions};
 use simkit::config::SystemConfig;
 use simkit::json::ToJson;
 use simkit::rng::SimRng;
-use simsys::runner::{self, Plan, RunEvent, ShardOptions, WorkUnit};
-use simsys::store::ResultStore;
+use simsys::runner::{self, Plan, RunEvent, WorkUnit};
 use workloads::Scale;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -496,91 +490,5 @@ fn log_tail_resets_when_the_file_shrinks_and_skips_garbage_lines() {
     assert_eq!(tail.events.len(), 1);
     assert_eq!(tail.malformed, 0);
     assert_eq!(tail.events[0].shard(), 3);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-// ---------------------------------------------------------------------------
-// Binary end-to-end: --html-live convergence and self-containedness.
-// ---------------------------------------------------------------------------
-
-fn assert_self_contained(html: &str) {
-    for needle in ["http", "<script", "<link", "@import"] {
-        assert!(!html.contains(needle), "`{needle}` found in live page");
-    }
-}
-
-#[test]
-fn html_live_converges_byte_identical_to_merge_html_and_self_refreshes_before_that() {
-    let dir = temp_dir("live");
-    let config = SystemConfig::paper_default();
-    let store = ResultStore::open(dir.join("store")).expect("store opens");
-    let session = bench::figure_session("domain", Scale::Tiny, &config, 2, Some(&store))
-        .expect("domain figure is registered");
-
-    // One real shard produces the complete event log.
-    let mut sink: Vec<u8> = Vec::new();
-    session
-        .run_sharded(&ShardOptions::new(0, 1, "watch-e2e"), &mut sink)
-        .expect("sharded run succeeds");
-    let log = dir.join("shard0.jsonl");
-    std::fs::write(&log, &sink).expect("write log");
-
-    let merge = |extra: &[&str]| {
-        let mut args = vec![
-            "--figure",
-            "domain",
-            "--scale",
-            "tiny",
-            "--run-id",
-            "watch-e2e",
-        ];
-        args.extend_from_slice(extra);
-        args.push(log.to_str().unwrap());
-        let output = Command::new(env!("CARGO_BIN_EXE_merge"))
-            .args(&args)
-            .output()
-            .expect("merge binary runs");
-        assert!(
-            output.status.success(),
-            "merge {args:?} failed:\n{}",
-            String::from_utf8_lossy(&output.stderr)
-        );
-    };
-
-    // The reference artefact: a strict post-hoc merge.
-    let html_path = dir.join("merged.html");
-    merge(&["--html", html_path.to_str().unwrap(), "--html-only"]);
-    let reference = std::fs::read_to_string(&html_path).expect("merged html");
-
-    // A watch over the complete log converges in one frame and must leave
-    // the *identical* bytes behind — no refresh tag, no live intro.
-    let live_path = dir.join("live.html");
-    merge(&["--once", "--html-live", live_path.to_str().unwrap()]);
-    let converged = std::fs::read_to_string(&live_path).expect("live html");
-    assert_eq!(
-        converged, reference,
-        "a completed --html-live page must be byte-identical to merge --html"
-    );
-    assert!(
-        !converged.contains("HTTP-EQUIV"),
-        "no refresh once complete"
-    );
-
-    // A truncated log (the fleet mid-run) must yield the self-refreshing
-    // intermediate page — still passing the no-external-refs gate.
-    let full = std::fs::read_to_string(&log).expect("log text");
-    let head: String = full.lines().take(5).map(|l| format!("{l}\n")).collect();
-    std::fs::write(&log, head).expect("truncate log");
-    merge(&["--once", "--html-live", live_path.to_str().unwrap()]);
-    let partial = std::fs::read_to_string(&live_path).expect("partial html");
-    assert!(
-        partial.contains("<meta HTTP-EQUIV=\"refresh\""),
-        "intermediate page self-refreshes"
-    );
-    assert!(
-        partial.contains("LIVE:"),
-        "intermediate page says it is live"
-    );
-    assert_self_contained(&partial);
     std::fs::remove_dir_all(&dir).ok();
 }

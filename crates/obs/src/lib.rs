@@ -1,4 +1,4 @@
-//! The observability layer: a dependency-free telemetry core for fleet runs.
+//! The observability layer: a dependency-free telemetry core for sharded runs.
 //!
 //! A multi-hour sharded run is only operable if its progress is visible
 //! without attaching a debugger to every shard. This crate supplies the

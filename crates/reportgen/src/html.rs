@@ -65,7 +65,6 @@ pub struct HtmlDocument {
     title: String,
     intro: Vec<String>,
     sections: Vec<Section>,
-    refresh_seconds: Option<u32>,
 }
 
 #[derive(Debug, Clone)]
@@ -81,23 +80,7 @@ impl HtmlDocument {
             title: title.into(),
             intro: Vec::new(),
             sections: Vec::new(),
-            refresh_seconds: None,
         }
-    }
-
-    /// Makes the rendered page reload itself every `seconds` seconds via a
-    /// `<meta>` refresh — the one HTML auto-reload mechanism that needs no
-    /// script and names no URL, which is how `merge --html-live` stays
-    /// inside the report's self-containedness rules while a fleet runs.
-    ///
-    /// The attribute name is emitted as `HTTP-EQUIV` (uppercase). HTML
-    /// attribute names are case-insensitive, but this report's
-    /// self-containedness checks (tests and CI alike) reject any page
-    /// containing the lowercase substring `http` — the simplest possible
-    /// tripwire for external references — and the uppercase spelling keeps
-    /// the refresh tag from ever reading as one.
-    pub fn meta_refresh(&mut self, seconds: u32) {
-        self.refresh_seconds = Some(seconds);
     }
 
     /// Appends an introductory paragraph (escaped).
@@ -140,11 +123,6 @@ impl HtmlDocument {
     pub fn render(&self) -> String {
         let mut out = String::with_capacity(64 * 1024);
         out.push_str("<!doctype html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n");
-        if let Some(seconds) = self.refresh_seconds {
-            out.push_str(&format!(
-                "<meta HTTP-EQUIV=\"refresh\" content=\"{seconds}\">\n"
-            ));
-        }
         out.push_str(&format!("<title>{}</title>\n", escape(&self.title)));
         out.push_str("<style>\n");
         out.push_str(STYLE);
@@ -283,30 +261,6 @@ mod tests {
         assert!(!html.contains("<script"));
         assert!(!html.contains("<link"));
         assert!(!html.contains("@import"));
-    }
-
-    #[test]
-    fn meta_refresh_passes_the_self_containedness_tripwires() {
-        let mut doc = HtmlDocument::new("live");
-        doc.meta_refresh(2);
-        let html = doc.render();
-        assert!(
-            html.contains("<meta HTTP-EQUIV=\"refresh\" content=\"2\">"),
-            "the refresh tag must be present: {html}"
-        );
-        // The whole point of the uppercase spelling: the page still clears
-        // every needle the no-external-refs gates grep for.
-        assert!(!html.contains("http"), "lowercase tripwire must stay clean");
-        assert!(!html.contains("<script"));
-        assert!(!html.contains("<link"));
-        assert!(!html.contains("@import"));
-    }
-
-    #[test]
-    fn documents_without_refresh_render_no_meta_refresh() {
-        let html = HtmlDocument::new("t").render();
-        assert!(!html.contains("refresh"));
-        assert!(!html.contains("HTTP-EQUIV"));
     }
 
     #[test]

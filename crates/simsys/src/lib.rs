@@ -42,10 +42,7 @@ pub mod session;
 pub mod store;
 pub mod system;
 
-pub use runner::{
-    merge_events, merge_events_lenient, Plan, RunEvent, ShardOptions, ShardSummary, UnitKind,
-    WorkUnit,
-};
+pub use runner::{merge_events, Plan, RunEvent, ShardOptions, ShardSummary, UnitKind, WorkUnit};
 pub use session::{CellResult, ExperimentResult, ExperimentSession, RunReport};
 pub use store::ResultStore;
 pub use system::{System, SystemReport};

@@ -29,7 +29,7 @@
 //!    over cache provenance.
 //!
 //! The local path ([`execute_local`], what `run()` uses) and the sharded path
-//! ([`execute_shard`], what `run_sharded()` and the `shard` binary use) emit
+//! ([`execute_shard`], what `run_sharded()` and `figure NAME --shard-id` use) emit
 //! the same events and share [`merge_events`], so there is exactly one way a
 //! report is assembled.
 //!
@@ -561,7 +561,26 @@ pub fn merge_events(
     events: impl IntoIterator<Item = RunEvent>,
     wall_clock_ms: f64,
 ) -> Result<RunReport, MergeError> {
-    let mut resolved = fold_resolved(events);
+    // Deduplicate into `(kind, index) -> (was_executed, payload)`, with
+    // execution provenance winning over cache provenance.
+    let mut resolved: HashMap<(UnitKind, usize), (bool, Option<CellResult>)> = HashMap::new();
+    for event in events {
+        let (executed, payload) = match &event {
+            RunEvent::Completed { cell, .. } => (true, cell.clone()),
+            RunEvent::Cached { cell, .. } => (false, cell.clone()),
+            RunEvent::Claimed { .. } | RunEvent::Heartbeat { .. } | RunEvent::ShardDone { .. } => {
+                continue
+            }
+        };
+        let unit = event.unit().expect("unit events carry an identity");
+        match resolved.get(&unit) {
+            Some((true, _)) => {}               // execution already recorded
+            Some((false, _)) if !executed => {} // first cached sighting wins
+            _ => {
+                resolved.insert(unit, (executed, payload));
+            }
+        }
+    }
     let baseline_sims = (0..plan.baselines.len())
         .filter(|i| matches!(resolved.get(&(UnitKind::Baseline, *i)), Some((true, _))))
         .count();
@@ -585,86 +604,6 @@ pub fn merge_events(
         columns: plan.columns.clone(),
         cells,
     })
-}
-
-/// Deduplicates event streams into `(kind, index) -> (was_executed, payload)`,
-/// with execution provenance winning over cache provenance.
-fn fold_resolved(
-    events: impl IntoIterator<Item = RunEvent>,
-) -> HashMap<(UnitKind, usize), (bool, Option<CellResult>)> {
-    let mut resolved: HashMap<(UnitKind, usize), (bool, Option<CellResult>)> = HashMap::new();
-    for event in events {
-        let (executed, payload) = match &event {
-            RunEvent::Completed { cell, .. } => (true, cell.clone()),
-            RunEvent::Cached { cell, .. } => (false, cell.clone()),
-            RunEvent::Claimed { .. } | RunEvent::Heartbeat { .. } | RunEvent::ShardDone { .. } => {
-                continue
-            }
-        };
-        let unit = event.unit().expect("unit events carry an identity");
-        match resolved.get(&unit) {
-            Some((true, _)) => {}               // execution already recorded
-            Some((false, _)) if !executed => {} // first cached sighting wins
-            _ => {
-                resolved.insert(unit, (executed, payload));
-            }
-        }
-    }
-    resolved
-}
-
-/// Best-effort [`merge_events`] for observing a run that is still in flight:
-/// cells no stream has resolved yet become placeholder rows (`cycles` 0,
-/// `normalized_time` NaN, `completed: false`) instead of a [`MergeError`],
-/// and the number of such holes is returned alongside the report.
-///
-/// This is what `merge --html-live` renders between frames. Once the hole
-/// count reaches zero the caller must switch to the strict [`merge_events`]
-/// so the final page is byte-identical to a post-hoc `merge --html`.
-pub fn merge_events_lenient(
-    plan: &Plan,
-    events: impl IntoIterator<Item = RunEvent>,
-    wall_clock_ms: f64,
-) -> (RunReport, usize) {
-    let mut resolved = fold_resolved(events);
-    let baseline_sims = (0..plan.baselines.len())
-        .filter(|i| matches!(resolved.get(&(UnitKind::Baseline, *i)), Some((true, _))))
-        .count();
-    let sims_executed = resolved.values().filter(|(executed, _)| *executed).count();
-    let mut missing = 0usize;
-    let mut cells = Vec::with_capacity(plan.cells.len());
-    for (index, unit) in plan.cells.iter().enumerate() {
-        match resolved.remove(&(UnitKind::Cell, index)) {
-            Some((_, Some(cell))) => cells.push(cell),
-            _ => {
-                missing += 1;
-                cells.push(CellResult {
-                    workload: unit.workload.name.clone(),
-                    column: unit.column.clone().unwrap_or_default(),
-                    defense: unit.defense.label().to_string(),
-                    cycles: 0,
-                    committed: 0,
-                    completed: false,
-                    cached: false,
-                    baseline_cycles: 0,
-                    normalized_time: f64::NAN,
-                    stats: simkit::stats::StatSet::new(),
-                });
-            }
-        }
-    }
-    let report = RunReport {
-        title: plan.title.clone(),
-        scale: plan.scale.clone(),
-        threads: plan.threads,
-        wall_clock_ms,
-        baseline_sims,
-        sims_executed,
-        workloads: plan.workloads.clone(),
-        columns: plan.columns.clone(),
-        cells,
-    };
-    (report, missing)
 }
 
 /// The wall clock to record for a multi-stream merge: the maximum over
@@ -1031,7 +970,7 @@ impl Drop for LeaseHeartbeat {
     }
 }
 
-/// What one shard did, printed as JSON by the `shard` binary.
+/// What one shard did, printed as JSON by `figure NAME --shard-id`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSummary {
     /// This shard's id.
@@ -1333,7 +1272,7 @@ impl ShardState<'_> {
 /// Executes one shard of a plan against a shared store directory, streaming
 /// [`RunEvent`] JSONL to `sink` — the engine behind
 /// [`ExperimentSession::run_sharded`](crate::session::ExperimentSession::run_sharded)
-/// and the `shard` binary.
+/// and `figure NAME --shard-id`.
 ///
 /// Every shard walks the *whole* plan (baselines first, then cells), starting
 /// at an offset spread by `shard_id` so cooperating shards collide rarely;
@@ -1614,34 +1553,6 @@ mod tests {
                 t_ms: None,
             }
         );
-    }
-
-    #[test]
-    fn lenient_merge_fills_holes_and_converges_to_the_strict_merge() {
-        let session = tiny_session(1, &[DefenseKind::Unprotected, DefenseKind::MuonTrap]);
-        let plan = session.plan();
-        let events = execute_local(&plan, None, false, 1, None);
-        // Drop the last cell resolution: the strict merge refuses, the
-        // lenient merge reports one hole with a NaN placeholder.
-        let last_cell = plan.cells.len() - 1;
-        let partial: Vec<RunEvent> = events
-            .iter()
-            .filter(|e| e.unit() != Some((UnitKind::Cell, last_cell)))
-            .cloned()
-            .collect();
-        assert!(merge_events(&plan, partial.clone(), 0.0).is_err());
-        let (report, missing) = merge_events_lenient(&plan, partial, 0.0);
-        assert_eq!(missing, 1);
-        assert_eq!(report.cells.len(), plan.cells.len());
-        let hole = &report.cells[last_cell];
-        assert!(hole.normalized_time.is_nan());
-        assert!(!hole.completed);
-        assert_eq!(hole.workload, plan.cells[last_cell].workload.name);
-        // With the full stream the lenient merge equals the strict merge.
-        let strict = merge_events(&plan, events.clone(), 5.0).unwrap();
-        let (lenient, missing) = merge_events_lenient(&plan, events, 5.0);
-        assert_eq!(missing, 0);
-        assert_eq!(lenient, strict);
     }
 
     #[test]

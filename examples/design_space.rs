@@ -29,8 +29,8 @@ fn print_sweep(report: &RunReport) {
 
 fn main() {
     let config = SystemConfig::paper_default();
-    // Two cache-sensitive kernels keep the example quick; the `fig5`/`fig6`
-    // binaries in the `bench` crate run the full suite.
+    // Two cache-sensitive kernels keep the example quick; `figure fig5` and
+    // `figure fig6` in the `bench` crate run the full suite.
     let chosen: Vec<Workload> = parsec_suite(Scale::Tiny, config.cores)
         .into_iter()
         .filter(|w| w.name == "streamcluster" || w.name == "freqmine")

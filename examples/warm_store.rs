@@ -82,5 +82,5 @@ fn main() {
     );
 
     std::fs::remove_dir_all(&dir).ok();
-    println!("\n(The figure binaries share this: `fig3 --store DIR`, run twice.)");
+    println!("\n(The figure binary shares this: `figure fig3 --store DIR`, run twice.)");
 }

@@ -18,7 +18,7 @@
 //! * [`reportgen`] — dependency-free SVG charts and the self-contained HTML
 //!   evaluation report (`report --html report.html` regenerates every
 //!   figure as one browsable page);
-//! * [`obs`] — the telemetry core behind fleet observability: the metrics
+//! * [`obs`] — the telemetry core behind sharded-run observability: the metrics
 //!   registry the simulator instruments, monotonic timestamps, and the
 //!   text primitives of the `merge --watch` live dashboard.
 //!
@@ -50,7 +50,7 @@
 //! let slowdown = report.cell(0, 0).normalized_time; // MuonTrap, 1.0 = free
 //! assert!(slowdown > 0.5 && slowdown < 2.0);
 //!
-//! // Machine-readable output for harnesses (also: `fig3 --json` etc.).
+//! // Machine-readable output for harnesses (also: `figure fig3 --json` etc.).
 //! let json = report.to_json().to_string_compact();
 //! assert!(json.contains("\"baseline_sims\":2"));
 //! ```

@@ -449,7 +449,7 @@ fn speculative_accesses_never_reach_the_non_speculative_hierarchy() {
 
 /// Drives random interleavings of claim / heartbeat / expire / steal / done /
 /// release over an in-memory store with a test clock, checking the protocol
-/// invariants the sharded runner and the `fleet` supervisor rely on:
+/// invariants the sharded runner and its resumed shards rely on:
 ///
 /// * **at most one owner per unit** — every observed transition is justified
 ///   by the lease state the step started from, and a lost lease never

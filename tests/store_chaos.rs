@@ -6,8 +6,8 @@
 //! suffer a torn write, a lost create-new race, a stale read, a transient
 //! I/O error or injected latency, with the mix drawn from a seeded
 //! [`SimRng`](simkit) stream. Shards that die from injected errors are
-//! retried (the production `fleet` supervisor's restart path), with a test
-//! clock advanced past the lease TTL so abandoned leases expire
+//! retried the way an operator resumes a killed shard (same run id), with a
+//! test clock advanced past the lease TTL so abandoned leases expire
 //! deterministically instead of by sleeping.
 //!
 //! The acceptance bar, per seed:
