@@ -11,19 +11,12 @@
 //! grid and honours `--scale`, `--threads`, `--store` and `--events` —
 //! `--html FILE` renders it as the domain figure's self-contained page
 //! (chart + flush-counter table; the security matrix stays text/JSON). For
-//! a sharded run of the grid alone, use `figure domain --shard-id I …`.
+//! the grid alone, use `figure domain`.
 
 use simkit::json::{Json, ToJson};
 
 fn main() {
     let options = bench::cli::parse_or_exit();
-    if options.shard_id.is_some() {
-        eprintln!(
-            "attacks_report mixes security probes with the domain-switch grid and \
-             cannot run as one shard; use `figure domain --shard-id I` for the grid"
-        );
-        std::process::exit(2);
-    }
     let config = simkit::config::SystemConfig::paper_default();
     let store = options.open_store();
     let mut events = bench::cli::open_events(&options);

@@ -13,28 +13,16 @@
 //! for `fig7`, whose figure is the invalidation-broadcast rate derived from
 //! each cell's `muontrap.*` counters ([`bench::invalidate_rates`]).
 //!
-//! With `--shard-id I --shard-count N` the binary executes one shard of the
-//! figure's plan against a shared store instead. Every shard rebuilds the
-//! identical [`Plan`](simsys::runner::Plan) from the name (planning is pure
-//! and host-independent) and claims units through expiring lease files
-//! under the store, so shards need no coordinator, only the directory.
-//! Progress streams to `--events FILE` as JSONL; the shard prints its
-//! [`ShardSummary`](simsys::runner::ShardSummary) as JSON, and `merge` folds
-//! the logs into the report a local run prints:
+//! With `--store DIR` every simulation is persisted as it finishes, so a
+//! killed run resumes by running the same command again: finished units
+//! are store hits and only the rest simulate. `--events FILE` streams one
+//! JSONL line per resolved unit, which `merge` folds into the report (or
+//! `merge --watch` follows live):
 //!
 //! ```text
-//! figure fig5 --scale small --store /data/store \
-//!        --shard-id 0 --shard-count 2 --run-id nightly --events s0.jsonl &
-//! figure fig5 --scale small --store /data/store \
-//!        --shard-id 1 --shard-count 2 --run-id nightly --events s1.jsonl &
-//! wait
-//! merge --figure fig5 --scale small s0.jsonl s1.jsonl > figure5.json
+//! figure fig5 --scale small --store /data/store --events e.jsonl
+//! merge --figure fig5 --scale small e.jsonl > figure5.json
 //! ```
-//!
-//! A shard killed mid-run leaves expiring leases and a partial event log;
-//! re-running it (same `--run-id`) steals the expired leases, serves the
-//! already-stored results as cache hits, and completes the grid with no
-//! simulation repeated.
 
 use simkit::json::ToJson;
 
@@ -63,20 +51,6 @@ fn main() {
         store.as_ref(),
     )
     .expect("every listed figure resolves");
-    if let Some(shard) = options.shard_options() {
-        let mut events = cli::open_events(&options).expect("--shard-id implies --events");
-        match session.run_sharded(&shard, &mut events) {
-            Ok(summary) => {
-                cli::write_metrics(&options);
-                println!("{}", summary.to_json().to_string_pretty());
-            }
-            Err(e) => {
-                eprintln!("shard {} failed: {e}", shard.shard_id);
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
     let mut events = cli::open_events(&options);
     let report = session.run_with_events(match &mut events {
         Some(file) => Some(file),

@@ -1,40 +1,39 @@
-//! Folds shard event logs back into the deterministic figure report.
+//! Folds a run's event log back into the deterministic figure report.
 //!
 //! `merge` rebuilds the named figure's [`Plan`](simsys::runner::Plan) (the
-//! same pure derivation every shard used), reads any number of JSONL event
-//! logs, and emits the merged [`RunReport`](simsys::session::RunReport) as
-//! JSON on stdout — identical in content to what a single-process
-//! `figure NAME --json` run of the same grid produces. Events are
-//! deduplicated per work unit with execution provenance preferred, so
-//! feeding it a killed shard's partial log alongside the resumed run's log
-//! keeps the simulated-once accounting intact.
+//! same pure derivation `figure NAME` used), reads the JSONL event log that
+//! `figure NAME --events FILE` wrote, and emits the merged
+//! [`RunReport`](simsys::session::RunReport) as JSON on stdout — the cells
+//! a `figure NAME --json` run of the same grid prints. The recorded
+//! `wall_clock_ms` is the log's first-to-last timestamp span.
 //!
 //! ```text
-//! merge --figure fig5 --scale small s0.jsonl s1.jsonl > figure5.json
+//! merge --figure fig5 --scale small e.jsonl > figure5.json
 //! ```
 //!
-//! Pass `--scale`/`--threads` matching the shard invocations so the rebuilt
-//! plan (title, grid shape, recorded thread count) lines up. Incomplete logs
-//! — a grid cell no stream resolved — are an error, not a silent hole.
+//! Pass `--scale`/`--threads` matching the `figure` invocation so the
+//! rebuilt plan (title, grid shape, recorded thread count) lines up. An
+//! incomplete log — a grid cell it never resolved — is an error, not a
+//! silent hole; exactly one log is accepted.
 //!
 //! `--html FILE` renders the merged report as the figure's self-contained
-//! HTML page (`--html-only` suppresses the JSON): a multi-host run produces
-//! exactly the artefact a local `figure NAME --html` run would, because the
-//! merged report is bit-identical to the local one. `--metrics FILE` appends
-//! one telemetry snapshot, as on every binary.
+//! HTML page (`--html-only` suppresses the JSON): the chart a local
+//! `figure NAME --html` run would draw, because the merged cells are the
+//! local ones. `--metrics FILE` appends one telemetry snapshot, as on every
+//! binary.
 //!
 //! # Watching a live run
 //!
-//! With `--watch`, `merge` does not require complete logs: it *tails* them
-//! while the shards are still writing, redrawing an in-terminal dashboard
-//! (per-shard progress, steal and cache-hit counters, a cells/sec rate and
-//! ETA, stalled-shard detection from heartbeat age) every `--interval-ms`
-//! until every unit of the plan has resolved. `--once` renders exactly one
-//! frame — with "now" pinned to the newest event timestamp, so the output
-//! is deterministic — and exits, which is what tests and CI consume.
+//! With `--watch`, `merge` does not require a complete log: it *tails* it
+//! while the run is still writing, redrawing an in-terminal dashboard
+//! (progress, executed and cached counts, a cells/sec rate and ETA, stall
+//! detection from the newest event's age) every `--interval-ms` until every
+//! unit of the plan has resolved. `--once` renders exactly one frame — with
+//! "now" pinned to the newest event timestamp, so the output is
+//! deterministic — and exits, which is what tests and CI consume.
 //!
 //! ```text
-//! merge --figure domain --scale tiny --watch s0.jsonl s1.jsonl
+//! merge --figure domain --scale tiny --watch e.jsonl
 //! ```
 
 use std::io::Write as _;
@@ -42,7 +41,7 @@ use std::io::Write as _;
 use simkit::json::ToJson;
 use simsys::runner;
 
-use bench::watch::{self, FleetView, LogTail, WatchOptions};
+use bench::watch::{self, LogTail, RunView, WatchOptions};
 
 fn main() {
     let mut figure: Option<String> = None;
@@ -83,10 +82,11 @@ fn main() {
     let Some(figure) = figure else {
         exit_usage("--figure NAME is required");
     };
-    let logs = &options.args;
-    if logs.is_empty() {
-        exit_usage("at least one event log is required");
-    }
+    let log = match options.args.as_slice() {
+        [log] => log,
+        [] => exit_usage("an event log is required"),
+        [_, extra, ..] => exit_usage(&format!("unexpected argument `{extra}`")),
+    };
 
     let config = simkit::config::SystemConfig::paper_default();
     let Some(session) =
@@ -100,24 +100,20 @@ fn main() {
     let plan = session.plan();
 
     if watch_mode {
-        run_watch(&plan, logs, once, interval_ms, stall_ms);
+        run_watch(&plan, log, once, interval_ms, stall_ms);
         bench::cli::write_metrics(&options);
         return;
     }
 
-    let mut events = Vec::new();
-    for path in logs {
-        let file = std::fs::File::open(path).unwrap_or_else(|e| {
-            eprintln!("cannot open event log {path}: {e}");
-            std::process::exit(2);
-        });
-        let parsed = runner::read_events(std::io::BufReader::new(file)).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(2);
-        });
-        events.extend(parsed);
-    }
-    let wall_clock_ms = runner::merged_wall_clock_ms(events.iter());
+    let file = std::fs::File::open(log).unwrap_or_else(|e| {
+        eprintln!("cannot open event log {log}: {e}");
+        std::process::exit(2);
+    });
+    let events = runner::read_events(std::io::BufReader::new(file)).unwrap_or_else(|e| {
+        eprintln!("{log}: {e}");
+        std::process::exit(2);
+    });
+    let wall_clock_ms = runner::log_span_ms(events.iter());
     match runner::merge_events(&plan, events, wall_clock_ms) {
         Ok(report) => {
             bench::cli::write_metrics(&options);
@@ -138,26 +134,26 @@ fn main() {
 
 /// The `--watch` loop: tail, fold, render, repeat until every unit of the
 /// plan has resolved (or after one frame, with `--once`).
-fn run_watch(plan: &runner::Plan, logs: &[String], once: bool, interval_ms: u64, stall_ms: u64) {
-    let mut tails: Vec<LogTail> = logs.iter().map(LogTail::new).collect();
+fn run_watch(plan: &runner::Plan, log: &str, once: bool, interval_ms: u64, stall_ms: u64) {
+    let mut tail = LogTail::new(log);
     loop {
-        for tail in &mut tails {
-            if let Err(e) = tail.poll() {
-                eprintln!("cannot read {}: {e}", tail.path().display());
-            }
+        if let Err(e) = tail.poll() {
+            eprintln!("cannot read {log}: {e}");
         }
-        let events: Vec<runner::RunEvent> = tails
-            .iter()
-            .flat_map(|tail| tail.events.iter().cloned())
-            .collect();
         let opts = WatchOptions {
             stall_after_ms: stall_ms,
             // `--once` pins "now" to the newest event stamp so the frame is
             // deterministic; live mode reads the clock for stall ages.
-            now_ms: once.then(|| events.iter().filter_map(|e| e.t_ms()).max().unwrap_or(0)),
+            now_ms: once.then(|| {
+                tail.events
+                    .iter()
+                    .filter_map(|e| e.t_ms())
+                    .max()
+                    .unwrap_or(0)
+            }),
             ..WatchOptions::default()
         };
-        let view = FleetView::fold(plan, &events, &opts);
+        let view = RunView::fold(plan, &tail.events, &opts);
         if !once {
             // The one piece of terminal state the watch owns: clear and
             // home before each live frame. `--once` stays plain text.
@@ -183,7 +179,7 @@ fn usage() -> String {
     format!(
         "usage: merge --figure NAME [--scale tiny|small|large] [--threads N] \
          [--html FILE [--html-only]] [--metrics FILE] [--watch [--once]] \
-         [--interval-ms N] [--stall-ms N] EVENTS.jsonl [EVENTS.jsonl ...]\nfigures: {}",
+         [--interval-ms N] [--stall-ms N] EVENTS.jsonl\nfigures: {}",
         bench::FIGURE_NAMES.join(", ")
     )
 }

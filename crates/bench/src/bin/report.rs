@@ -12,8 +12,8 @@
 //! pipeline. With `--store DIR` (or `MUONTRAP_STORE`), every simulation
 //! result is persisted content-addressed on its inputs: the first run fills
 //! the store, and a second run regenerates the full document with zero
-//! simulations. A store already populated by sharded `figure`/`merge` runs
-//! of the individual figures serves this document for free, because planning is
+//! simulations. A store already populated by `figure NAME` runs of the
+//! individual figures serves this document for free, because planning is
 //! host-independent and the fingerprints agree by construction. The emitted
 //! `sims_executed` / per-cell `cached` fields record the provenance, and
 //! `--events FILE` streams per-unit progress while the document builds.
@@ -33,13 +33,6 @@ use simsys::session::RunReport;
 
 fn main() {
     let options = bench::cli::parse_or_exit();
-    if options.shard_id.is_some() {
-        eprintln!(
-            "report regenerates every figure and cannot run as one shard; \
-             use `figure NAME --shard-id I` per figure and fold with `merge`"
-        );
-        std::process::exit(2);
-    }
     let config = simkit::config::SystemConfig::paper_default();
     let store = options.open_store();
     let mut events = bench::cli::open_events(&options);

@@ -19,13 +19,6 @@ use speclint::AnalyzerConfig;
 
 fn main() {
     let options = bench::cli::parse_or_exit();
-    if options.shard_id.is_some() {
-        eprintln!(
-            "speclint is a static analysis, milliseconds over the whole corpus; \
-             there is nothing to shard"
-        );
-        std::process::exit(2);
-    }
     let census = bench::lint::corpus_census(options.scale, &AnalyzerConfig::default());
     bench::cli::write_html(&options, || bench::render::speclint_document(&census));
     if options.html_only {

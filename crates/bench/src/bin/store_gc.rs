@@ -9,8 +9,8 @@
 //! ```
 //!
 //! Eviction is safe at any time — a missing entry is just a cache miss that
-//! re-simulates — but running it concurrently with active shards wastes
-//! their freshly written results.
+//! re-simulates — but running it concurrently with an active run wastes its
+//! freshly written results.
 
 use simkit::json::ToJson;
 use simsys::store::ResultStore;

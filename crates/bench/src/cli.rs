@@ -17,14 +17,8 @@
 //!   simulate but are never written back (CI reusing a store artifact),
 //! * `--events <file>` — stream one [`simsys::runner::RunEvent`] JSONL line
 //!   per resolved work unit to `file` while the run progresses,
-//! * `--shard-id <i> --shard-count <n>` — run as shard *i* of an *n*-process
-//!   cooperating run (requires `--store` and `--events`; shards coordinate
-//!   through lease files under the store). The binary then prints a
-//!   [`simsys::runner::ShardSummary`] instead of a report; fold the event logs with the
-//!   `merge` binary,
-//! * `--run-id <id>` — the identifier shared by every shard of one logical
-//!   run (and reused when resuming it). Required with `--shard-id`, and must
-//!   be unique per logical run,
+//! * `--run-id <id>` — the label the HTML provenance line records for this
+//!   run (default `adhoc`),
 //! * `--html <file>` — additionally render the report as a self-contained
 //!   HTML page (inline SVG chart, inline CSS, no external assets) via
 //!   [`crate::render`]. On `report`, the page covers every figure plus the
@@ -38,14 +32,10 @@
 
 use std::path::PathBuf;
 
-use simsys::runner::ShardOptions;
 use simsys::store::ResultStore;
 use workloads::Scale;
 
-/// The placeholder run id of non-sharded invocations. Sharded runs must
-/// name their own (see [`CliOptions::parse`]): freshness provenance is
-/// keyed on it, so silently sharing a default across distinct runs would
-/// corrupt the cached/fresh accounting of every later run on the store.
+/// The run id recorded when `--run-id` is not given.
 pub const DEFAULT_RUN_ID: &str = "adhoc";
 
 /// Parsed command-line options.
@@ -64,11 +54,7 @@ pub struct CliOptions {
     pub store_readonly: bool,
     /// Stream JSONL run events to this file (`--events`).
     pub events: Option<PathBuf>,
-    /// Run as this shard of a multi-process run (`--shard-id`).
-    pub shard_id: Option<usize>,
-    /// Total shards of the run (`--shard-count`, default 1).
-    pub shard_count: usize,
-    /// Identifier shared by all shards of one logical run (`--run-id`).
+    /// The run's label in HTML provenance lines (`--run-id`).
     pub run_id: String,
     /// Write a self-contained HTML rendering to this file (`--html`).
     pub html: Option<PathBuf>,
@@ -91,8 +77,6 @@ impl Default for CliOptions {
             store: std::env::var_os("MUONTRAP_STORE").map(PathBuf::from),
             store_readonly: false,
             events: None,
-            shard_id: None,
-            shard_count: 1,
             run_id: DEFAULT_RUN_ID.to_string(),
             html: None,
             html_only: false,
@@ -107,8 +91,8 @@ impl CliOptions {
     /// `--store` and `--no-store` appear, the last one wins.
     ///
     /// # Errors
-    /// Returns a usage message when a flag is unknown, a value is missing or
-    /// malformed, or the sharding flags are inconsistent.
+    /// Returns a usage message when a flag is unknown or a value is missing
+    /// or malformed.
     pub fn parse<I, S>(args: I) -> Result<CliOptions, String>
     where
         I: IntoIterator<Item = S>,
@@ -144,26 +128,6 @@ impl CliOptions {
                     let value = args.next().ok_or("--events needs a file")?;
                     options.events = Some(PathBuf::from(value.as_ref()));
                 }
-                "--shard-id" => {
-                    let value = args.next().ok_or("--shard-id needs a value")?;
-                    options.shard_id = Some(
-                        value
-                            .as_ref()
-                            .parse()
-                            .map_err(|_| format!("invalid shard id `{}`", value.as_ref()))?,
-                    );
-                }
-                "--shard-count" => {
-                    let value = args.next().ok_or("--shard-count needs a value")?;
-                    let parsed: usize = value
-                        .as_ref()
-                        .parse()
-                        .map_err(|_| format!("invalid shard count `{}`", value.as_ref()))?;
-                    if parsed == 0 {
-                        return Err("--shard-count must be at least 1".to_string());
-                    }
-                    options.shard_count = parsed;
-                }
                 "--run-id" => {
                     let value = args.next().ok_or("--run-id needs a value")?;
                     options.run_id = value.as_ref().to_string();
@@ -189,45 +153,6 @@ impl CliOptions {
                 "--html-only needs --html FILE (there is nothing else to emit)".to_string(),
             );
         }
-        if let Some(shard_id) = options.shard_id {
-            if options.html.is_some() {
-                // A shard resolves only its share of the grid; the complete
-                // artefact comes from folding every shard's event log.
-                return Err(
-                    "shards emit event logs, not reports; render the HTML from the \
-                     folded logs with `merge --html`"
-                        .to_string(),
-                );
-            }
-            if shard_id >= options.shard_count {
-                return Err(format!(
-                    "--shard-id {shard_id} out of range for --shard-count {}",
-                    options.shard_count
-                ));
-            }
-            if options.store.is_none() {
-                return Err("sharded runs need --store (shards coordinate through it)".to_string());
-            }
-            if options.store_readonly {
-                return Err("sharded runs need a writable store; drop --store-readonly".to_string());
-            }
-            if options.events.is_none() {
-                return Err(
-                    "sharded runs need --events FILE (the merge step folds the logs)".to_string(),
-                );
-            }
-            if options.run_id == DEFAULT_RUN_ID {
-                // Freshness provenance is keyed on the run id, and done
-                // markers outlive the run — a silently shared default would
-                // make every later run on the same store misreport its
-                // store hits as fresh simulations.
-                return Err(
-                    "sharded runs need an explicit --run-id, unique per logical run \
-                     (reuse one only to resume that run)"
-                        .to_string(),
-                );
-            }
-        }
         Ok(options)
     }
 
@@ -246,18 +171,11 @@ impl CliOptions {
             }
         })
     }
-
-    /// The [`ShardOptions`] for this invocation, when `--shard-id` was given.
-    pub fn shard_options(&self) -> Option<ShardOptions> {
-        self.shard_id
-            .map(|id| ShardOptions::new(id, self.shard_count, self.run_id.clone()))
-    }
 }
 
 /// The flags every binary shares, as the usage messages print them.
 pub const FLAGS: &str = "[--json] [--scale tiny|small|large] [--threads N] \
-     [--store DIR] [--no-store] [--store-readonly] [--events FILE] \
-     [--shard-id I --shard-count N] [--run-id ID] \
+     [--store DIR] [--no-store] [--store-readonly] [--events FILE] [--run-id ID] \
      [--html FILE [--html-only]] [--metrics FILE]";
 
 /// The usage text shared by the binaries that take no bare argument.
@@ -343,8 +261,7 @@ mod tests {
         assert_eq!(options.scale, Scale::Small);
         assert!(options.threads >= 1);
         assert!(!options.store_readonly);
-        assert_eq!(options.shard_id, None);
-        assert_eq!(options.shard_count, 1);
+        assert_eq!(options.run_id, DEFAULT_RUN_ID);
     }
 
     #[test]
@@ -359,10 +276,6 @@ mod tests {
             "/tmp/s",
             "--events",
             "/tmp/e.jsonl",
-            "--shard-id",
-            "1",
-            "--shard-count",
-            "4",
             "--run-id",
             "nightly-7",
         ])
@@ -372,13 +285,7 @@ mod tests {
         assert_eq!(options.threads, 3);
         assert_eq!(options.store, Some(PathBuf::from("/tmp/s")));
         assert_eq!(options.events, Some(PathBuf::from("/tmp/e.jsonl")));
-        assert_eq!(options.shard_id, Some(1));
-        assert_eq!(options.shard_count, 4);
         assert_eq!(options.run_id, "nightly-7");
-        let shard = options.shard_options().unwrap();
-        assert_eq!(shard.shard_id, 1);
-        assert_eq!(shard.shard_count, 4);
-        assert_eq!(shard.run_id, "nightly-7");
     }
 
     #[test]
@@ -427,37 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_runs_require_a_writable_store_and_an_event_log() {
-        let shard = |extra: &[&str]| {
-            let mut args = vec!["--shard-id", "0", "--shard-count", "2"];
-            args.extend_from_slice(extra);
-            CliOptions::parse(args)
-        };
-        assert!(shard(&[]).is_err(), "no store");
-        assert!(shard(&["--store", "/tmp/s"]).is_err(), "no events");
-        assert!(
-            shard(&[
-                "--store",
-                "/tmp/s",
-                "--events",
-                "/tmp/e",
-                "--store-readonly"
-            ])
-            .is_err(),
-            "read-only store"
-        );
-        assert!(
-            shard(&["--store", "/tmp/s", "--events", "/tmp/e"]).is_err(),
-            "the default run id must be rejected: done markers outlive runs"
-        );
-        assert!(shard(&["--store", "/tmp/s", "--events", "/tmp/e", "--run-id", "r1"]).is_ok());
-        assert!(
-            CliOptions::parse(["--shard-id", "2", "--shard-count", "2"]).is_err(),
-            "shard id out of range"
-        );
-    }
-
-    #[test]
     fn html_flags_parse_and_validate() {
         let options = CliOptions::parse(["--html", "/tmp/report.html", "--html-only"]).unwrap();
         assert_eq!(options.html, Some(PathBuf::from("/tmp/report.html")));
@@ -468,25 +344,6 @@ mod tests {
         assert!(
             CliOptions::parse(["--html-only"]).is_err(),
             "--html-only without --html has nothing to emit"
-        );
-        assert!(
-            CliOptions::parse([
-                "--shard-id",
-                "0",
-                "--shard-count",
-                "2",
-                "--store",
-                "/tmp/s",
-                "--events",
-                "/tmp/e",
-                "--run-id",
-                "r1",
-                "--html",
-                "/tmp/x.html",
-            ])
-            .unwrap_err()
-            .contains("merge --html"),
-            "shards produce event logs, not rendered reports"
         );
     }
 
@@ -521,11 +378,9 @@ mod tests {
         assert!(CliOptions::parse(["--threads", "0"]).is_err());
         assert!(CliOptions::parse(["--threads", "lots"]).is_err());
         assert!(CliOptions::parse(["--store"]).is_err());
-        assert!(CliOptions::parse(["--shard-count", "0"]).is_err());
         assert!(CliOptions::parse(["--wat"]).unwrap_err().contains("usage:"));
         assert!(CliOptions::parse(["--html"]).is_err());
         assert!(usage().contains("--store"));
-        assert!(usage().contains("--shard-id"));
         assert!(usage().contains("--events"));
         assert!(usage().contains("--html"));
     }

@@ -16,10 +16,9 @@
 //! | Attacks 1–6    | [`security_matrix`] | `attacks_report` |
 //! | Static census  | [`lint::corpus_census`] | `speclint` |
 //!
-//! Resolving by name is what makes the multi-process workflow work: every
-//! `figure NAME --shard-id I` process and `merge` rebuild the identical plan
-//! from the figure name, then coordinate purely through the shared store
-//! directory (see [`simsys::runner`]).
+//! Resolving by name is what lets `merge` fold a `figure NAME --events` log:
+//! both rebuild the identical plan from the figure name (see
+//! [`simsys::runner`]).
 //!
 //! The `report` binary regenerates everything at once into one JSON
 //! document, and — with `--html` — into one self-contained HTML page: one
@@ -452,11 +451,9 @@ pub const FIGURE_NAMES: [&str; 9] = [
 /// Resolves a figure name (see [`FIGURE_NAMES`]) to its un-run
 /// [`ExperimentSession`].
 ///
-/// This is the planning entry point of the multi-process workflow: sharded
-/// `figure NAME` processes and `merge` all rebuild the session from the
-/// name, so every process of a run derives the identical
-/// [`Plan`](simsys::runner::Plan) and they coordinate purely through the
-/// shared store directory.
+/// `figure NAME` and `merge` both rebuild the session from the name, so
+/// the log one writes and the plan the other folds it against agree on
+/// every [`Plan`](simsys::runner::Plan) unit.
 pub fn figure_session(
     name: &str,
     scale: Scale,
@@ -610,7 +607,7 @@ mod tests {
             assert!(!plan.cells.is_empty(), "figure {name} plans an empty grid");
             assert!(!plan.title.is_empty());
             // Planning is deterministic across resolutions — the property
-            // sharded `figure` runs and `merge` rely on.
+            // `figure --events` and `merge` rely on.
             let again = figure_session(name, Scale::Tiny, &cfg, 1, None)
                 .unwrap()
                 .plan();

@@ -6,9 +6,9 @@
 //! The registry sits next to [`crate::figure_session`] so adding a figure
 //! means touching one crate, and everything here works on any
 //! [`RunReport`] with the right grid shape — run locally, replayed from a
-//! warm store, or folded out of sharded event logs by
-//! [`simsys::runner::merge_events`] (merged reports are bit-identical to
-//! local ones, so the rendered artefact is too).
+//! warm store, or folded out of an event log by
+//! [`simsys::runner::merge_events`] (a merged report has the local run's
+//! cells, so the rendered chart is identical too).
 //!
 //! Entry points: [`figure_document`] (one figure → one page, the `--html`
 //! path of the figure binaries and `merge`) and [`evaluation_document`]

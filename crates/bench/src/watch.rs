@@ -1,11 +1,11 @@
 //! The live dashboard behind `merge --watch`.
 //!
-//! A multi-host run streams one JSONL [`RunEvent`] log per shard; this module
-//! tails any number of those logs *while the shards are still writing them*
-//! and folds whatever has arrived so far into a [`FleetView`]: per-shard
-//! progress, fleet-wide steal and cache-hit counters, a cells/sec rate (EWMA
-//! over resolution timestamps) and the ETA it implies, plus stalled-shard
-//! detection from heartbeat age.
+//! A run streams one JSONL [`RunEvent`] log (`figure NAME --events FILE`);
+//! this module tails that log *while the run is still writing it* and folds
+//! whatever has arrived so far into a [`RunView`]: progress against the
+//! plan, executed and cached counts, a cells/sec rate (EWMA over resolution
+//! timestamps) and the ETA it implies, plus stall detection from the age of
+//! the newest event.
 //!
 //! [`render_frame`] draws the view as the plain-text terminal dashboard.
 //! It is pure string generation (the `merge` binary owns the
@@ -17,11 +17,11 @@
 //! `--once` mode pins `now_ms` to the newest event stamp, which is what makes
 //! single-frame output reproducible in tests and CI.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use obs::dash::{fmt_duration_ms, fmt_percent, fmt_rate_per_sec, progress_bar};
 use obs::Ewma;
@@ -34,8 +34,8 @@ use simsys::runner::{Plan, RunEvent, UnitKind};
 pub struct WatchOptions {
     /// Progress-bar width, characters inside the brackets.
     pub width: usize,
-    /// How long a not-done shard may go without emitting anything (beats
-    /// included) before it renders as STALLED.
+    /// How long an unfinished run may go without emitting an event before
+    /// it renders as STALLED.
     pub stall_after_ms: u64,
     /// "Now" for age and elapsed computations. `None` reads the process
     /// clock ([`obs::now_ms`]); `--once` pins it to the newest event stamp
@@ -53,14 +53,13 @@ impl Default for WatchOptions {
     }
 }
 
-/// An incremental reader over one shard's JSONL event log.
+/// An incremental reader over one run's JSONL event log.
 ///
 /// Unlike [`simsys::runner::read_events`] (strict, whole-file), a tail must tolerate
 /// everything a live log does mid-write: the file not existing yet, a final
 /// line cut mid-JSON (kept buffered until its newline arrives), garbage
 /// lines (counted in [`malformed`](Self::malformed), skipped), and the file
-/// shrinking (a restarted shard truncating its log — the tail resets and
-/// re-reads).
+/// shrinking (a re-run truncating its log — the tail resets and re-reads).
 #[derive(Debug)]
 pub struct LogTail {
     path: PathBuf,
@@ -84,14 +83,9 @@ impl LogTail {
         }
     }
 
-    /// The log file this tail follows.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Reads whatever the writer has appended since the last poll, returning
     /// how many new events were parsed. A missing file is "nothing yet"
-    /// (`Ok(0)`), not an error — shards create their logs when they start.
+    /// (`Ok(0)`), not an error — a run creates its log when it starts.
     ///
     /// # Errors
     /// Returns an [`io::Error`] only for real I/O failures (permissions, a
@@ -104,7 +98,7 @@ impl LogTail {
         };
         let len = file.metadata()?.len();
         if len < self.offset {
-            // The file shrank: the writer was restarted with truncation.
+            // The file shrank: the writer was re-run with truncation.
             // Everything previously parsed described a log that no longer
             // exists, so start over.
             self.offset = 0;
@@ -151,86 +145,11 @@ impl LogTail {
     }
 }
 
-/// What the watcher knows about one shard, folded from its events.
+/// Everything the dashboard knows, folded from one event log against the
+/// plan. Unit counts are deduplicated by `(kind, index)`, with execution
+/// provenance winning, exactly as [`simsys::runner::merge_events`] counts.
 #[derive(Debug, Clone)]
-pub struct ShardView {
-    /// Shard id.
-    pub shard: usize,
-    /// Units this shard has resolved (its completed + cached events, or the
-    /// highest `units_done` any of its heartbeats reported — whichever is
-    /// larger, since either stream may run ahead in the log).
-    pub resolved: usize,
-    /// Completed events from this shard.
-    pub executed: usize,
-    /// Cached events from this shard.
-    pub cached: usize,
-    /// Stolen claims from this shard.
-    pub stolen: usize,
-    /// Heartbeats seen from this shard.
-    pub heartbeats: usize,
-    /// Units in the whole plan (every shard walks all of them).
-    pub units_total: usize,
-    /// Newest timestamp on any of this shard's events.
-    pub last_seen_ms: Option<u64>,
-    /// Whether a `ShardDone` arrived.
-    pub done: bool,
-    /// The shard's reported wall clock, once done.
-    pub wall_clock_ms: Option<f64>,
-    /// Per-simulation wall times reported by this shard's `Completed`
-    /// events, in arrival order (empty for legacy logs without `sim_ms`).
-    pub sim_ms: Vec<u64>,
-}
-
-impl ShardView {
-    fn new(shard: usize, units_total: usize) -> ShardView {
-        ShardView {
-            shard,
-            resolved: 0,
-            executed: 0,
-            cached: 0,
-            stolen: 0,
-            heartbeats: 0,
-            units_total,
-            last_seen_ms: None,
-            done: false,
-            wall_clock_ms: None,
-            sim_ms: Vec::new(),
-        }
-    }
-
-    /// The shard's p50/p95 simulation latency in milliseconds, `None` until
-    /// it has reported at least one timed simulation.
-    pub fn sim_latency_p50_p95(&self) -> Option<(u64, u64)> {
-        percentiles(&self.sim_ms)
-    }
-
-    /// The shard's display state: `done`, `running`, or `STALLED` with the
-    /// silence age. A shard whose events carry no timestamps can never read
-    /// as stalled (legacy logs have no liveness signal).
-    pub fn state_label(&self, now_ms: u64, stall_after_ms: u64) -> String {
-        if self.done {
-            return match self.wall_clock_ms {
-                Some(wall) => format!("done ({})", fmt_duration_ms(wall as u64)),
-                None => "done".to_string(),
-            };
-        }
-        match self.last_seen_ms {
-            Some(last) if now_ms.saturating_sub(last) > stall_after_ms => {
-                format!(
-                    "STALLED ({} silent)",
-                    fmt_duration_ms(now_ms.saturating_sub(last))
-                )
-            }
-            _ => "running".to_string(),
-        }
-    }
-}
-
-/// Everything the dashboard knows, folded from all shard logs against the
-/// plan. Fleet-wide unit counts are deduplicated by `(kind, index)` — every
-/// shard emits an event for every unit, so raw per-shard counts overlap.
-#[derive(Debug, Clone)]
-pub struct FleetView {
+pub struct RunView {
     /// Report title, from the plan.
     pub title: String,
     /// Workload scale, from the plan.
@@ -239,18 +158,17 @@ pub struct FleetView {
     pub total_units: usize,
     /// Grid cells in the plan.
     pub total_cells: usize,
-    /// Distinct units some stream has resolved.
+    /// Distinct units the log has resolved.
     pub resolved_units: usize,
-    /// Distinct cells some stream has resolved.
+    /// Distinct cells the log has resolved.
     pub resolved_cells: usize,
     /// Distinct units with execution provenance.
     pub executed_units: usize,
     /// Distinct units resolved without simulating.
     pub cached_units: usize,
-    /// Stolen claims across all streams (raw count — each steal is real).
-    pub stolen_claims: usize,
-    /// Per-shard views, ordered by shard id.
-    pub shards: BTreeMap<usize, ShardView>,
+    /// Per-simulation wall times reported by `Completed` events, in log
+    /// order (empty for logs written without `sim_ms`).
+    pub sim_ms: Vec<u64>,
     /// Oldest event timestamp seen.
     pub first_ms: Option<u64>,
     /// Newest event timestamp seen.
@@ -261,76 +179,32 @@ pub struct FleetView {
     ewma_units_per_ms: Option<f64>,
 }
 
-impl FleetView {
-    /// Folds `events` (any interleaving of any number of shard logs) into a
-    /// view of the fleet working through `plan`.
-    pub fn fold(plan: &Plan, events: &[RunEvent], opts: &WatchOptions) -> FleetView {
-        let total_units = plan.baselines.len() + plan.cells.len();
+impl RunView {
+    /// Folds `events` (one run's log, in any order) into a view of the run
+    /// working through `plan`.
+    pub fn fold(plan: &Plan, events: &[RunEvent], opts: &WatchOptions) -> RunView {
         let mut resolved: HashMap<(UnitKind, usize), bool> = HashMap::new();
-        let mut shards: BTreeMap<usize, ShardView> = BTreeMap::new();
-        let mut stolen_claims = 0usize;
-        let mut first_ms: Option<u64> = None;
-        let mut last_ms: Option<u64> = None;
-        let mut resolution_stamps: Vec<u64> = Vec::new();
+        let mut sim_ms = Vec::new();
+        let mut stamps: Vec<u64> = Vec::new();
         for event in events {
-            let shard = shards
-                .entry(event.shard())
-                .or_insert_with(|| ShardView::new(event.shard(), total_units));
-            if let Some(t) = event.t_ms() {
-                first_ms = Some(first_ms.map_or(t, |f| f.min(t)));
-                last_ms = Some(last_ms.map_or(t, |l| l.max(t)));
-                shard.last_seen_ms = Some(shard.last_seen_ms.map_or(t, |l| l.max(t)));
-            }
+            stamps.extend(event.t_ms());
             match event {
-                RunEvent::Claimed { stolen, .. } => {
-                    if *stolen {
-                        shard.stolen += 1;
-                        stolen_claims += 1;
-                    }
-                }
-                RunEvent::Completed { sim_ms, .. } => {
-                    shard.executed += 1;
-                    if let Some(ms) = sim_ms {
-                        shard.sim_ms.push(*ms);
-                    }
-                    if let Some(t) = event.t_ms() {
-                        resolution_stamps.push(t);
-                    }
-                    let unit = event.unit().expect("completed events carry an identity");
-                    resolved.insert(unit, true);
+                RunEvent::Completed { sim_ms: ms, .. } => {
+                    sim_ms.extend(*ms);
+                    resolved.insert(event.unit(), true);
                 }
                 RunEvent::Cached { .. } => {
-                    shard.cached += 1;
-                    if let Some(t) = event.t_ms() {
-                        resolution_stamps.push(t);
-                    }
-                    let unit = event.unit().expect("cached events carry an identity");
-                    resolved.entry(unit).or_insert(false);
-                }
-                RunEvent::Heartbeat { units_done, .. } => {
-                    shard.heartbeats += 1;
-                    shard.resolved = shard.resolved.max(*units_done);
-                }
-                RunEvent::ShardDone { wall_clock_ms, .. } => {
-                    shard.done = true;
-                    shard.wall_clock_ms = Some(
-                        shard
-                            .wall_clock_ms
-                            .map_or(*wall_clock_ms, |w| w.max(*wall_clock_ms)),
-                    );
+                    resolved.entry(event.unit()).or_insert(false);
                 }
             }
         }
-        for shard in shards.values_mut() {
-            shard.resolved = shard.resolved.max(shard.executed + shard.cached);
-        }
-        // EWMA over the gaps between consecutive resolutions, fleet-wide.
-        // Same-millisecond resolutions contribute no gap and are skipped;
-        // sparse tiny runs then fall back to the overall average (below).
-        resolution_stamps.sort_unstable();
+        // EWMA over the gaps between consecutive resolutions. Same-
+        // millisecond resolutions contribute no gap and are skipped; sparse
+        // tiny runs then fall back to the overall average (below).
+        stamps.sort_unstable();
         let mut ewma = Ewma::new(0.2);
-        for pair in resolution_stamps.windows(2) {
-            let dt = pair[1].saturating_sub(pair[0]);
+        for pair in stamps.windows(2) {
+            let dt = pair[1] - pair[0];
             if dt > 0 {
                 ewma.update(1.0 / dt as f64);
             }
@@ -340,28 +214,25 @@ impl FleetView {
             .keys()
             .filter(|(kind, _)| *kind == UnitKind::Cell)
             .count();
-        FleetView {
+        RunView {
             title: plan.title.clone(),
             scale: plan.scale.clone(),
-            total_units,
+            total_units: plan.baselines.len() + plan.cells.len(),
             total_cells: plan.cells.len(),
             resolved_units: resolved.len(),
             resolved_cells,
             executed_units,
             cached_units: resolved.len() - executed_units,
-            stolen_claims,
-            shards,
-            first_ms,
-            last_ms,
+            sim_ms,
+            first_ms: stamps.first().copied(),
+            last_ms: stamps.last().copied(),
             now_ms: opts.now_ms.unwrap_or_else(obs::now_ms),
             ewma_units_per_ms: ewma.value(),
         }
     }
 
-    /// Whether every unit of the plan has been resolved by some stream —
-    /// the watch's completion criterion. Deliberately *not* "every shard
-    /// sent `ShardDone`": a crashed shard never signs off, but the fleet is
-    /// finished the moment the work is.
+    /// Whether every unit of the plan has been resolved — the watch's
+    /// completion criterion.
     pub fn complete(&self) -> bool {
         self.resolved_units >= self.total_units
     }
@@ -372,26 +243,10 @@ impl FleetView {
         self.resolved_units as f64 / self.total_units as f64
     }
 
-    /// Completed events across all streams — raw traffic, not deduplicated:
-    /// shards overlap, so this can exceed [`total_units`](Self::total_units).
-    pub fn executed_events(&self) -> usize {
-        self.shards.values().map(|shard| shard.executed).sum()
-    }
-
-    /// Cached events across all streams — raw traffic. This is what makes a
-    /// warm-store shard visible on the dashboard: its units deduplicate away
-    /// (another shard executed them), but its cache hits are real work
-    /// avoided and show up here.
-    pub fn cached_events(&self) -> usize {
-        self.shards.values().map(|shard| shard.cached).sum()
-    }
-
-    /// Fleet cache-hit rate over resolution *events* (NaN before any
-    /// resolve): the fraction of resolutions served without simulating.
+    /// Cache-hit rate over resolved units (NaN before any resolve): the
+    /// fraction served without simulating.
     pub fn cache_hit_rate(&self) -> f64 {
-        let executed = self.executed_events();
-        let cached = self.cached_events();
-        cached as f64 / (executed + cached) as f64
+        self.cached_units as f64 / self.resolved_units as f64
     }
 
     /// Resolution rate, units per millisecond: the EWMA when the stamps were
@@ -416,9 +271,8 @@ impl FleetView {
         self.units_per_ms().map(|rate| rate * 1e3)
     }
 
-    /// Estimated time to fleet completion, from the current rate. `None`
-    /// when the rate is unknown (never NaN, never negative — see
-    /// [`obs::eta_ms`]).
+    /// Estimated time to completion, from the current rate. `None` when the
+    /// rate is unknown (never NaN, never negative — see [`obs::eta_ms`]).
     pub fn eta_ms(&self) -> Option<u64> {
         let remaining = self.total_units.saturating_sub(self.resolved_units) as f64;
         obs::eta_ms(remaining, self.units_per_ms()?)
@@ -430,6 +284,35 @@ impl FleetView {
         let first = self.first_ms?;
         let newest = self.now_ms.max(self.last_ms.unwrap_or(0));
         Some(newest.saturating_sub(first))
+    }
+
+    /// The run's p50/p95 simulation latency in milliseconds, `None` until it
+    /// has reported at least one timed simulation.
+    pub fn sim_latency_p50_p95(&self) -> Option<(u64, u64)> {
+        percentiles(&self.sim_ms)
+    }
+
+    /// The run's display state: `done` once every unit of the plan has
+    /// resolved, `STALLED` with the silence age when the newest event is
+    /// older than `stall_after_ms`, `waiting for events` before the first
+    /// one, else `running`. A log without timestamps never reads as stalled
+    /// (it carries no liveness signal).
+    pub fn state_label(&self, stall_after_ms: u64) -> String {
+        if self.complete() {
+            return "done".to_string();
+        }
+        if self.resolved_units == 0 {
+            return "waiting for events".to_string();
+        }
+        match self.last_ms {
+            Some(last) if self.now_ms.saturating_sub(last) > stall_after_ms => {
+                format!(
+                    "STALLED ({} silent)",
+                    fmt_duration_ms(self.now_ms.saturating_sub(last))
+                )
+            }
+            _ => "running".to_string(),
+        }
     }
 }
 
@@ -451,71 +334,49 @@ fn percentiles(samples: &[u64]) -> Option<(u64, u64)> {
 
 /// Renders one dashboard frame — plain text, no terminal control codes, one
 /// trailing newline. This is exactly what `merge --watch --once` prints, so
-/// the golden tests pin this byte-for-byte. Shards whose logs carry per-unit
-/// `sim_ms` stamps get a trailing `sim p50/p95` figure; legacy logs render
-/// exactly as before.
-pub fn render_frame(view: &FleetView, opts: &WatchOptions) -> String {
+/// the golden tests pin this byte-for-byte. Logs carrying per-unit `sim_ms`
+/// stamps get a trailing `sim p50/p95` figure.
+pub fn render_frame(view: &RunView, opts: &WatchOptions) -> String {
     let mut out = String::new();
     let scale = view.scale.as_deref().unwrap_or("?");
-    let _ = writeln!(
-        out,
-        "watching {} · scale {} · {} shard(s) seen",
-        view.title,
-        scale,
-        view.shards.len()
-    );
+    let _ = writeln!(out, "watching {} · scale {}", view.title, scale);
     let fraction = view.fraction();
     let _ = writeln!(
         out,
-        "fleet    {} {}/{} units ({}) · {}/{} cells",
+        "run      {} {}/{} units ({}) · {}/{} cells · {}",
         progress_bar(fraction, opts.width),
         view.resolved_units,
         view.total_units,
         fmt_percent(fraction),
         view.resolved_cells,
         view.total_cells,
+        view.state_label(opts.stall_after_ms),
     );
     let _ = writeln!(
         out,
-        "         executed {} · cached {} · stolen {} · cache-hit {}",
-        view.executed_events(),
-        view.cached_events(),
-        view.stolen_claims,
+        "         executed {} · cached {} · cache-hit {}",
+        view.executed_units,
+        view.cached_units,
         fmt_percent(view.cache_hit_rate()),
     );
+    let latency = view
+        .sim_latency_p50_p95()
+        .map_or(String::new(), |(p50, p95)| {
+            format!(
+                " · sim p50/p95 {}/{}",
+                fmt_duration_ms(p50),
+                fmt_duration_ms(p95)
+            )
+        });
     let _ = writeln!(
         out,
-        "         rate {} · eta {} · elapsed {}",
+        "         rate {} · eta {} · elapsed {}{}",
         fmt_rate_per_sec(view.rate_per_sec()),
         view.eta_ms()
             .map_or_else(|| "-".to_string(), fmt_duration_ms),
         view.elapsed_ms()
             .map_or_else(|| "-".to_string(), fmt_duration_ms),
+        latency,
     );
-    if view.shards.is_empty() {
-        let _ = writeln!(out, "no shard activity yet — waiting for events");
-    }
-    for shard in view.shards.values() {
-        let fraction = shard.resolved as f64 / shard.units_total.max(1) as f64;
-        let latency = shard
-            .sim_latency_p50_p95()
-            .map_or(String::new(), |(p50, p95)| {
-                format!(
-                    " · sim p50/p95 {}/{}",
-                    fmt_duration_ms(p50),
-                    fmt_duration_ms(p95)
-                )
-            });
-        let _ = writeln!(
-            out,
-            "shard {:>2} {} {}/{} {}{}",
-            shard.shard,
-            progress_bar(fraction, opts.width),
-            shard.resolved,
-            shard.units_total,
-            shard.state_label(view.now_ms, opts.stall_after_ms),
-            latency,
-        );
-    }
     out
 }

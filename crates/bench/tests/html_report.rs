@@ -8,7 +8,8 @@
 //! * the warm-store re-render must be served entirely from the store and say
 //!   so in the per-figure provenance lines;
 //! * `merge --html` over an event log must produce the same artefact a
-//!   direct run produces, because merged reports are bit-identical.
+//!   direct run produces (apart from the provenance lines), because the
+//!   merged report has the run's cells.
 
 use std::path::PathBuf;
 use std::process::Command;

@@ -1,17 +1,18 @@
 //! Acceptance tests for the live dashboard (`merge --watch`):
 //!
-//! * golden single-frame snapshots of `merge --watch --once` over synthetic
-//!   shard logs (regenerate with `MUONTRAP_REGEN_WATCH_GOLDENS=1`);
+//! * golden single-frame snapshots over synthetic event logs (regenerate
+//!   with `MUONTRAP_REGEN_WATCH_GOLDENS=1`);
 //! * seeded property tests: frames are NaN/inf-free for arbitrary event
-//!   interleavings, zero-shard views render, stalled shards are flagged, and
-//!   [`LogTail`] reassembles logs delivered in mid-line fragments exactly as
-//!   a strict whole-file parse would.
+//!   interleavings, empty views render, a silent unfinished run is flagged
+//!   while a finished one reads `done`, and [`LogTail`] reassembles logs
+//!   delivered in mid-line fragments exactly as a strict whole-file parse
+//!   would.
 
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use bench::watch::{render_frame, FleetView, LogTail, WatchOptions};
+use bench::watch::{render_frame, LogTail, RunView, WatchOptions};
 use simkit::config::SystemConfig;
 use simkit::json::ToJson;
 use simkit::rng::SimRng;
@@ -68,20 +69,9 @@ fn domain_plan() -> Plan {
         .plan()
 }
 
-fn claimed(unit: &WorkUnit, shard: usize, stolen: bool, t_ms: u64) -> RunEvent {
-    RunEvent::Claimed {
-        shard,
-        kind: unit.kind,
-        index: unit.index,
-        fingerprint: unit.fingerprint,
-        stolen,
-        t_ms: Some(t_ms),
-    }
-}
-
-fn completed(unit: &WorkUnit, shard: usize, t_ms: u64) -> RunEvent {
+fn completed(unit: &WorkUnit, t_ms: u64) -> RunEvent {
     RunEvent::Completed {
-        shard,
+        shard: 0,
         kind: unit.kind,
         index: unit.index,
         fingerprint: unit.fingerprint,
@@ -91,9 +81,9 @@ fn completed(unit: &WorkUnit, shard: usize, t_ms: u64) -> RunEvent {
     }
 }
 
-fn cached(unit: &WorkUnit, shard: usize, t_ms: u64) -> RunEvent {
+fn cached(unit: &WorkUnit, t_ms: u64) -> RunEvent {
     RunEvent::Cached {
-        shard,
+        shard: 0,
         kind: unit.kind,
         index: unit.index,
         fingerprint: unit.fingerprint,
@@ -102,7 +92,7 @@ fn cached(unit: &WorkUnit, shard: usize, t_ms: u64) -> RunEvent {
     }
 }
 
-fn write_log(path: &PathBuf, events: &[RunEvent]) {
+fn write_log(path: &Path, events: &[RunEvent]) {
     let mut text = String::new();
     for event in events {
         text.push_str(&event.to_json().to_string_compact());
@@ -111,116 +101,81 @@ fn write_log(path: &PathBuf, events: &[RunEvent]) {
     std::fs::write(path, text).expect("write event log");
 }
 
-/// Runs `merge --figure domain --scale tiny --watch --once` over the logs
-/// and returns the (deterministic) frame it prints.
-fn once_frame(logs: &[&PathBuf]) -> String {
-    let mut args = vec![
-        "--figure".to_string(),
-        "domain".to_string(),
-        "--scale".to_string(),
-        "tiny".to_string(),
-        "--watch".to_string(),
-        "--once".to_string(),
-    ];
-    args.extend(logs.iter().map(|p| p.to_str().unwrap().to_string()));
+/// Runs `merge --figure domain --scale tiny --watch` with `flags` over the
+/// log and returns the frame it prints.
+fn watch_frame(log: &Path, flags: &[&str]) -> String {
     let output = Command::new(env!("CARGO_BIN_EXE_merge"))
-        .args(&args)
+        .args(["--figure", "domain", "--scale", "tiny", "--watch"])
+        .args(flags)
+        .arg(log)
         .output()
         .expect("merge binary runs");
     assert!(
         output.status.success(),
-        "merge --watch --once failed:\n{}",
+        "merge --watch {flags:?} failed:\n{}",
         String::from_utf8_lossy(&output.stderr)
     );
     String::from_utf8(output.stdout).expect("utf-8 frame")
 }
 
+/// The (deterministic) `merge --watch --once` frame over the log.
+fn once_frame(log: &Path) -> String {
+    watch_frame(log, &["--once"])
+}
+
+/// Every unit of the plan, baselines first, completed 500 ms apart.
+fn complete_log(plan: &Plan) -> Vec<RunEvent> {
+    plan.baselines
+        .iter()
+        .chain(&plan.cells)
+        .enumerate()
+        .map(|(i, unit)| completed(unit, 500 * (i as u64 + 1) + 100))
+        .collect()
+}
+
 // ---------------------------------------------------------------------------
-// Golden single-frame snapshots of `merge --watch --once`.
+// Golden single-frame snapshots.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn once_frame_midrun_with_a_stalled_shard_matches_its_golden() {
-    let dir = temp_dir("golden-midrun");
     let plan = domain_plan();
 
-    // Shard 0 works steadily and is still alive at the frame's pinned "now"
-    // (the newest stamp, 60s). Shard 1 resolved two baselines from cache,
-    // stole a lease doing so, then went silent at t=2.5s — 57.5s of silence
-    // against a 15s stall threshold.
-    let mut shard0 = Vec::new();
-    let half = plan.cells.len() / 2;
-    for (i, unit) in plan.cells.iter().take(half).enumerate() {
-        let t = 1_000 * (i as u64 + 1);
-        shard0.push(claimed(unit, 0, false, t));
-        shard0.push(completed(unit, 0, t + 200));
+    // Two baselines came from the store, then half the cells simulated; the
+    // run went silent at t=6s. At "now" = 60s that is 54s of silence
+    // against a 15s stall threshold. (`--once` pins "now" to the newest
+    // stamp, where no run is ever silent, so this frame is rendered through
+    // the library with an explicit "now".)
+    let mut events: Vec<RunEvent> = plan
+        .baselines
+        .iter()
+        .take(2)
+        .enumerate()
+        .map(|(i, unit)| cached(unit, 1_000 + i as u64 * 250))
+        .collect();
+    for (i, unit) in plan.cells.iter().take(plan.cells.len() / 2).enumerate() {
+        events.push(completed(unit, 2_000 + i as u64 * 1_000));
     }
-    shard0.push(RunEvent::Heartbeat {
-        shard: 0,
-        units_done: half,
-        units_total: plan.baselines.len() + plan.cells.len(),
-        t_ms: Some(60_000),
-    });
-
-    let mut shard1 = Vec::new();
-    for (i, unit) in plan.baselines.iter().take(2).enumerate() {
-        shard1.push(claimed(unit, 1, i == 0, 2_000 + i as u64 * 250));
-        shard1.push(cached(unit, 1, 2_000 + i as u64 * 250 + 50));
-    }
-
-    let log0 = dir.join("shard0.jsonl");
-    let log1 = dir.join("shard1.jsonl");
-    write_log(&log0, &shard0);
-    write_log(&log1, &shard1);
-
-    let frame = once_frame(&[&log0, &log1]);
-    assert!(frame.contains("STALLED"), "shard 1 went silent: {frame}");
-    assert!(frame.contains("running"), "shard 0 is alive: {frame}");
+    let opts = WatchOptions {
+        now_ms: Some(60_000),
+        ..WatchOptions::default()
+    };
+    let frame = render_frame(&RunView::fold(&plan, &events, &opts), &opts);
+    assert!(frame.contains("STALLED (54s silent)"), "{frame}");
     check_golden("watch_midrun_stalled.txt", &frame);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn once_frame_for_a_complete_fleet_matches_its_golden() {
     let dir = temp_dir("golden-complete");
-    let plan = domain_plan();
-
-    // Both shards walk disjoint halves to completion and sign off.
-    let mut shard0 = Vec::new();
-    let mut shard1 = Vec::new();
-    let units: Vec<&WorkUnit> = plan.baselines.iter().chain(plan.cells.iter()).collect();
-    for (i, unit) in units.iter().enumerate() {
-        let shard = i % 2;
-        let t = 500 * (i as u64 + 1);
-        let log = if shard == 0 { &mut shard0 } else { &mut shard1 };
-        log.push(claimed(unit, shard, false, t));
-        log.push(completed(unit, shard, t + 100));
-    }
-    shard0.push(RunEvent::ShardDone {
-        shard: 0,
-        sims_executed: shard0.len() / 2,
-        wall_clock_ms: 4_200.0,
-        t_ms: Some(9_000),
-    });
-    shard1.push(RunEvent::ShardDone {
-        shard: 1,
-        sims_executed: shard1.len() / 2,
-        wall_clock_ms: 3_900.0,
-        t_ms: Some(9_100),
-    });
-
-    let log0 = dir.join("shard0.jsonl");
-    let log1 = dir.join("shard1.jsonl");
-    write_log(&log0, &shard0);
-    write_log(&log1, &shard1);
-
-    let frame = once_frame(&[&log0, &log1]);
-    assert_eq!(
-        frame.matches("done (").count(),
-        2,
-        "both shards signed off with a wall clock: {frame}"
+    let log = dir.join("events.jsonl");
+    write_log(&log, &complete_log(&domain_plan()));
+    let frame = once_frame(&log);
+    assert!(frame.contains("(100%)"), "run complete: {frame}");
+    assert!(
+        frame.contains("· done"),
+        "a complete run reads done: {frame}"
     );
-    assert!(frame.contains("(100%)"), "fleet complete: {frame}");
     check_golden("watch_complete.txt", &frame);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -228,14 +183,45 @@ fn once_frame_for_a_complete_fleet_matches_its_golden() {
 #[test]
 fn once_frame_over_an_empty_log_matches_its_golden() {
     let dir = temp_dir("golden-empty");
-    let log = dir.join("shard0.jsonl");
+    let log = dir.join("events.jsonl");
     std::fs::write(&log, "").expect("empty log");
-    let frame = once_frame(&[&log]);
+    let frame = once_frame(&log);
     assert!(
-        frame.contains("no shard activity yet"),
-        "empty log renders the waiting line: {frame}"
+        frame.contains("waiting for events"),
+        "empty log renders the waiting state: {frame}"
     );
     check_golden("watch_empty.txt", &frame);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_finished_log_reads_done_however_long_it_has_been_silent() {
+    // A live watch of a finished run: the clock is far past the last stamp
+    // (these stamps are from 1970), yet the frame reads `done` and the
+    // watch exits after it instead of waiting.
+    let dir = temp_dir("finished");
+    let log = dir.join("events.jsonl");
+    let plan = domain_plan();
+    let events = complete_log(&plan);
+    write_log(&log, &events);
+    let frame = watch_frame(&log, &["--stall-ms", "500"]);
+    assert!(frame.contains("· done"), "{frame}");
+    assert!(!frame.contains("STALLED"), "{frame}");
+
+    // The same log missing its last unit is silent *and* unfinished.
+    write_log(&log, &events[..events.len() - 1]);
+    let frame = watch_frame(&log, &["--once"]);
+    assert!(
+        frame.contains("· running"),
+        "--once never reads stalled: {frame}"
+    );
+    let opts = WatchOptions {
+        stall_after_ms: 500,
+        now_ms: Some(60_000),
+        ..WatchOptions::default()
+    };
+    let view = RunView::fold(&plan, &events[..events.len() - 1], &opts);
+    assert!(view.state_label(500).starts_with("STALLED"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -243,12 +229,11 @@ fn once_frame_over_an_empty_log_matches_its_golden() {
 // Seeded property tests over the fold and renderer.
 // ---------------------------------------------------------------------------
 
-/// A pseudo-random soup of events: arbitrary shards, kinds, indices,
-/// timestamps (some missing), steals, heartbeats and sign-offs.
+/// A pseudo-random soup of events: arbitrary kinds, indices and
+/// timestamps (some missing), executed or cached, in any order.
 fn random_events(rng: &mut SimRng, plan: &Plan) -> Vec<RunEvent> {
     let mut events = Vec::new();
     for _ in 0..rng.below(60) {
-        let shard = rng.below(4) as usize;
         let t_ms = (rng.below(4) > 0).then(|| rng.below(100_000));
         let from_cells = !plan.cells.is_empty() && rng.below(2) == 0;
         let unit = if from_cells {
@@ -256,44 +241,25 @@ fn random_events(rng: &mut SimRng, plan: &Plan) -> Vec<RunEvent> {
         } else {
             &plan.baselines[rng.below(plan.baselines.len() as u64) as usize]
         };
-        events.push(match rng.below(5) {
-            0 => RunEvent::Claimed {
-                shard,
-                kind: unit.kind,
-                index: unit.index,
-                fingerprint: unit.fingerprint,
-                stolen: rng.below(3) == 0,
-                t_ms,
-            },
-            1 => RunEvent::Heartbeat {
-                shard,
-                units_done: rng.below(20) as usize,
-                units_total: plan.baselines.len() + plan.cells.len(),
-                t_ms,
-            },
-            2 => RunEvent::ShardDone {
-                shard,
-                sims_executed: rng.below(20) as usize,
-                wall_clock_ms: rng.next_f64() * 10_000.0,
-                t_ms,
-            },
-            3 => RunEvent::Cached {
-                shard,
+        events.push(if rng.below(2) == 0 {
+            RunEvent::Cached {
+                shard: 0,
                 kind: unit.kind,
                 index: unit.index,
                 fingerprint: unit.fingerprint,
                 cell: None,
                 t_ms,
-            },
-            _ => RunEvent::Completed {
-                shard,
+            }
+        } else {
+            RunEvent::Completed {
+                shard: 0,
                 kind: unit.kind,
                 index: unit.index,
                 fingerprint: unit.fingerprint,
                 cell: None,
                 t_ms,
                 sim_ms: (rng.below(2) == 0).then(|| rng.below(600_000)),
-            },
+            }
         });
     }
     events
@@ -309,7 +275,7 @@ fn frames_never_leak_nan_or_inf_for_arbitrary_event_soups() {
             now_ms: Some(rng.below(200_000)),
             ..WatchOptions::default()
         };
-        let view = FleetView::fold(&plan, &events, &opts);
+        let view = RunView::fold(&plan, &events, &opts);
         let frame = render_frame(&view, &opts);
         assert!(
             !frame.contains("NaN") && !frame.contains("inf"),
@@ -328,13 +294,12 @@ fn a_view_with_no_events_renders_and_reports_incomplete() {
         now_ms: Some(0),
         ..WatchOptions::default()
     };
-    let view = FleetView::fold(&plan, &[], &opts);
+    let view = RunView::fold(&plan, &[], &opts);
     assert!(!view.complete());
     assert_eq!(view.resolved_units, 0);
-    assert!(view.shards.is_empty());
     assert!(view.eta_ms().is_none(), "no rate, no ETA");
     let frame = render_frame(&view, &opts);
-    assert!(frame.contains("no shard activity yet"));
+    assert!(frame.contains("waiting for events"));
     assert!(!frame.contains("NaN"));
 }
 
@@ -342,67 +307,64 @@ fn a_view_with_no_events_renders_and_reports_incomplete() {
 fn a_dead_shard_reads_as_stalled_and_a_timestampless_one_never_does() {
     let plan = domain_plan();
     let unit = &plan.baselines[0];
-    // Shard 0 last spoke at t=1s; shard 1's events carry no stamps at all
-    // (a legacy log) so it has no liveness signal to age out.
-    let events = vec![
-        completed(unit, 0, 1_000),
-        RunEvent::Completed {
-            shard: 1,
-            kind: unit.kind,
-            index: unit.index,
-            fingerprint: unit.fingerprint,
-            cell: None,
-            t_ms: None,
-            sim_ms: None,
-        },
-    ];
     let opts = WatchOptions {
         stall_after_ms: 5_000,
         now_ms: Some(60_000),
         ..WatchOptions::default()
     };
-    let view = FleetView::fold(&plan, &events, &opts);
-    let stalled = view.shards[&0].state_label(view.now_ms, opts.stall_after_ms);
+    // A run that last spoke at t=1s, 59s before "now", is stalled.
+    let view = RunView::fold(&plan, &[completed(unit, 1_000)], &opts);
+    let stalled = view.state_label(opts.stall_after_ms);
     assert!(stalled.starts_with("STALLED"), "got {stalled}");
-    assert_eq!(
-        view.shards[&1].state_label(view.now_ms, opts.stall_after_ms),
-        "running"
-    );
+    // A legacy log's events carry no stamps at all, so it has no liveness
+    // signal to age out.
+    let legacy = RunEvent::Completed {
+        shard: 0,
+        kind: unit.kind,
+        index: unit.index,
+        fingerprint: unit.fingerprint,
+        cell: None,
+        t_ms: None,
+        sim_ms: None,
+    };
+    let view = RunView::fold(&plan, &[legacy], &opts);
+    assert_eq!(view.state_label(opts.stall_after_ms), "running");
 }
 
 #[test]
 fn shard_sim_latency_percentiles_fold_and_render_only_when_reported() {
     let plan = domain_plan();
-    let unit = &plan.baselines[0];
-    let timed = |shard: usize, t_ms: u64, sim_ms: u64| RunEvent::Completed {
-        shard,
-        kind: unit.kind,
-        index: unit.index,
-        fingerprint: unit.fingerprint,
-        cell: None,
-        t_ms: Some(t_ms),
-        sim_ms: Some(sim_ms),
-    };
-    // Shard 0 reports timings (100..=2000ms); shard 1 is a legacy stream.
-    let mut events: Vec<RunEvent> = (1..=20u64).map(|i| timed(0, i * 10, i * 100)).collect();
-    events.push(completed(unit, 1, 900));
     let opts = WatchOptions {
         now_ms: Some(1_000),
         ..WatchOptions::default()
     };
-    let view = FleetView::fold(&plan, &events, &opts);
-    let (p50, p95) = view.shards[&0]
+    // A log reporting timings (100..=2000ms).
+    let unit = &plan.baselines[0];
+    let events: Vec<RunEvent> = (1..=20u64)
+        .map(|i| RunEvent::Completed {
+            shard: 0,
+            kind: unit.kind,
+            index: unit.index,
+            fingerprint: unit.fingerprint,
+            cell: None,
+            t_ms: Some(i * 10),
+            sim_ms: Some(i * 100),
+        })
+        .collect();
+    let view = RunView::fold(&plan, &events, &opts);
+    let (p50, p95) = view
         .sim_latency_p50_p95()
-        .expect("timed shard has percentiles");
+        .expect("a timed log has percentiles");
     assert!((900..=1100).contains(&p50), "p50 near the median: {p50}");
     assert!(p95 >= 1900, "p95 in the tail: {p95}");
-    assert_eq!(view.shards[&1].sim_latency_p50_p95(), None);
     let frame = render_frame(&view, &opts);
-    assert_eq!(
-        frame.matches("sim p50/p95").count(),
-        1,
-        "only the timed shard shows latency: {frame}"
-    );
+    assert_eq!(frame.matches("sim p50/p95").count(), 1, "{frame}");
+
+    // A log without `sim_ms` renders no latency figure.
+    let untimed = [completed(unit, 900)];
+    let view = RunView::fold(&plan, &untimed, &opts);
+    assert_eq!(view.sim_latency_p50_p95(), None);
+    assert!(!render_frame(&view, &opts).contains("sim p50/p95"));
 }
 
 #[test]
@@ -473,8 +435,8 @@ fn log_tail_resets_when_the_file_shrinks_and_skips_garbage_lines() {
         &path,
         format!(
             "{}not json\n{}",
-            line(&completed(unit, 0, 1)),
-            line(&cached(unit, 0, 2))
+            line(&completed(unit, 1)),
+            line(&cached(unit, 2))
         ),
     )
     .expect("write");
@@ -483,12 +445,12 @@ fn log_tail_resets_when_the_file_shrinks_and_skips_garbage_lines() {
     assert_eq!(tail.events.len(), 2);
     assert_eq!(tail.malformed, 1, "the garbage line is counted, not fatal");
 
-    // A restarted shard truncates its log: the tail must drop everything it
+    // A re-run truncates its log: the tail must drop everything it
     // believed and re-read from scratch.
-    std::fs::write(&path, line(&completed(unit, 3, 9))).expect("truncate");
+    std::fs::write(&path, line(&completed(unit, 9))).expect("truncate");
     tail.poll().expect("poll after shrink");
     assert_eq!(tail.events.len(), 1);
     assert_eq!(tail.malformed, 0);
-    assert_eq!(tail.events[0].shard(), 3);
+    assert_eq!(tail.events[0].t_ms(), Some(9));
     std::fs::remove_dir_all(&dir).ok();
 }

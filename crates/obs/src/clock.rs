@@ -2,10 +2,10 @@
 //!
 //! Telemetry needs two properties the standard clocks give separately:
 //! timestamps from *different processes* must be comparable (a watcher
-//! subtracts a shard's last heartbeat time from its own idea of "now" to
-//! detect a stall), and timestamps within *one* stream must never step
-//! backwards (an NTP adjustment mid-run must not make a heartbeat look
-//! older than its predecessor). [`MonoClock`] anchors [`std::time::Instant`]
+//! subtracts a run's last event time from its own idea of "now" to detect
+//! a stall), and timestamps within *one* stream must never step backwards
+//! (an NTP adjustment mid-run must not make an event look older than its
+//! predecessor). [`MonoClock`] anchors [`std::time::Instant`]
 //! — which is monotonic but process-local — to the Unix epoch once at
 //! construction, then derives every reading from the monotonic elapsed
 //! time, giving epoch-comparable values that only move forward.

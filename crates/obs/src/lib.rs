@@ -1,20 +1,19 @@
-//! The observability layer: a dependency-free telemetry core for sharded runs.
+//! The observability layer: a dependency-free telemetry core for long runs.
 //!
-//! A multi-hour sharded run is only operable if its progress is visible
-//! without attaching a debugger to every shard. This crate supplies the
-//! pieces the rest of the workspace composes into that visibility:
+//! A multi-hour run is only operable if its progress is visible without
+//! attaching a debugger. This crate supplies the pieces the rest of the
+//! workspace composes into that visibility:
 //!
 //! * [`metrics`] — a process-wide [`MetricsRegistry`]
 //!   of counters, gauges and histograms with labeled series. The simulator
 //!   crates (`simsys::runner`, `simsys::store`, `simsys::session`) increment
-//!   it at every interesting point — cells claimed/completed/cached/stolen,
-//!   lease heartbeats and steals, store read/write/GC bytes, per-figure
-//!   cells/sec — and snapshots emit as JSONL through `simkit::json`, the
+//!   it at every interesting point — units completed/cached, store
+//!   read/write/GC bytes, per-figure cells/sec — and snapshots emit as JSONL through `simkit::json`, the
 //!   same dependency-free serialisation the rest of the workspace uses.
 //! * [`clock`] — monotonic, epoch-anchored millisecond timestamps. Run
-//!   events from different shards must be comparable across processes, yet
-//!   a single shard's stream must never step backwards; [`clock::now_ms`]
-//!   guarantees both.
+//!   events must be comparable with a watcher in another process, yet one
+//!   run's stream must never step backwards; [`clock::now_ms`] guarantees
+//!   both.
 //! * [`rate`] — the EWMA the dashboard's ETA is derived from, with the
 //!   NaN/zero-rate edge cases handled once, here, instead of in every
 //!   renderer.

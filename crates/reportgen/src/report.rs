@@ -4,9 +4,9 @@
 //! The metadata ([`FigureMeta`]) is *declared* next to the figure
 //! definitions (see `bench`'s registry) and *consumed* here: given a meta
 //! and any `RunReport` with the matching grid shape — run locally, served
-//! from a warm store, or folded out of sharded event logs by
+//! from a warm store, or folded out of an event log by
 //! `simsys::runner::merge_events` — [`figure_chart`] renders the same SVG,
-//! because a merged report is bit-identical to a local one.
+//! because a merged report has the local run's cells.
 
 use simsys::session::RunReport;
 

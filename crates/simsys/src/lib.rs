@@ -22,14 +22,12 @@
 //!   [`session::ExperimentSession::with_store`], it makes re-running an
 //!   unchanged grid free: every cell is a cache hit and zero simulations
 //!   execute.
-//! * [`runner`] — the sharded, work-stealing execution subsystem: a session
-//!   is *planned* into fingerprint-keyed [`runner::WorkUnit`]s, units are
-//!   *claimed* through expiring lease files under the store directory (so
-//!   any number of processes cooperate on one grid and crashed shards'
-//!   work is stolen), results *stream* as JSONL [`runner::RunEvent`]s, and
-//!   [`runner::merge_events`] folds any set of event logs back into the
-//!   deterministic [`session::RunReport`]. `ExperimentSession::run` itself
-//!   is the single-process instantiation of this pipeline.
+//! * [`runner`] — the execution subsystem: a session is *planned* into
+//!   fingerprint-keyed [`runner::WorkUnit`]s, a thread pool *executes* them
+//!   against the store, results *stream* as JSONL [`runner::RunEvent`]s,
+//!   and [`runner::merge_events`] folds the events back into the
+//!   deterministic [`session::RunReport`]. A killed run resumes by running
+//!   again on the same store: finished units are store hits.
 //!
 //! The original free-function experiment harness (`simsys::experiment`) has
 //! been removed; [`session::ExperimentSession`] and the raw
@@ -42,7 +40,7 @@ pub mod session;
 pub mod store;
 pub mod system;
 
-pub use runner::{merge_events, Plan, RunEvent, ShardOptions, ShardSummary, UnitKind, WorkUnit};
+pub use runner::{merge_events, Plan, RunEvent, UnitKind, WorkUnit};
 pub use session::{CellResult, ExperimentResult, ExperimentSession, RunReport};
 pub use store::ResultStore;
 pub use system::{System, SystemReport};

@@ -52,7 +52,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -331,8 +331,7 @@ impl ExperimentSession {
     /// Planning performs no I/O and no simulation, and uses only
     /// [`store::cell_fingerprint`] for identity — so any two processes given
     /// the same session description derive interchangeable plans, which is
-    /// what lets [`run_sharded`](Self::run_sharded) shards coordinate through
-    /// nothing but a shared store directory.
+    /// what lets `merge` fold an event log another process wrote.
     pub fn plan(&self) -> Plan {
         let columns = self.columns();
         let mut baselines: Vec<WorkUnit> = Vec::new();
@@ -405,10 +404,8 @@ impl ExperimentSession {
     ///
     /// Since the runner refactor this is exactly
     /// [`plan`](Self::plan) → [`runner::execute_local`]
-    /// → [`runner::merge_events`]: the same
-    /// plan/execute/stream/merge pipeline a multi-process
-    /// [`run_sharded`](Self::run_sharded) run uses, collapsed onto one
-    /// process. Cells are executed in parallel across the configured thread
+    /// → [`runner::merge_events`], the same merge `merge` applies to an
+    /// event log. Cells are executed in parallel across the configured thread
     /// pool; report ordering (workload-major, column-minor) is deterministic
     /// and independent of the thread count. With a
     /// [`store`](Self::with_store) attached, each simulation is first looked
@@ -455,35 +452,6 @@ impl ExperimentSession {
             );
         }
         report
-    }
-
-    /// Executes this session as one shard of a cooperating multi-process run.
-    ///
-    /// Every shard of the run must be constructed with the same grid and a
-    /// store on the same directory, and share `options.run_id`. Units are
-    /// handed out through expiring lease files under the store, so shards
-    /// steal work from each other (and from crashed predecessors); results
-    /// stream to `sink` as JSONL [`runner::RunEvent`]s.
-    /// Fold the event logs into the final [`RunReport`] with
-    /// [`runner::merge_events`] (or the `merge`
-    /// binary).
-    ///
-    /// # Errors
-    /// Returns an error when no store is attached, the store is read-only, or
-    /// lease/store writes fail.
-    pub fn run_sharded(
-        &self,
-        options: &runner::ShardOptions,
-        sink: &mut (dyn Write + Send),
-    ) -> io::Result<runner::ShardSummary> {
-        let store = self.store.as_ref().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "a sharded run needs a result store (shards coordinate through its directory)",
-            )
-        })?;
-        let plan = self.plan();
-        runner::execute_shard(&plan, store, options, self.threads, sink)
     }
 }
 
@@ -1098,8 +1066,8 @@ mod tests {
         // everything and produce identical numbers.
         let store = crate::store::ResultStore::open(&dir).unwrap();
         let mut vandalised = 0;
-        for shard in std::fs::read_dir(&dir).unwrap() {
-            for entry in std::fs::read_dir(shard.unwrap().path()).unwrap() {
+        for bucket in std::fs::read_dir(&dir).unwrap() {
+            for entry in std::fs::read_dir(bucket.unwrap().path()).unwrap() {
                 std::fs::write(entry.unwrap().path(), "not json at all").unwrap();
                 vandalised += 1;
             }

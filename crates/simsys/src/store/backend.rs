@@ -1,10 +1,9 @@
 //! Pluggable storage primitives under [`ResultStore`](super::ResultStore).
 //!
-//! The lease/entry protocol — claim by atomic create-new, publish by
-//! temp-file + rename, steal by atomic replace, GC in modified-time order —
-//! never actually needed a filesystem, only a handful of primitives with the
-//! right atomicity. [`StoreBackend`] names those primitives, and three
-//! implementations ship with it:
+//! The entry protocol — publish by temp-file + rename, read back verified,
+//! GC in modified-time order — never actually needed a filesystem, only a
+//! handful of primitives with the right atomicity. [`StoreBackend`] names
+//! those primitives, and three implementations ship with it:
 //!
 //! * [`FsBackend`] — the original on-disk layout, bit-for-bit.
 //!   [`ResultStore::open`](super::ResultStore::open) uses it, so every
@@ -12,14 +11,14 @@
 //! * [`MemBackend`] — a process-local map. Fast and deterministic: its
 //!   modified stamps are a logical counter, so GC eviction order never
 //!   depends on filesystem timestamp resolution. This is the substrate the
-//!   lease-protocol property tests and the chaos suite run on.
+//!   GC tests and the chaos suite run on.
 //! * [`FaultBackend`] — a decorator injecting seeded faults (torn writes,
 //!   create-new races, stale reads, transient I/O errors, latency) into any
 //!   inner backend, with a scripted mode that replays an exact interleaving
 //!   once a chaos run finds a failing one.
 //!
 //! Object names are root-relative paths with `/` separators — entries at
-//! `"ab/cdef….json"`, leases at `".leases/<fp>.lease"`. The naming scheme is
+//! `"ab/cdef….json"`. The naming scheme is
 //! owned by [`ResultStore`](super::ResultStore); backends only store bytes
 //! under opaque names.
 //!
@@ -27,10 +26,10 @@
 //!
 //! | primitive | protocol use | atomicity required |
 //! |---|---|---|
-//! | [`read`](StoreBackend::read) | entry lookups, lease inspection | none (a torn value must merely *parse* as garbage) |
-//! | [`put_atomic`](StoreBackend::put_atomic) | entry publish, lease steal, done marker, heartbeat | readers see the old value or the new, never a prefix |
-//! | [`create_new`](StoreBackend::create_new) | lease acquisition | exactly one of N racing creators wins |
-//! | [`remove`](StoreBackend::remove) | lease release, GC eviction | missing is success |
+//! | [`read`](StoreBackend::read) | entry lookups | none (a torn value must merely *parse* as garbage) |
+//! | [`put_atomic`](StoreBackend::put_atomic) | entry publish | readers see the old value or the new, never a prefix |
+//! | [`create_new`](StoreBackend::create_new) | none in the store today; part of the backend contract | exactly one of N racing creators wins |
+//! | [`remove`](StoreBackend::remove) | GC eviction | missing is success |
 //! | [`list`](StoreBackend::list) | entry census ([`len`](super::ResultStore::len)), GC order | none |
 
 use std::collections::{BTreeMap, HashMap};
@@ -57,7 +56,7 @@ pub struct ObjectMeta {
 }
 
 /// The storage primitives [`ResultStore`](super::ResultStore) drives its
-/// entry/lease protocol over. See the [module docs](self) for the atomicity
+/// entry protocol over. See the [module docs](self) for the atomicity
 /// contract of each method.
 pub trait StoreBackend: Send + Sync + fmt::Debug {
     /// A short human-readable identity for diagnostics (`"fs:<root>"`,
@@ -173,8 +172,8 @@ impl StoreBackend for FsBackend {
         let dir = path.parent().expect("object paths always have a parent");
         std::fs::create_dir_all(dir)?;
         // Creating the name empty and then writing it would let a racing
-        // reader see an empty object — a lease that reads as abandoned and
-        // gets stolen. The content is complete before the name appears.
+        // reader see an empty object. The content is complete before the
+        // name appears.
         let temp = dir.join(Self::temp_name());
         std::fs::write(&temp, bytes)?;
         let linked = std::fs::hard_link(&temp, &path);
@@ -240,9 +239,8 @@ impl StoreBackend for FsBackend {
         };
         for dir in dirs.flatten() {
             let dir_path = dir.path();
-            // Lease-directory litter is left alone, exactly as the
-            // pre-backend GC did: a lease temp is racing a steal or a done
-            // marker, and those writers clean up after themselves.
+            // The `.leases/` directory of stores written by older versions
+            // is left alone, exactly as the GC of those versions did.
             if !dir_path.is_dir() || dir_path.ends_with(".leases") {
                 continue;
             }
@@ -366,12 +364,10 @@ impl StoreBackend for MemBackend {
 pub enum Fault {
     /// A [`put_atomic`](StoreBackend::put_atomic) that persists only a
     /// prefix of its bytes yet reports success — the crash-between-write-
-    /// and-rename the protocol must survive (torn entries read as misses,
-    /// torn leases as abandoned).
+    /// and-rename the store must survive (torn entries read as misses).
     TornWrite,
     /// A [`create_new`](StoreBackend::create_new) that loses a race which
-    /// isn't there: it reports `already exists` without creating anything,
-    /// pushing the caller down the inspect-then-steal path.
+    /// isn't there: it reports `already exists` without creating anything.
     CreateRace,
     /// A [`read`](StoreBackend::read) served from the past: the value the
     /// object held *before* its most recent overwrite or removal, as a
@@ -452,8 +448,8 @@ impl FaultConfig {
     }
 
     /// The chaos suite's default mix: every category enabled, aggressively
-    /// enough that a hundred-seed sweep exercises each protocol recovery
-    /// path many times, with latency kept to a millisecond so the sweep
+    /// enough that a hundred-seed sweep exercises each recovery path many
+    /// times, with latency kept to a millisecond so the sweep
     /// stays fast.
     pub fn chaos() -> FaultConfig {
         FaultConfig {
@@ -493,8 +489,8 @@ pub struct FaultRecord {
 ///
 /// Faults only ever *lose or delay* information (a torn suffix, a spurious
 /// `already exists`, a stale or failed read); they never invent bytes. That
-/// matches the failure model the store protocol claims to survive, which is
-/// exactly what the chaos suite asserts.
+/// matches the failure model the store claims to survive, which is exactly
+/// what the chaos suite asserts.
 pub struct FaultBackend {
     inner: Arc<dyn StoreBackend>,
     state: Mutex<FaultState>,
@@ -778,13 +774,13 @@ mod tests {
         assert_eq!(backend.read("ab/x.json").unwrap().unwrap(), b"one");
         backend.put_atomic("ab/x.json", b"three").unwrap();
         assert_eq!(backend.read("ab/x.json").unwrap().unwrap(), b"three");
-        backend.put_atomic(".leases/x.lease", b"lease").unwrap();
+        backend.put_atomic("cd/y.json", b"other").unwrap();
         let all = backend.list("").unwrap();
         assert_eq!(all.len(), 2);
-        let leases = backend.list(".leases/").unwrap();
-        assert_eq!(leases.len(), 1);
-        assert_eq!(leases[0].name, ".leases/x.lease");
-        assert_eq!(leases[0].len, 5);
+        let others = backend.list("cd/").unwrap();
+        assert_eq!(others.len(), 1);
+        assert_eq!(others[0].name, "cd/y.json");
+        assert_eq!(others[0].len, 5);
         backend.remove("ab/x.json").unwrap();
         backend.remove("ab/x.json").unwrap(); // missing is not an error
         assert_eq!(backend.read("ab/x.json").unwrap(), None);
@@ -800,8 +796,7 @@ mod tests {
 
     #[test]
     fn fs_create_new_never_exposes_a_partial_object() {
-        // A reader racing lease creation must see no object or the whole
-        // one: an empty lease file reads as abandoned and gets stolen. The
+        // A reader racing creation must see no object or the whole one. The
         // reader runs for as long as the writer keeps creating and removing.
         let root = temp_root("create-visibility");
         let backend = FsBackend::new(&root);
@@ -812,16 +807,16 @@ mod tests {
             let reader = scope.spawn(|| {
                 start.wait();
                 while !done.load(Ordering::SeqCst) {
-                    if let Some(bytes) = backend.read("ab/lease").unwrap() {
+                    if let Some(bytes) = backend.read("ab/object").unwrap() {
                         assert_eq!(bytes.len(), payload.len(), "partial object visible");
                     }
                 }
             });
             start.wait();
             for _ in 0..300 {
-                assert!(backend.create_new("ab/lease", &payload).unwrap());
-                assert!(!backend.create_new("ab/lease", b"loser").unwrap());
-                backend.remove("ab/lease").unwrap();
+                assert!(backend.create_new("ab/object", &payload).unwrap());
+                assert!(!backend.create_new("ab/object", b"loser").unwrap());
+                backend.remove("ab/object").unwrap();
             }
             done.store(true, Ordering::SeqCst);
             reader.join().unwrap();

@@ -44,20 +44,10 @@
 //! misses and re-simulated; a corrupt store degrades to a slow one, never a
 //! wrong one.
 //!
-//! # Leases
-//!
-//! The sharded runner ([`crate::runner`]) coordinates several worker
-//! processes over one store directory through *lease files* under
-//! `<root>/.leases/<fingerprint>.lease`. A lease is acquired with an atomic
-//! create-new ([`try_lease`](ResultStore::try_lease)); an expired lease (its
-//! holder crashed) or a completed-but-storeless one is *stolen* by writing a
-//! replacement to a temp file and renaming it into place. A completed unit is
-//! marked by rewriting the lease with `done: true`
-//! ([`mark_done`](ResultStore::mark_done)), which doubles as the
-//! "computed during run `run_id`" provenance marker the runner uses to tell
-//! freshly simulated entries from pre-existing ones. Lease files use the
-//! `.lease` extension so [`len`](ResultStore::len) and
-//! [`gc`](ResultStore::gc) never mistake them for result entries.
+//! Stores written by older versions may also hold a `.leases/` directory
+//! of lease files from a since-retired multi-process runner. It is ignored:
+//! [`len`](ResultStore::len) and [`gc`](ResultStore::gc) count and evict
+//! only result entries, and nothing reads or writes the leases any more.
 //!
 //! # Read-only mode and eviction
 //!
@@ -74,20 +64,19 @@
 //! the filesystem directly: [`ResultStore::open`] plugs in the bit-compatible
 //! [`FsBackend`], [`ResultStore::in_memory`] the deterministic [`MemBackend`],
 //! and [`ResultStore::with_backend`] anything else — including a
-//! [`FaultBackend`] wrapper that injects seeded torn writes, create-new
-//! races, stale reads, latency and transient errors, which is how the chaos
-//! suite drives every recovery path of the lease protocol on purpose instead
-//! of by luck. See [`backend`] for the primitive ↔ protocol mapping.
+//! [`FaultBackend`] wrapper that injects seeded torn writes, stale reads,
+//! latency and transient errors, which is how the chaos suite checks that
+//! local runs over a faulty store still produce the unfaulted report. See
+//! [`backend`] for the primitive ↔ store mapping.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use simkit::config::SystemConfig;
 use simkit::fingerprint::{self, Fingerprint};
-use simkit::json::{self, FromJson, Json, JsonError, ToJson};
+use simkit::json::{self, FromJson, Json, ToJson};
 
 use defenses::DefenseKind;
 use workloads::Workload;
@@ -182,7 +171,6 @@ pub struct ResultStore {
     backend: Arc<dyn StoreBackend>,
     root: PathBuf,
     read_only: bool,
-    clock: Option<Arc<AtomicU64>>,
 }
 
 impl ResultStore {
@@ -198,7 +186,6 @@ impl ResultStore {
             backend: Arc::new(FsBackend::new(root.clone())),
             root,
             read_only: false,
-            clock: None,
         })
     }
 
@@ -206,33 +193,26 @@ impl ResultStore {
     /// [`put`](Self::put) becomes a silent no-op, so misses re-simulate
     /// without ever mutating the directory. Intended for CI reusing a store
     /// artifact it must not dirty. The directory does not have to exist — a
-    /// missing store is simply always cold. Leases
-    /// ([`try_lease`](Self::try_lease)) and [`gc`](Self::gc) are refused,
-    /// so a read-only store cannot back a sharded run — with one deliberate
-    /// exception: [`release_lease`](Self::release_lease) still works, so a
-    /// handle demoted to read-only mid-flight can always un-pin a claim it
-    /// took earlier instead of leaving it to expire by TTL.
+    /// missing store is simply always cold. [`gc`](Self::gc) is refused.
     pub fn read_only(root: impl Into<PathBuf>) -> ResultStore {
         let root = root.into();
         ResultStore {
             backend: Arc::new(FsBackend::new(root.clone())),
             root,
             read_only: true,
-            clock: None,
         }
     }
 
     /// A store over an arbitrary backend — [`MemBackend`] for deterministic
     /// tests, [`FaultBackend`] for chaos runs, or anything else implementing
-    /// the trait. [`root`](Self::root), [`entry_path`](Self::entry_path) and
-    /// [`lease_path`](Self::lease_path) are only meaningful for
-    /// filesystem-backed stores and degrade to relative paths here.
+    /// the trait. [`root`](Self::root) and [`entry_path`](Self::entry_path)
+    /// are only meaningful for filesystem-backed stores and degrade to
+    /// relative paths here.
     pub fn with_backend(backend: Arc<dyn StoreBackend>) -> ResultStore {
         ResultStore {
             backend,
             root: PathBuf::new(),
             read_only: false,
-            clock: None,
         }
     }
 
@@ -242,16 +222,7 @@ impl ResultStore {
         Self::with_backend(Arc::new(MemBackend::new()))
     }
 
-    /// Replaces the wall clock used for lease timestamps and TTL expiry with
-    /// a shared counter holding milliseconds-since-epoch. Tests advance it
-    /// explicitly, so lease expiry becomes a deterministic event instead of
-    /// a sleep.
-    pub fn with_clock(mut self, clock: Arc<AtomicU64>) -> ResultStore {
-        self.clock = Some(clock);
-        self
-    }
-
-    /// The backend this store drives its protocol over.
+    /// The backend this store reads and writes through.
     pub fn backend(&self) -> &Arc<dyn StoreBackend> {
         &self.backend
     }
@@ -266,15 +237,6 @@ impl ResultStore {
         &self.root
     }
 
-    /// Milliseconds since the Unix epoch, from the test clock when one was
-    /// injected ([`with_clock`](Self::with_clock)).
-    fn now_ms(&self) -> u64 {
-        match &self.clock {
-            Some(clock) => clock.load(Ordering::Relaxed),
-            None => unix_ms(),
-        }
-    }
-
     /// The backend object name of an entry: `<2 hex>/<30 hex>.json`.
     fn entry_name(key: Fingerprint) -> String {
         let hex = key.to_hex();
@@ -282,14 +244,9 @@ impl ResultStore {
     }
 
     /// Whether a backend object name denotes a result entry (as opposed to a
-    /// lease or foreign litter).
+    /// legacy `.lease` file or foreign litter).
     fn is_entry(name: &str) -> bool {
-        !name.starts_with(".leases/") && name.ends_with(".json")
-    }
-
-    /// The backend object name of a lease: `.leases/<32 hex>.lease`.
-    fn lease_name(key: Fingerprint) -> String {
-        format!(".leases/{}.lease", key.to_hex())
+        name.ends_with(".json")
     }
 
     /// The path an entry with this fingerprint lives at (whether or not it
@@ -394,193 +351,10 @@ impl ResultStore {
         self.len() == 0
     }
 
-    // --- Leases -----------------------------------------------------------
-
-    /// The directory lease files live in (`<root>/.leases`).
-    pub fn lease_dir(&self) -> PathBuf {
-        self.root.join(".leases")
-    }
-
-    /// The lease file path for `key` (whether or not it exists).
-    pub fn lease_path(&self, key: Fingerprint) -> PathBuf {
-        self.lease_dir().join(format!("{}.lease", key.to_hex()))
-    }
-
-    /// Attempts to acquire the lease on `key` for `owner` in run `run_id`.
-    ///
-    /// The fast path is an atomic create-new, so exactly one contender — a
-    /// thread or a separate process — wins a fresh lease. When the lease file
-    /// already exists, it is *stolen* (replaced via temp file + rename) if
-    /// its holder looks dead: the lease has outlived its `ttl_ms` without
-    /// being [`mark_done`](Self::mark_done)d, it is unreadable/corrupt, or it
-    /// claims to be done while the store holds no entry (a crash between
-    /// marking and persisting). Otherwise [`LeaseState::Busy`] is returned
-    /// with the holder's metadata so the caller can poll.
-    ///
-    /// Stealing is best-effort: two stealers racing on the same expired lease
-    /// can in principle both think they won for a moment, which at worst
-    /// duplicates one deterministic simulation — never corrupts a result.
-    ///
-    /// # Errors
-    /// Returns an error on a [`read_only`](Self::read_only) store, or if the
-    /// lease directory/file cannot be written.
-    pub fn try_lease(
-        &self,
-        key: Fingerprint,
-        owner: &str,
-        run_id: &str,
-        ttl_ms: u64,
-    ) -> io::Result<LeaseState> {
-        if self.read_only {
-            return Err(io::Error::new(
-                io::ErrorKind::PermissionDenied,
-                "cannot lease work on a read-only store",
-            ));
-        }
-        let name = Self::lease_name(key);
-        let lease = LeaseInfo {
-            owner: owner.to_string(),
-            run_id: run_id.to_string(),
-            acquired_unix_ms: self.now_ms(),
-            ttl_ms,
-            done: false,
-        };
-        let bytes = lease.to_json().to_string_compact();
-        if self.backend.create_new(&name, bytes.as_bytes())? {
-            return Ok(LeaseState::Acquired);
-        }
-        // Somebody holds (or held) it. Steal only from the dead.
-        let holder = self.read_lease(key);
-        let stealable = match &holder {
-            None => true, // unreadable or vanished: treat as abandoned
-            Some(info) if info.done => !self.contains(key),
-            Some(info) => self.now_ms().saturating_sub(info.acquired_unix_ms) > info.ttl_ms,
-        };
-        if !stealable {
-            return Ok(LeaseState::Busy(holder.expect("busy lease is readable")));
-        }
-        self.backend.put_atomic(&name, bytes.as_bytes())?;
-        // Confirm the replacement race went our way.
-        match self.read_lease(key) {
-            Some(info) if info.owner == lease.owner && !info.done => {
-                obs::global().inc("store.lease_steals", &[], 1);
-                Ok(LeaseState::Stolen { previous: holder })
-            }
-            Some(info) => Ok(LeaseState::Busy(info)),
-            None => Ok(LeaseState::Busy(LeaseInfo {
-                owner: String::new(),
-                run_id: String::new(),
-                acquired_unix_ms: self.now_ms(),
-                ttl_ms,
-                done: false,
-            })),
-        }
-    }
-
-    /// Reads the lease on `key`, if present and parseable.
-    pub fn read_lease(&self, key: Fingerprint) -> Option<LeaseInfo> {
-        let bytes = self.backend.read(&Self::lease_name(key)).ok().flatten()?;
-        let text = std::str::from_utf8(&bytes).ok()?;
-        LeaseInfo::from_json(&json::parse(text).ok()?).ok()
-    }
-
-    /// Rewrites the lease on `key` as completed by `owner` during `run_id`.
-    ///
-    /// Done leases never expire; they are the runner's "this entry was
-    /// simulated during run `run_id`" provenance marker (a later run with a
-    /// different id treats the same entry as pre-existing, i.e. cached).
-    pub fn mark_done(&self, key: Fingerprint, owner: &str, run_id: &str) -> io::Result<()> {
-        if self.read_only {
-            return Err(io::Error::new(
-                io::ErrorKind::PermissionDenied,
-                "cannot mark leases on a read-only store",
-            ));
-        }
-        let lease = LeaseInfo {
-            owner: owner.to_string(),
-            run_id: run_id.to_string(),
-            acquired_unix_ms: self.now_ms(),
-            ttl_ms: 0,
-            done: true,
-        };
-        self.backend.put_atomic(
-            &Self::lease_name(key),
-            lease.to_json().to_string_compact().as_bytes(),
-        )
-    }
-
-    /// Re-stamps the lease on `key` with a fresh acquisition time, proving
-    /// `owner` is still alive so the TTL clock restarts. Returns whether the
-    /// heartbeat landed: `false` means the caller no longer holds the lease
-    /// (it was stolen, completed, or removed) and nothing was written — a
-    /// heartbeat never revives a lost lease or touches another owner's.
-    ///
-    /// This is what lets the default TTL be much shorter than the longest
-    /// simulation: the executing shard re-stamps every few seconds, so a
-    /// long-running `Scale::Large` cell is never falsely stolen, while a
-    /// crashed shard's lease still expires one TTL after its last beat.
-    ///
-    /// # Errors
-    /// Returns an error on a [`read_only`](Self::read_only) store or if the
-    /// replacement lease cannot be written.
-    pub fn heartbeat_lease(
-        &self,
-        key: Fingerprint,
-        owner: &str,
-        run_id: &str,
-        ttl_ms: u64,
-    ) -> io::Result<bool> {
-        if self.read_only {
-            return Err(io::Error::new(
-                io::ErrorKind::PermissionDenied,
-                "cannot heartbeat leases on a read-only store",
-            ));
-        }
-        match self.read_lease(key) {
-            Some(info) if info.owner == owner && info.run_id == run_id && !info.done => {}
-            _ => return Ok(false),
-        }
-        let lease = LeaseInfo {
-            owner: owner.to_string(),
-            run_id: run_id.to_string(),
-            acquired_unix_ms: self.now_ms(),
-            ttl_ms,
-            done: false,
-        };
-        self.backend.put_atomic(
-            &Self::lease_name(key),
-            lease.to_json().to_string_compact().as_bytes(),
-        )?;
-        obs::global().inc("store.lease_heartbeats", &[], 1);
-        Ok(true)
-    }
-
-    /// Removes the lease on `key`, if any. Missing leases are not an error.
-    ///
-    /// Deliberately works on [`read_only`](Self::read_only) handles too —
-    /// the one mutation they are allowed. A release only un-pins a *claim*
-    /// (it can never corrupt result data), and refusing it would leave a
-    /// claim taken before the handle was demoted pinned until its TTL
-    /// expires, blocking every other shard on that unit for no reason.
-    pub fn release_lease(&self, key: Fingerprint) {
-        let _ = self.backend.remove(&Self::lease_name(key));
-    }
-
-    /// Whether the entry for `key` was simulated (and marked done) during
-    /// run `run_id`, as opposed to pre-existing in the store. This is the
-    /// provenance the sharded runner records in
-    /// [`CellResult::cached`](crate::session::CellResult::cached).
-    pub fn completed_during(&self, key: Fingerprint, run_id: &str) -> bool {
-        self.read_lease(key)
-            .is_some_and(|info| info.done && info.run_id == run_id)
-    }
-
-    // --- Eviction ---------------------------------------------------------
-
     /// Evicts least-recently-modified entries until the store's result
     /// entries fit in `max_bytes`, and sweeps stray temp files left by
-    /// crashed writers ([`StoreBackend::sweep_temp`]). Lease files are
-    /// untouched, and only temp files older than [`GC_TEMP_GRACE`] are
+    /// crashed writers ([`StoreBackend::sweep_temp`]). A legacy `.leases/`
+    /// directory is untouched, and only temp files older than [`GC_TEMP_GRACE`] are
     /// swept — a younger one may belong to a live writer mid-`put`, and
     /// deleting it between its write and its rename would fail that writer
     /// rather than just waste a result.
@@ -647,89 +421,6 @@ impl ResultStore {
 /// A live `put` holds its temp file only between one write and one rename,
 /// so anything this old was abandoned by a crash.
 pub const GC_TEMP_GRACE: std::time::Duration = std::time::Duration::from_secs(600);
-
-/// Milliseconds since the Unix epoch (lease timestamps).
-fn unix_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
-/// The contents of one lease file: who holds (or completed) a work unit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LeaseInfo {
-    /// Opaque holder identity (run id + shard id + pid in practice).
-    pub owner: String,
-    /// The run this lease belongs to; done leases with a matching run id are
-    /// "freshly simulated this run" provenance markers.
-    pub run_id: String,
-    /// Acquisition time, milliseconds since the Unix epoch.
-    pub acquired_unix_ms: u64,
-    /// Time after which a not-done lease may be stolen.
-    pub ttl_ms: u64,
-    /// Whether the unit completed (the store entry was persisted).
-    pub done: bool,
-}
-
-impl ToJson for LeaseInfo {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("owner", Json::Str(self.owner.clone())),
-            ("run_id", Json::Str(self.run_id.clone())),
-            ("acquired_unix_ms", Json::UInt(self.acquired_unix_ms)),
-            ("ttl_ms", Json::UInt(self.ttl_ms)),
-            ("done", Json::Bool(self.done)),
-        ])
-    }
-}
-
-impl FromJson for LeaseInfo {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(LeaseInfo {
-            owner: json
-                .get("owner")
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| JsonError::missing("owner"))?,
-            run_id: json
-                .get("run_id")
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| JsonError::missing("run_id"))?,
-            acquired_unix_ms: json
-                .get("acquired_unix_ms")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| JsonError::missing("acquired_unix_ms"))?,
-            ttl_ms: json
-                .get("ttl_ms")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| JsonError::missing("ttl_ms"))?,
-            done: json
-                .get("done")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| JsonError::missing("done"))?,
-        })
-    }
-}
-
-/// The outcome of a [`ResultStore::try_lease`] attempt.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LeaseState {
-    /// The caller now holds a fresh lease and should execute the unit.
-    Acquired,
-    /// The caller now holds the lease, taken from a holder that looked dead
-    /// (expired, unreadable, or done-without-entry). Semantically identical
-    /// to [`Acquired`](Self::Acquired) for the winner, but surfaced
-    /// distinctly so the runner can report the steal in its event stream —
-    /// steals used to vanish here, leaving dashboards unable to count them.
-    Stolen {
-        /// The dead holder's lease, when it was still readable.
-        previous: Option<LeaseInfo>,
-    },
-    /// A live holder owns the lease; poll the store (or retry after its TTL).
-    Busy(LeaseInfo),
-}
 
 /// What [`ResultStore::gc`] did, as printed (in JSON) by the `store_gc`
 /// binary.
@@ -893,143 +584,12 @@ mod tests {
         ro.put(other, &result).unwrap();
         assert_eq!(ro.get(other), None);
         assert_eq!(store.len(), 1);
-        // Coordination surfaces are refused outright.
-        assert!(ro.try_lease(other, "me", "run", 1000).is_err());
-        assert!(ro.mark_done(other, "me", "run").is_err());
+        // Eviction is refused outright.
         assert!(ro.gc(0).is_err());
         // A read-only handle on a missing directory is an always-cold store.
         let ghost = ResultStore::read_only(store.root().join("nope"));
         assert_eq!(ghost.get(key), None);
         assert!(ghost.is_empty());
-    }
-
-    #[test]
-    fn leases_acquire_once_then_report_busy_until_stolen_or_done() {
-        let store = temp_store("lease");
-        let (w, cfg) = sample();
-        let key = cell_fingerprint(&w, DefenseKind::MuonTrap, &cfg);
-
-        assert_eq!(
-            store.try_lease(key, "a", "run1", 60_000).unwrap(),
-            LeaseState::Acquired
-        );
-        // A second contender sees the live holder.
-        match store.try_lease(key, "b", "run1", 60_000).unwrap() {
-            LeaseState::Busy(info) => {
-                assert_eq!(info.owner, "a");
-                assert!(!info.done);
-            }
-            other => panic!("lease must not be double-acquired: {other:?}"),
-        }
-        // Completion turns it into a provenance marker...
-        store
-            .put(key, &simulate(&w, DefenseKind::MuonTrap, &cfg))
-            .unwrap();
-        store.mark_done(key, "a", "run1").unwrap();
-        assert!(store.completed_during(key, "run1"));
-        assert!(!store.completed_during(key, "run2"));
-        // ...which is not stealable while the entry exists.
-        match store.try_lease(key, "b", "run1", 60_000).unwrap() {
-            LeaseState::Busy(info) => assert!(info.done),
-            other => panic!("done lease with entry must stay busy: {other:?}"),
-        }
-        store.release_lease(key);
-        assert_eq!(store.read_lease(key), None);
-    }
-
-    #[test]
-    fn expired_and_orphaned_leases_are_stolen() {
-        let store = temp_store("steal");
-        let (w, cfg) = sample();
-        let key = cell_fingerprint(&w, DefenseKind::MuonTrap, &cfg);
-
-        // Expired: holder "dead" acquired with a 1 ms TTL and vanished.
-        assert_eq!(
-            store.try_lease(key, "dead", "run1", 1).unwrap(),
-            LeaseState::Acquired
-        );
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        match store.try_lease(key, "thief", "run1", 60_000).unwrap() {
-            LeaseState::Stolen { previous } => {
-                // The steal names its victim, so the runner can report it.
-                assert_eq!(previous.expect("expired lease was readable").owner, "dead");
-            }
-            other => panic!("an expired lease must be reclaimable: {other:?}"),
-        }
-        assert_eq!(store.read_lease(key).unwrap().owner, "thief");
-
-        // Orphaned: marked done but the crash lost the store entry.
-        let other = Fingerprint(key.0 ^ 1);
-        store.mark_done(other, "dead", "run1").unwrap();
-        assert!(!store.contains(other));
-        assert!(
-            matches!(
-                store.try_lease(other, "thief", "run1", 60_000).unwrap(),
-                LeaseState::Stolen { previous: Some(_) }
-            ),
-            "a done lease without a store entry must be reclaimable"
-        );
-
-        // Corrupt lease files read as absent and are stolen (with no victim
-        // metadata to attach).
-        fs::write(store.lease_path(other), "not a lease").unwrap();
-        assert_eq!(store.read_lease(other), None);
-        assert_eq!(
-            store.try_lease(other, "thief2", "run1", 60_000).unwrap(),
-            LeaseState::Stolen { previous: None }
-        );
-    }
-
-    #[test]
-    fn heartbeat_restarts_the_ttl_clock() {
-        let store = temp_store("heartbeat");
-        let (w, cfg) = sample();
-        let key = cell_fingerprint(&w, DefenseKind::MuonTrap, &cfg);
-        assert_eq!(
-            store.try_lease(key, "worker", "run1", 60).unwrap(),
-            LeaseState::Acquired
-        );
-        // Keep beating past several TTLs: the lease must stay ours.
-        for _ in 0..5 {
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            assert!(store.heartbeat_lease(key, "worker", "run1", 60).unwrap());
-            match store.try_lease(key, "thief", "run1", 60).unwrap() {
-                LeaseState::Busy(info) => assert_eq!(info.owner, "worker"),
-                other => panic!("heartbeat must prevent the steal: {other:?}"),
-            }
-        }
-        // Stop beating: one TTL later the thief wins.
-        std::thread::sleep(std::time::Duration::from_millis(90));
-        assert!(
-            matches!(
-                store.try_lease(key, "thief", "run1", 60_000).unwrap(),
-                LeaseState::Stolen { .. }
-            ),
-            "a silent holder must still expire"
-        );
-    }
-
-    #[test]
-    fn heartbeat_never_touches_foreign_done_or_missing_leases() {
-        let store = temp_store("heartbeat-foreign");
-        let (w, cfg) = sample();
-        let key = cell_fingerprint(&w, DefenseKind::MuonTrap, &cfg);
-        // Missing lease: refused.
-        assert!(!store.heartbeat_lease(key, "worker", "run1", 60).unwrap());
-        // Foreign lease: refused, owner untouched.
-        assert_eq!(
-            store.try_lease(key, "other", "run1", 60_000).unwrap(),
-            LeaseState::Acquired
-        );
-        assert!(!store.heartbeat_lease(key, "worker", "run1", 60).unwrap());
-        assert_eq!(store.read_lease(key).unwrap().owner, "other");
-        // Done marker: refused, provenance untouched.
-        store.mark_done(key, "other", "run1").unwrap();
-        assert!(!store.heartbeat_lease(key, "other", "run1", 60).unwrap());
-        assert!(store.read_lease(key).unwrap().done);
-        // Read-only stores refuse outright.
-        let ro = ResultStore::read_only(store.root());
-        assert!(ro.heartbeat_lease(key, "other", "run1", 60).is_err());
     }
 
     #[test]
@@ -1047,9 +607,11 @@ mod tests {
             // Distinct mtimes so LRU order is well defined.
             std::thread::sleep(std::time::Duration::from_millis(20));
         }
-        // A lease file must never be collected as an entry, and a fresh
-        // temp file (a live writer mid-put) must survive the sweep.
-        store.try_lease(keys[2], "x", "run", 60_000).unwrap();
+        // A legacy lease file must never be collected as an entry, and a
+        // fresh temp file (a live writer mid-put) must survive the sweep.
+        let lease = store.root().join(".leases").join("x.lease");
+        fs::create_dir_all(lease.parent().unwrap()).unwrap();
+        fs::write(&lease, "{}").unwrap();
         assert_eq!(store.len(), 3);
         let live_temp = store
             .entry_path(keys[1])
@@ -1069,10 +631,7 @@ mod tests {
         );
         assert!(!store.contains(keys[0]), "oldest entry must evict first");
         assert!(store.contains(keys[1]) && store.contains(keys[2]));
-        assert!(
-            store.read_lease(keys[2]).is_some(),
-            "gc must not touch leases"
-        );
+        assert!(lease.exists(), "gc must not touch legacy leases");
         assert!(
             live_temp.exists(),
             "a fresh temp file may be a live writer's"
@@ -1088,36 +647,6 @@ mod tests {
     }
 
     #[test]
-    fn read_only_handles_may_release_but_never_claim_leases() {
-        // The claim is never taken on a read-only handle — and a claim that
-        // *was* taken (by a writable handle, or before a demotion) can still
-        // be released through one, instead of pinning the unit until its
-        // TTL runs out.
-        let store = temp_store("ro-release");
-        let (w, cfg) = sample();
-        let key = cell_fingerprint(&w, DefenseKind::MuonTrap, &cfg);
-        assert_eq!(
-            store.try_lease(key, "claimant", "run1", 60_000).unwrap(),
-            LeaseState::Acquired
-        );
-        let ro = ResultStore::read_only(store.root());
-        assert!(ro.try_lease(key, "ro", "run1", 60_000).is_err());
-        ro.release_lease(key);
-        assert_eq!(
-            store.read_lease(key),
-            None,
-            "a read-only handle must still be able to un-pin a claim"
-        );
-        // Releasing a missing lease stays a no-op.
-        ro.release_lease(key);
-        // The unit is immediately claimable again — no TTL wait.
-        assert_eq!(
-            store.try_lease(key, "next", "run1", 60_000).unwrap(),
-            LeaseState::Acquired
-        );
-    }
-
-    #[test]
     fn mem_backed_store_runs_the_full_protocol() {
         let store = ResultStore::in_memory();
         let (w, cfg) = sample();
@@ -1130,51 +659,6 @@ mod tests {
         // Clones share the backend; fresh in-memory stores do not.
         assert_eq!(store.clone().len(), 1);
         assert!(ResultStore::in_memory().is_empty());
-        // The lease lifecycle works unchanged.
-        assert_eq!(
-            store.try_lease(key, "a", "mem-run", 60_000).unwrap(),
-            LeaseState::Acquired
-        );
-        store.mark_done(key, "a", "mem-run").unwrap();
-        assert!(store.completed_during(key, "mem-run"));
-        store.release_lease(key);
-        assert_eq!(store.read_lease(key), None);
-    }
-
-    #[test]
-    fn lease_expiry_follows_the_injected_clock() {
-        let clock = Arc::new(AtomicU64::new(1_000_000));
-        let store = ResultStore::in_memory().with_clock(Arc::clone(&clock));
-        let (w, cfg) = sample();
-        let key = cell_fingerprint(&w, DefenseKind::MuonTrap, &cfg);
-        assert_eq!(
-            store.try_lease(key, "holder", "run1", 500).unwrap(),
-            LeaseState::Acquired
-        );
-        // Wall time may pass; the injected clock has not, so no steal.
-        assert!(matches!(
-            store.try_lease(key, "thief", "run1", 500).unwrap(),
-            LeaseState::Busy(_)
-        ));
-        // A heartbeat restamps at the injected time.
-        clock.fetch_add(400, Ordering::Relaxed);
-        assert!(store.heartbeat_lease(key, "holder", "run1", 500).unwrap());
-        clock.fetch_add(400, Ordering::Relaxed);
-        assert!(
-            matches!(
-                store.try_lease(key, "thief", "run1", 500).unwrap(),
-                LeaseState::Busy(_)
-            ),
-            "the beat restarted the TTL clock"
-        );
-        // One TTL past the last beat, the steal lands — with no sleeps.
-        clock.fetch_add(200, Ordering::Relaxed);
-        match store.try_lease(key, "thief", "run1", 500).unwrap() {
-            LeaseState::Stolen { previous } => {
-                assert_eq!(previous.unwrap().owner, "holder");
-            }
-            other => panic!("clock-expired lease must be stolen: {other:?}"),
-        }
     }
 
     /// Plants `len` raw bytes at `key`'s entry name, bypassing `put` — the
@@ -1226,7 +710,9 @@ mod tests {
         for key in &keys {
             plant_entry(&store, *key, 64);
         }
-        store.try_lease(keys[0], "holder", "run", 60_000).unwrap();
+        // A lease file left by an older version's runner.
+        let lease = ".leases/00000000000000000000000000000001.lease";
+        store.backend().put_atomic(lease, b"{}").unwrap();
         let summary = store.gc(0).unwrap();
         assert_eq!(summary.entries_before, 3);
         assert_eq!(summary.entries_evicted, 3);
@@ -1234,9 +720,9 @@ mod tests {
         assert_eq!(summary.bytes_after, 0);
         assert!(store.is_empty());
         assert_eq!(
-            store.read_lease(keys[0]).unwrap().owner,
-            "holder",
-            "a zero cap still spares the coordination state"
+            store.backend().read(lease).unwrap().as_deref(),
+            Some(&b"{}"[..]),
+            "a zero cap still spares the legacy leases"
         );
     }
 

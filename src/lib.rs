@@ -18,7 +18,7 @@
 //! * [`reportgen`] — dependency-free SVG charts and the self-contained HTML
 //!   evaluation report (`report --html report.html` regenerates every
 //!   figure as one browsable page);
-//! * [`obs`] — the telemetry core behind sharded-run observability: the metrics
+//! * [`obs`] — the telemetry core behind run observability: the metrics
 //!   registry the simulator instruments, monotonic timestamps, and the
 //!   text primitives of the `merge --watch` live dashboard.
 //!
@@ -108,7 +108,7 @@ pub mod prelude {
     pub use simkit::config::{ProtectionConfig, SystemConfig};
     pub use simkit::json::{FromJson, Json, ToJson};
     pub use simkit::stats::geometric_mean;
-    pub use simsys::runner::{merge_events, RunEvent, ShardOptions, ShardSummary};
+    pub use simsys::runner::{merge_events, RunEvent};
     pub use simsys::session::{
         simulate, CellResult, ExperimentResult, ExperimentSession, RunReport,
     };

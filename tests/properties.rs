@@ -442,197 +442,3 @@ fn speculative_accesses_never_reach_the_non_speculative_hierarchy() {
         assert_eq!(mt.data_filter_occupancy(0), 0);
     });
 }
-
-// ---------------------------------------------------------------------------
-// store lease protocol invariants
-// ---------------------------------------------------------------------------
-
-/// Drives random interleavings of claim / heartbeat / expire / steal / done /
-/// release over an in-memory store with a test clock, checking the protocol
-/// invariants the sharded runner and its resumed shards rely on:
-///
-/// * **at most one owner per unit** — every observed transition is justified
-///   by the lease state the step started from, and a lost lease never
-///   heartbeats back to life;
-/// * **`Stolen { previous }` names the real previous owner** — exactly the
-///   lease on file the instant before the steal, and only ever a dead one;
-/// * **no done unit is ever re-executed** — once a completion persisted the
-///   entry, every later lease winner finds it and serves it cached.
-#[test]
-fn lease_state_machine_preserves_ownership_and_done_invariants() {
-    use simkit::fingerprint::Fingerprint;
-    use simsys::store::LeaseState;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    let workload = spec_suite(Scale::Tiny).into_iter().next().unwrap();
-    let config = SystemConfig::small_test();
-    let result = simulate(&workload, DefenseKind::Unprotected, &config);
-    let actors = ["shard-a", "shard-b", "shard-c"];
-    let run = "prop-run";
-    let ttl = 500u64;
-
-    for_each_case(48, |rng| {
-        let clock = Arc::new(AtomicU64::new(1_000_000));
-        let store = ResultStore::in_memory().with_clock(Arc::clone(&clock));
-        let key = Fingerprint(((rng.next_u64() as u128) << 64) | rng.next_u64() as u128);
-        let mut completed = false;
-        let mut executions = 0u32;
-        for _step in 0..120 {
-            let actor = actors[rng.below(actors.len() as u64) as usize];
-            let now = clock.load(Ordering::Relaxed);
-            let prev = store.read_lease(key);
-            match rng.below(10) {
-                0..=3 => {
-                    // Claim. Every outcome must be justified by `prev`.
-                    let won = match store.try_lease(key, actor, run, ttl).unwrap() {
-                        LeaseState::Acquired => {
-                            assert!(prev.is_none(), "fresh acquire over a live lease");
-                            true
-                        }
-                        LeaseState::Stolen { previous } => {
-                            assert_eq!(previous, prev, "Stolen must name the real previous holder");
-                            match &previous {
-                                None => {}
-                                Some(p) if p.done => assert!(
-                                    !store.contains(key),
-                                    "a done lease backed by an entry must never be stolen"
-                                ),
-                                Some(p) => assert!(
-                                    now.saturating_sub(p.acquired_unix_ms) > p.ttl_ms,
-                                    "stole from a live holder"
-                                ),
-                            }
-                            true
-                        }
-                        LeaseState::Busy(info) => {
-                            assert_eq!(Some(&info), prev.as_ref(), "Busy reports the holder");
-                            if info.done {
-                                assert!(
-                                    store.contains(key),
-                                    "done without an entry must be stolen, not waited on"
-                                );
-                            } else {
-                                assert!(
-                                    now.saturating_sub(info.acquired_unix_ms) <= info.ttl_ms,
-                                    "an expired holder must be stolen, not waited on"
-                                );
-                            }
-                            false
-                        }
-                    };
-                    if won {
-                        // The winner runs the executor's cached-check: a
-                        // completed unit MUST be found in the store.
-                        let hit = store.get(key);
-                        if completed {
-                            assert!(hit.is_some(), "a done unit was about to be re-executed");
-                        }
-                        match rng.below(3) {
-                            0 if hit.is_none() => {
-                                // Execute and complete.
-                                executions += 1;
-                                store.put(key, &result).unwrap();
-                                store.mark_done(key, actor, run).unwrap();
-                                completed = true;
-                            }
-                            0 => {
-                                // Cached: record provenance without executing.
-                                store.mark_done(key, actor, run).unwrap();
-                            }
-                            1 => store.release_lease(key), // clean walk-away
-                            _ => {}                        // crash: abandon the lease
-                        }
-                    }
-                }
-                4..=5 => {
-                    // Heartbeat: lands iff the exact live owner asks.
-                    let ok = store.heartbeat_lease(key, actor, run, ttl).unwrap();
-                    let expected = matches!(
-                        &prev,
-                        Some(p) if p.owner == actor && p.run_id == run && !p.done
-                    );
-                    assert_eq!(
-                        ok, expected,
-                        "heartbeat must land iff the caller still holds the lease"
-                    );
-                    match store.read_lease(key) {
-                        after if !ok => {
-                            assert_eq!(after, prev, "a refused heartbeat must write nothing")
-                        }
-                        Some(after) => {
-                            assert_eq!(after.owner, actor);
-                            assert_eq!(after.acquired_unix_ms, now, "a beat restamps to now");
-                        }
-                        None => panic!("a landed heartbeat cannot erase the lease"),
-                    }
-                }
-                6..=7 => {
-                    clock.fetch_add(rng.in_range(1, 800), Ordering::Relaxed);
-                }
-                8 => {
-                    // Release — but only by the believed owner, as the
-                    // runner does; unconditional removal is its own test.
-                    if matches!(&prev, Some(p) if p.owner == actor && !p.done) {
-                        store.release_lease(key);
-                        assert_eq!(store.read_lease(key), None);
-                    }
-                }
-                _ => {
-                    assert_eq!(
-                        store.completed_during(key, run),
-                        matches!(&prev, Some(p) if p.done && p.run_id == run),
-                        "completed_during mirrors the done marker"
-                    );
-                }
-            }
-        }
-        if completed {
-            assert_eq!(executions, 1, "a unit that completed executed exactly once");
-            assert_eq!(store.get(key).as_ref(), Some(&result));
-        }
-    });
-}
-
-/// The single-owner invariant, witnessed at its sharpest point: the moment a
-/// lease is stolen, the victim's heartbeats are dead forever — there is no
-/// interleaving in which both the thief and the victim hold the unit.
-#[test]
-fn a_stolen_lease_never_heartbeats_for_its_previous_owner() {
-    use simkit::fingerprint::Fingerprint;
-    use simsys::store::LeaseState;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    for_each_case(32, |rng| {
-        let clock = Arc::new(AtomicU64::new(1_000_000));
-        let store = ResultStore::in_memory().with_clock(Arc::clone(&clock));
-        let key = Fingerprint(rng.next_u64() as u128);
-        let ttl = rng.in_range(100, 10_000);
-        assert_eq!(
-            store.try_lease(key, "victim", "run", ttl).unwrap(),
-            LeaseState::Acquired
-        );
-        // Beat a few times; each restamp restarts the TTL window.
-        for _ in 0..rng.below(4) {
-            clock.fetch_add(rng.in_range(0, ttl), Ordering::Relaxed);
-            assert!(store.heartbeat_lease(key, "victim", "run", ttl).unwrap());
-        }
-        // One TTL past the last beat, the thief takes it.
-        clock.fetch_add(ttl + 1, Ordering::Relaxed);
-        match store.try_lease(key, "thief", "run", ttl).unwrap() {
-            LeaseState::Stolen { previous } => {
-                let previous = previous.expect("the victim's lease was on file");
-                assert_eq!(previous.owner, "victim");
-            }
-            other => panic!("expired lease must be stolen, got {other:?}"),
-        }
-        // The victim is dead to the protocol, at any later time.
-        clock.fetch_add(rng.below(2 * ttl), Ordering::Relaxed);
-        assert!(
-            !store.heartbeat_lease(key, "victim", "run", ttl).unwrap(),
-            "a stolen lease heartbeat back to life: two owners at once"
-        );
-        assert_eq!(store.read_lease(key).unwrap().owner, "thief");
-    });
-}

@@ -1,11 +1,9 @@
-//! Integration tests for the sharded work-stealing runner: multi-shard runs
-//! must reproduce the single-process report exactly, crashed shards' work
-//! must be reclaimable with nothing lost or repeated, and the streaming
-//! JSONL event logs must round-trip through the merge.
+//! Integration tests for the runner: the streaming JSONL event log must
+//! round-trip through the merge, and read-only stores must serve grids
+//! without writing.
 
 use muontrap_repro::prelude::*;
-use simsys::runner::{self, RunEvent, ShardOptions, UnitKind};
-use simsys::store::LeaseState;
+use simsys::runner::{self, UnitKind};
 use workloads::domain_switch_suite;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -39,160 +37,13 @@ fn grid(store: Option<&std::path::Path>) -> ExperimentSession {
     }
 }
 
-/// Zeroes the one nondeterministic report field so runs compare bytewise.
-fn canonical_json(mut report: RunReport) -> String {
-    report.wall_clock_ms = 0.0;
-    report.to_json().to_string_pretty()
-}
-
-#[test]
-fn two_shard_run_merges_to_the_single_process_report_byte_for_byte() {
-    let single_dir = temp_dir("single");
-    let sharded_dir = temp_dir("sharded");
-    let single = grid(Some(&single_dir)).run();
-
-    // Two shards, two threads each, racing over one store directory.
-    let logs: Vec<Vec<u8>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..2)
-            .map(|shard_id| {
-                let dir = sharded_dir.clone();
-                scope.spawn(move || {
-                    let mut log: Vec<u8> = Vec::new();
-                    let options = ShardOptions::new(shard_id, 2, "itest-run");
-                    grid(Some(&dir))
-                        .run_sharded(&options, &mut log)
-                        .expect("shard runs");
-                    log
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    let plan = grid(Some(&sharded_dir)).plan();
-    let mut events = Vec::new();
-    for log in &logs {
-        events.extend(runner::read_events(log.as_slice()).expect("logs parse"));
-    }
-    // No simulation ran twice: every Completed unit is unique across shards.
-    let completed: Vec<_> = events
-        .iter()
-        .filter(|e| matches!(e, RunEvent::Completed { .. }))
-        .filter_map(RunEvent::unit)
-        .collect();
-    let mut deduped = completed.clone();
-    deduped.sort();
-    deduped.dedup();
-    assert_eq!(
-        completed.len(),
-        deduped.len(),
-        "lease files must prevent duplicated simulations"
-    );
-    assert_eq!(completed.len(), plan.expected_cold_sims());
-
-    let wall = runner::merged_wall_clock_ms(events.iter());
-    assert!(wall > 0.0, "shards report their wall clock");
-    let merged = runner::merge_events(&plan, events, wall).expect("merge completes");
-    assert_eq!(
-        canonical_json(merged),
-        canonical_json(single),
-        "a two-shard run must reproduce the single-process report exactly"
-    );
-    std::fs::remove_dir_all(&single_dir).ok();
-    std::fs::remove_dir_all(&sharded_dir).ok();
-}
-
-#[test]
-fn killed_shard_leaves_a_reclaimable_lease_and_the_resumed_run_loses_nothing() {
-    let dir = temp_dir("resume");
-    let session = grid(Some(&dir));
-    let plan = session.plan();
-    let store = ResultStore::open(&dir).unwrap();
-
-    // Simulate a shard that died mid-run: it completed one baseline and one
-    // cell (results + done markers on disk, its event log lost with the
-    // pod), and crashed while holding the lease on another cell.
-    let run_id = "resume-run";
-    let dead_baseline = &plan.baselines[0];
-    let dead_cell = plan
-        .cells
-        .iter()
-        .find(|c| !c.copies_baseline && c.baseline == Some(dead_baseline.fingerprint))
-        .expect("a simulatable cell shares the first baseline");
-    for unit in [dead_baseline, dead_cell] {
-        let result = simulate(&unit.workload, unit.defense, &unit.config);
-        store.put(unit.fingerprint, &result).unwrap();
-        store
-            .mark_done(unit.fingerprint, "dead-shard", run_id)
-            .unwrap();
-    }
-    let crashed_cell = plan
-        .cells
-        .iter()
-        .find(|c| !c.copies_baseline && c.fingerprint != dead_cell.fingerprint)
-        .expect("another simulatable cell exists");
-    assert_eq!(
-        store
-            .try_lease(crashed_cell.fingerprint, "dead-shard", run_id, 1)
-            .unwrap(),
-        LeaseState::Acquired
-    );
-    std::thread::sleep(std::time::Duration::from_millis(10));
-
-    // Resume with the same run id: the expired lease is stolen, the two
-    // finished units are served from the store, and nothing is simulated
-    // twice.
-    let mut log: Vec<u8> = Vec::new();
-    let mut options = ShardOptions::new(0, 1, run_id);
-    options.lease_ttl_ms = 1_000;
-    let summary = session
-        .run_sharded(&options, &mut log)
-        .expect("resume runs");
-    assert_eq!(
-        summary.sims_executed,
-        plan.expected_cold_sims() - 2,
-        "the dead shard's two finished units must not re-simulate"
-    );
-    assert_eq!(
-        summary.units_cached + summary.units_executed,
-        summary.units_total
-    );
-
-    let events = runner::read_events(log.as_slice()).unwrap();
-    let merged = runner::merge_events(&plan, events.iter().cloned(), 0.0).expect("grid completes");
-    assert_eq!(merged.cells.len(), plan.cells.len(), "no cell may be lost");
-    // Store provenance: freshness is run-scoped, so the dead shard's units
-    // (same run id) read as fresh, not cached, in the resumed report...
-    assert_eq!(merged.sims_executed, summary.sims_executed);
-    for cell in &merged.cells {
-        assert!(
-            !cell.cached,
-            "{}/{} must count as computed during this run",
-            cell.workload, cell.column
-        );
-    }
-    // ...and the stolen lease now belongs to the resumed shard, done.
-    assert!(store.completed_during(crashed_cell.fingerprint, run_id));
-
-    // A later, distinct run sees a fully warm store: zero simulations.
-    let mut warm_log: Vec<u8> = Vec::new();
-    let warm = session
-        .run_sharded(&ShardOptions::new(0, 1, "later-run"), &mut warm_log)
-        .expect("warm run");
-    assert_eq!(warm.sims_executed, 0, "warm store must satisfy everything");
-    assert_eq!(warm.cached_rate(), 1.0);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 #[test]
 fn event_logs_round_trip_through_jsonl_and_merge() {
     let dir = temp_dir("roundtrip");
     let session = grid(Some(&dir));
     let plan = session.plan();
     let mut log: Vec<u8> = Vec::new();
-    session
-        .run_sharded(&ShardOptions::new(0, 1, "rt-run"), &mut log)
-        .expect("shard runs");
+    let report = session.run_with_events(Some(&mut log));
 
     // Every JSONL line parses, re-serialises identically, and the parsed
     // stream merges into a complete report.
@@ -207,11 +58,10 @@ fn event_logs_round_trip_through_jsonl_and_merge() {
         assert_eq!(&reparsed, event);
         assert_eq!(event.to_json().to_string_compact(), line);
     }
-    // The log narrates the protocol: claims precede completions, every unit
-    // resolves, and the shard signs off.
-    assert!(events.iter().any(|e| matches!(e, RunEvent::Claimed { .. })));
-    assert!(matches!(events.last(), Some(RunEvent::ShardDone { .. })));
-    let resolved: Vec<_> = events.iter().filter_map(RunEvent::unit).collect();
+    // Every unit resolves exactly once, and every event is stamped.
+    assert_eq!(events.len(), plan.baselines.len() + plan.cells.len());
+    assert!(events.iter().all(|e| e.t_ms().is_some()));
+    let resolved: Vec<_> = events.iter().map(RunEvent::unit).collect();
     for cell in &plan.cells {
         assert!(
             resolved.contains(&(UnitKind::Cell, cell.index)),
@@ -220,7 +70,9 @@ fn event_logs_round_trip_through_jsonl_and_merge() {
         );
     }
 
-    let merged = runner::merge_events(&plan, events, 0.0).expect("parsed log rebuilds the report");
+    let merged = runner::merge_events(&plan, events, report.wall_clock_ms)
+        .expect("parsed log rebuilds the report");
+    assert_eq!(merged, report, "the log rebuilds the run's own report");
     // And the merged report matches a plain in-process rerun served from the
     // same (now warm) store.
     let warm = grid(Some(&dir)).run();
@@ -230,7 +82,7 @@ fn event_logs_round_trip_through_jsonl_and_merge() {
         assert_eq!(a.normalized_time, b.normalized_time);
         assert_eq!(a.stats, b.stats);
     }
-    assert_eq!(warm.sims_executed, 0, "the sharded run left the store warm");
+    assert_eq!(warm.sims_executed, 0, "the logged run left the store warm");
     std::fs::remove_dir_all(&dir).ok();
 }
 

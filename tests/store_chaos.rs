@@ -1,29 +1,26 @@
-//! Chaos suite: the whole sharded lease/entry protocol under seeded fault
-//! injection.
+//! Chaos suite: local runs over a store under seeded fault injection.
 //!
-//! Each case runs a two-figure sharded session over one store whose backend
-//! is a [`FaultBackend`]: every read, write, lease create and removal may
-//! suffer a torn write, a lost create-new race, a stale read, a transient
-//! I/O error or injected latency, with the mix drawn from a seeded
-//! [`SimRng`](simkit) stream. Shards that die from injected errors are
-//! retried the way an operator resumes a killed shard (same run id), with a
-//! test clock advanced past the lease TTL so abandoned leases expire
-//! deterministically instead of by sleeping.
+//! Each case runs two figures over one store whose backend is a
+//! [`FaultBackend`]: every read, write and removal may suffer a torn write,
+//! a stale read, a transient I/O error or injected latency, with the mix
+//! drawn from a seeded [`SimRng`](simkit) stream. Each figure runs twice on
+//! the same store, the way an operator resumes a killed run: the second
+//! pass reads back whatever the first managed to persist, torn entries
+//! included.
 //!
-//! The acceptance bar, per seed:
-//! * the merge covers the grid — **no lost cells** (``merge_events`` fails
-//!   the test on any hole) and **no duplicated cells** (checked explicitly);
-//! * the merged reports are **byte-identical to the unfaulted run** after
+//! The acceptance bar, per seed and pass:
+//! * the report covers the grid — **no lost cells** and **no duplicated
+//!   cells** (checked explicitly);
+//! * the report is **byte-identical to the unfaulted run** after
 //!   canonicalisation. Canonical form zeroes wall-clock and the
-//!   executed/cached *provenance* tallies: a fault landing between "entry
-//!   persisted" and "lease marked done" legitimately turns a fresh cell
-//!   into a cached-looking one on retry, so provenance may flip under
-//!   faults — but the figure payload (cycles, normalised time, baselines)
-//!   must never move by a byte.
+//!   executed/cached *provenance* tallies: a failed write legitimately
+//!   turns a cache hit on the second pass into a re-simulation, so
+//!   provenance may flip under faults — but the figure payload (cycles,
+//!   normalised time, baselines) must never move by a byte.
 //!
 //! A failing seed prints its number and the full injected-fault log as a
 //! `(op, fault)` script; feeding that to [`FaultBackend::scripted`] replays
-//! the exact interleaving (see `a_seeded_failure_replays_exactly_from_its_
+//! the exact interleaving (see `a_seeded_run_replays_exactly_from_its_
 //! script`), which is how any future failure gets pinned as a regression
 //! test instead of a flake.
 //!
@@ -31,23 +28,14 @@
 //! `#[ignore]` is what the CI `store-chaos` job runs with
 //! `--release -- --include-ignored`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use muontrap_repro::prelude::*;
-use simsys::runner::{self, RunEvent};
-use simsys::store::{FaultBackend, FaultConfig, FaultRecord, MemBackend};
+use simsys::store::{Fault, FaultBackend, FaultConfig, FaultRecord, MemBackend, StoreBackend};
 
-/// Lease TTL for chaos runs; expiry happens by advancing [`test_clock`]
-/// past it, never by sleeping.
-const TTL_MS: u64 = 1_000;
-
-/// Injected transient errors abort shard attempts; with the chaos mix a
-/// handful of retries always converges — hitting this bound means the
-/// protocol stopped making progress, which is exactly a finding.
-const MAX_ATTEMPTS: usize = 60;
-
-fn figure_a(store: &ResultStore) -> ExperimentSession {
+/// Figure A: an explicit Unprotected column (the derived-cell path) and two
+/// real defenses.
+fn figure_a(store: &ResultStore, threads: usize) -> ExperimentSession {
     ExperimentSession::new()
         .title("chaos figure A")
         .scale(Scale::Tiny)
@@ -58,18 +46,19 @@ fn figure_a(store: &ResultStore) -> ExperimentSession {
             DefenseKind::SttSpectre,
         ])
         .config(SystemConfig::small_test())
-        .threads(1)
+        .threads(threads)
         .store(Some(store.clone()))
 }
 
-fn figure_b(store: &ResultStore) -> ExperimentSession {
+/// Figure B: two more workloads, sharing no unit with figure A.
+fn figure_b(store: &ResultStore, threads: usize) -> ExperimentSession {
     ExperimentSession::new()
         .title("chaos figure B")
         .scale(Scale::Tiny)
         .workloads(spec_suite(Scale::Tiny).into_iter().skip(2).take(2))
         .defenses([DefenseKind::MuonTrap, DefenseKind::SttSpectre])
         .config(SystemConfig::small_test())
-        .threads(1)
+        .threads(threads)
         .store(Some(store.clone()))
 }
 
@@ -86,62 +75,10 @@ fn canonical(mut report: RunReport) -> String {
     report.to_json().to_string_pretty()
 }
 
-fn shard_opts(shard: usize, count: usize, run_id: &str) -> ShardOptions {
-    let mut opts = ShardOptions::new(shard, count, run_id);
-    opts.lease_ttl_ms = TTL_MS;
-    // No heartbeat thread: time is the test clock's, not the wall's.
-    opts.heartbeat_ms = 0;
-    opts.poll_ms = 1;
-    opts
-}
-
-/// Runs every shard of one figure sequentially (deterministic interleaving
-/// under the frozen clock), retrying attempts that die from injected
-/// faults, and returns every attempt's events — crashed attempts included,
-/// exactly like feeding a killed shard's partial log to `merge`.
-fn run_figure_sharded(
-    build: impl Fn(&ResultStore) -> ExperimentSession,
-    store: &ResultStore,
-    clock: &AtomicU64,
-    run_id: &str,
-    shards: usize,
-    context: &dyn Fn() -> String,
-) -> Vec<RunEvent> {
-    let mut events = Vec::new();
-    for shard in 0..shards {
-        for attempt in 1..=MAX_ATTEMPTS {
-            // Whatever leases the previous attempt abandoned expire now.
-            clock.fetch_add(TTL_MS + 1, Ordering::Relaxed);
-            let mut sink: Vec<u8> = Vec::new();
-            let outcome = build(store).run_sharded(&shard_opts(shard, shards, run_id), &mut sink);
-            events.extend(
-                runner::read_events(std::io::BufReader::new(&sink[..]))
-                    .expect("attempt logs are well-formed JSONL"),
-            );
-            match outcome {
-                Ok(_) => break,
-                Err(_) if attempt < MAX_ATTEMPTS => continue,
-                Err(e) => panic!(
-                    "shard {shard} of `{run_id}` made no progress in {MAX_ATTEMPTS} attempts: {e}\n{}",
-                    context()
-                ),
-            }
-        }
-    }
-    events
-}
-
-/// Merges one figure's event pile and asserts the no-lost/no-duplicate
-/// invariants, with `context` (seed + fault log) attached to any failure.
-fn merge_checked(
-    session: ExperimentSession,
-    events: Vec<RunEvent>,
-    context: &dyn Fn() -> String,
-) -> RunReport {
-    let plan = session.plan();
-    let wall_clock_ms = runner::merged_wall_clock_ms(events.iter());
-    let report = merge_events(&plan, events, wall_clock_ms)
-        .unwrap_or_else(|e| panic!("cells were lost: {e}\n{}", context()));
+/// Asserts the no-lost/no-duplicate invariants on one report, with
+/// `context` (seed + fault log) attached to any failure, and returns its
+/// canonical form.
+fn checked(report: RunReport, context: &dyn Fn() -> String) -> String {
     let mut seen = std::collections::BTreeSet::new();
     for cell in &report.cells {
         assert!(
@@ -158,29 +95,25 @@ fn merge_checked(
         "grid incomplete\n{}",
         context()
     );
-    report
+    canonical(report)
 }
 
-/// One full chaos case: both figures, sharded, over one faulted store.
-/// Returns the canonical merged reports and the injected-fault log.
-fn chaos_run(seed: u64, config: &FaultConfig) -> (String, String, Vec<FaultRecord>) {
-    let mem = Arc::new(MemBackend::new());
+/// One full chaos case over a seeded faulty store. Returns the canonical
+/// reports of both passes of both figures and the injected-fault log.
+fn chaos_run(seed: u64, config: &FaultConfig) -> (Vec<String>, Vec<FaultRecord>) {
     let faulty = Arc::new(FaultBackend::seeded(
-        Arc::clone(&mem) as _,
+        Arc::new(MemBackend::new()),
         seed,
         config.clone(),
     ));
-    run_over(seed, Arc::clone(&faulty) as _, &faulty)
+    run_over(seed, &faulty)
 }
 
-/// The harness body, shared by seeded and scripted runs.
-fn run_over(
-    seed: u64,
-    backend: Arc<dyn simsys::store::StoreBackend>,
-    faulty: &Arc<FaultBackend>,
-) -> (String, String, Vec<FaultRecord>) {
-    let clock = Arc::new(AtomicU64::new(1_700_000_000_000));
-    let store = ResultStore::with_backend(backend).with_clock(Arc::clone(&clock));
+/// The harness body, shared by seeded and scripted runs: figure A twice,
+/// then figure B twice, one thread each so the operation sequence — and
+/// with it every injection point — is reproducible.
+fn run_over(seed: u64, faulty: &Arc<FaultBackend>) -> (Vec<String>, Vec<FaultRecord>) {
+    let store = ResultStore::with_backend(Arc::clone(faulty) as Arc<dyn StoreBackend>);
     let log = Arc::clone(faulty);
     let context = move || {
         let script: Vec<(u64, String)> = log
@@ -190,31 +123,33 @@ fn run_over(
             .collect();
         format!("seed {seed:#x}; replay script (op, fault): {script:?}")
     };
-    let events_a = run_figure_sharded(figure_a, &store, &clock, "chaos-a", 2, &context);
-    let events_b = run_figure_sharded(figure_b, &store, &clock, "chaos-b", 2, &context);
-    let report_a = merge_checked(figure_a(&store), events_a, &context);
-    let report_b = merge_checked(figure_b(&store), events_b, &context);
-    (canonical(report_a), canonical(report_b), faulty.injected())
+    let mut reports = Vec::new();
+    for build in [figure_a, figure_b] {
+        for _pass in 0..2 {
+            reports.push(checked(build(&store, 1).run(), &context));
+        }
+    }
+    (reports, faulty.injected())
 }
 
-/// The unfaulted truth both figures must converge to, canonicalised.
-fn reference() -> (String, String) {
+/// The unfaulted truth, canonicalised, in [`run_over`]'s report order.
+fn reference() -> Vec<String> {
     let store = ResultStore::in_memory();
-    (
-        canonical(figure_a(&store).run()),
-        canonical(figure_b(&store).run()),
-    )
+    let a = canonical(figure_a(&store, 1).run());
+    let b = canonical(figure_b(&store, 1).run());
+    vec![a.clone(), a, b.clone(), b]
 }
 
 fn sweep(seeds: std::ops::Range<u64>) {
-    let (want_a, want_b) = reference();
+    let want = reference();
     let config = FaultConfig::chaos();
     let mut injected_total = 0usize;
     for seed in seeds {
-        let (got_a, got_b, injected) = chaos_run(seed, &config);
+        let (got, injected) = chaos_run(seed, &config);
         injected_total += injected.len();
-        assert_eq!(got_a, want_a, "figure A diverged under seed {seed:#x}");
-        assert_eq!(got_b, want_b, "figure B diverged under seed {seed:#x}");
+        for (pass, (got, want)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(got, want, "report {pass} diverged under seed {seed:#x}");
+        }
     }
     assert!(
         injected_total > 0,
@@ -238,29 +173,29 @@ fn chaos_hundred_plus_seed_sweep() {
 #[test]
 fn a_seeded_run_replays_exactly_from_its_script() {
     // The regression-replay mode: take any seeded run's injected-fault log,
-    // feed it back as a script over a fresh store, and the protocol walks
-    // the *identical* interleaving — same injections at the same operation
-    // indices, same merged bytes. This is how a failing seed from the sweep
+    // feed it back as a script over a fresh store, and the runs walk the
+    // *identical* interleaving — same injections at the same operation
+    // indices, same report bytes. This is how a failing seed from the sweep
     // above gets pinned forever.
-    let config = FaultConfig::chaos();
-    let seed = 0xc4a0_5eed;
-    let (seeded_a, seeded_b, injected) = chaos_run(seed, &config);
-    assert!(
-        !injected.is_empty(),
-        "pick a seed that actually injects faults"
-    );
+    // The first seed whose run tears an entry among at least three faults.
+    let (seed, seeded, injected) = (0u64..)
+        .map(|seed| {
+            let (reports, injected) = chaos_run(seed, &FaultConfig::chaos());
+            (seed, reports, injected)
+        })
+        .find(|(_, _, injected)| {
+            injected.len() >= 3 && injected.iter().any(|r| r.fault == Fault::TornWrite)
+        })
+        .expect("some seed injects faults");
 
-    let script: Vec<(u64, simsys::store::Fault)> =
-        injected.iter().map(|r| (r.op, r.fault)).collect();
-    let mem = Arc::new(MemBackend::new());
+    let script: Vec<(u64, Fault)> = injected.iter().map(|r| (r.op, r.fault)).collect();
     let replayed = Arc::new(FaultBackend::scripted(
-        Arc::clone(&mem) as _,
+        Arc::new(MemBackend::new()),
         script.iter().copied(),
     ));
-    let (replay_a, replay_b, replay_log) = run_over(seed, Arc::clone(&replayed) as _, &replayed);
-    assert_eq!(replay_a, seeded_a);
-    assert_eq!(replay_b, seeded_b);
-    let as_pairs = |log: &[FaultRecord]| -> Vec<(u64, simsys::store::Fault)> {
+    let (replay, replay_log) = run_over(seed, &replayed);
+    assert_eq!(replay, seeded);
+    let as_pairs = |log: &[FaultRecord]| -> Vec<(u64, Fault)> {
         log.iter().map(|r| (r.op, r.fault)).collect()
     };
     assert_eq!(
@@ -268,62 +203,36 @@ fn a_seeded_run_replays_exactly_from_its_script() {
         script,
         "the replay must fire exactly the recorded faults at the recorded ops"
     );
-    let _ = seeded_a;
 }
 
 #[test]
 fn concurrently_racing_faulted_shards_still_converge() {
-    // The real-concurrency variant: two OS threads race over one faulted
-    // store with the real wall clock and a short TTL. The interleaving is
-    // nondeterministic, so there is no byte-level replay here — the
-    // invariants (nothing lost, nothing duplicated, canonical bytes equal
-    // the unfaulted run) must hold for *every* interleaving.
-    let (want_a, _) = reference();
-    let config = FaultConfig::chaos();
+    // The real-concurrency variant: two runs of figure A, two worker
+    // threads each, race over one faulted store, writing the same entries.
+    // The interleaving is nondeterministic, so there is no byte-level
+    // replay here — the invariants (nothing lost, nothing duplicated,
+    // canonical bytes equal the unfaulted run) must hold for *every*
+    // interleaving.
+    let want = canonical(figure_a(&ResultStore::in_memory(), 2).run());
     for seed in 0..4u64 {
-        let mem = Arc::new(MemBackend::new());
         let faulty = Arc::new(FaultBackend::seeded(
-            Arc::clone(&mem) as _,
+            Arc::new(MemBackend::new()),
             seed,
-            config.clone(),
+            FaultConfig::chaos(),
         ));
-        let store = ResultStore::with_backend(Arc::clone(&faulty) as _);
+        let store = ResultStore::with_backend(Arc::clone(&faulty) as Arc<dyn StoreBackend>);
         let context = {
             let faulty = Arc::clone(&faulty);
             move || format!("seed {seed:#x}; injected: {:?}", faulty.injected())
         };
-        let logs: Vec<Vec<RunEvent>> = std::thread::scope(|scope| {
+        let reports: Vec<RunReport> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..2)
-                .map(|shard| {
-                    let store = store.clone();
-                    scope.spawn(move || {
-                        let mut events = Vec::new();
-                        for attempt in 1.. {
-                            let mut opts = shard_opts(shard, 2, "chaos-race");
-                            // Real clock: short TTL so abandoned leases
-                            // expire while the poll loop waits.
-                            opts.lease_ttl_ms = 200;
-                            let mut sink: Vec<u8> = Vec::new();
-                            let outcome = figure_a(&store).run_sharded(&opts, &mut sink);
-                            events.extend(
-                                runner::read_events(std::io::BufReader::new(&sink[..]))
-                                    .expect("attempt logs are well-formed JSONL"),
-                            );
-                            match outcome {
-                                Ok(_) => break,
-                                Err(e) => {
-                                    assert!(attempt < MAX_ATTEMPTS, "shard {shard} stuck: {e}")
-                                }
-                            }
-                        }
-                        events
-                    })
-                })
+                .map(|_| scope.spawn(|| figure_a(&store, 2).run()))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        let events: Vec<RunEvent> = logs.into_iter().flatten().collect();
-        let report = merge_checked(figure_a(&store), events, &context);
-        assert_eq!(canonical(report), want_a, "{}", context());
+        for report in reports {
+            assert_eq!(checked(report, &context), want, "{}", context());
+        }
     }
 }

@@ -1,11 +1,10 @@
 //! Golden on-disk layout tests for the filesystem store backend.
 //!
-//! The `StoreBackend` refactor must leave `FsBackend` bit-compatible with
-//! the pre-trait store: the same entry paths, the same pretty-JSON entry
-//! bytes, the same compact single-line lease files with the same key order
-//! — so existing store directories (including CI artifacts and multi-host
-//! shares) keep working across the refactor in both directions. These tests
-//! pin every byte of that contract; if one fails, bump
+//! `FsBackend` must stay bit-compatible with every store directory written
+//! before it: the same entry paths and the same pretty-JSON entry bytes, so
+//! existing store directories (including CI artifacts) keep working in both
+//! directions, and the `.leases/` directory older versions left behind is
+//! ignored. These tests pin every byte of that contract; if one fails, bump
 //! [`simsys::store::STORE_FORMAT_VERSION`] instead of shipping a silent
 //! layout change.
 
@@ -119,68 +118,33 @@ fn hand_planted_legacy_entries_are_served_as_hits() {
 }
 
 #[test]
-fn lease_files_are_compact_single_lines_with_stable_key_order() {
-    let root = temp_dir("lease-bytes");
-    let store = ResultStore::open(&root).unwrap();
-    let (w, cfg) = sample();
-    let key = cell_fingerprint(&w, DefenseKind::MuonTrap, &cfg);
-    store.try_lease(key, "owner-a", "run-1", 12_345).unwrap();
-
-    let path = root.join(".leases").join(format!("{}.lease", key.to_hex()));
-    assert!(
-        path.is_file(),
-        "lease must land at <root>/.leases/<32 hex>.lease"
-    );
-    assert_eq!(store.lease_path(key), path);
-    let raw = std::fs::read_to_string(&path).unwrap();
-    assert!(
-        !raw.contains('\n'),
-        "lease files are single-line compact JSON"
-    );
-    // Byte-level key order: parse and reserialise through LeaseInfo's own
-    // ToJson — equality proves the file uses exactly that field order
-    // (owner, run_id, acquired_unix_ms, ttl_ms, done) and spacing.
-    let parsed = store.read_lease(key).unwrap();
-    assert_eq!(parsed.owner, "owner-a");
-    assert_eq!(parsed.run_id, "run-1");
-    assert_eq!(parsed.ttl_ms, 12_345);
-    assert!(!parsed.done);
-    assert_eq!(raw, parsed.to_json().to_string_compact());
-    assert!(
-        raw.starts_with("{\"owner\":"),
-        "owner leads the lease envelope: {raw}"
-    );
-
-    // Done markers rewrite in place with the same shape, ttl_ms 0.
-    store.mark_done(key, "owner-a", "run-1").unwrap();
-    let raw = std::fs::read_to_string(&path).unwrap();
-    let parsed = store.read_lease(key).unwrap();
-    assert!(parsed.done);
-    assert_eq!(parsed.ttl_ms, 0, "done leases never expire");
-    assert_eq!(raw, parsed.to_json().to_string_compact());
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
 fn a_pre_refactor_store_tree_round_trips_through_both_apis() {
-    // Write through ResultStore, then read the same tree through a second,
-    // completely fresh handle (a different process in real deployments) and
-    // assert entry + lease + done marker agree — the cross-process contract
-    // multi-host runs depend on.
+    // Write through ResultStore, plant the lease files an older version's
+    // multi-process runner left next to the entries, then read the tree
+    // through a second, completely fresh handle (a different process in
+    // real deployments): the entry hits and the leases are not entries.
     let root = temp_dir("roundtrip");
     let (w, cfg) = sample();
     let key = cell_fingerprint(&w, DefenseKind::MuonTrap, &cfg);
     let result = simulate(&w, DefenseKind::MuonTrap, &cfg);
-    {
-        let writer = ResultStore::open(&root).unwrap();
-        writer.put(key, &result).unwrap();
-        writer.try_lease(key, "w", "run-9", 60_000).unwrap();
-        writer.mark_done(key, "w", "run-9").unwrap();
-    }
+    ResultStore::open(&root).unwrap().put(key, &result).unwrap();
+    let leases = root.join(".leases");
+    std::fs::create_dir_all(&leases).unwrap();
+    let lease = leases.join(format!("{}.lease", key.to_hex()));
+    std::fs::write(
+        &lease,
+        r#"{"owner":"w","run_id":"run-9","acquired_unix_ms":1,"ttl_ms":0,"done":true}"#,
+    )
+    .unwrap();
+
     let reader = ResultStore::open(&root).unwrap();
     assert_eq!(reader.get(key), Some(result));
-    assert!(reader.completed_during(key, "run-9"));
-    assert!(!reader.completed_during(key, "run-10"));
+    assert_eq!(reader.len(), 1, "lease files are not entries");
+    assert_eq!(reader.gc(0).unwrap().entries_evicted, 1);
+    assert!(
+        lease.is_file(),
+        "gc leaves the legacy lease directory alone"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 
