@@ -10,7 +10,7 @@ use simkit::addr::VirtAddr;
 use simkit::config::SystemConfig;
 use simkit::cycles::Cycle;
 
-use defenses::{build_defense, DefenseKind};
+use defenses::DefenseKind;
 use memsys::tlb::PageTable;
 use ooo_core::memmodel::{MemAccessCtx, MemOutcome, MemoryModel};
 
@@ -19,7 +19,7 @@ use crate::AttackOutcome;
 /// Builds the memory model for `kind` with all cores sharing one address space
 /// (attacker and victim sharing memory, as the coherence attacks require).
 fn shared_address_space_model(kind: DefenseKind, config: &SystemConfig) -> Box<dyn MemoryModel> {
-    let mut model = build_defense(kind, config);
+    let mut model = kind.build(config);
     for core in 0..config.cores {
         model.set_page_table(core, PageTable::new(config.tlb.page_bytes, 0));
     }

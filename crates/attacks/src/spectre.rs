@@ -226,7 +226,7 @@ pub fn spectre_prime_probe_with_secret(
     // the attacker is scheduled.
     cfg.scheduler_quantum = 10_000_000;
 
-    let memory_model = defenses::build_defense(kind, &cfg);
+    let memory_model = kind.build(&cfg);
     let mut system = System::new(&cfg, memory_model);
 
     let victim_pid = system.add_process();

@@ -1,6 +1,6 @@
-//! Runs attacks 1-6 against every defense in the
-//! [`defenses::DefenseRegistry`] catalogue — not a hard-coded list, so a
-//! newly registered defense automatically joins the matrix — and prints
+//! Runs attacks 1-6 against every named defense
+//! ([`defenses::DefenseKind::NAMED`], not a hard-coded list, so a newly
+//! named defense automatically joins the matrix) and prints
 //! which configurations leak (the paper's security argument, in executable
 //! form), followed by the §4.8 domain-switch stress grid: the syscall/sandbox-heavy
 //! kernels — which force a filter-cache flush every few hundred instructions

@@ -39,7 +39,7 @@ use simkit::json::{Json, ToJson};
 use simkit::stats::geometric_mean;
 
 use attacks::AttackOutcome;
-use defenses::{DefenseKind, DefenseRegistry};
+use defenses::DefenseKind;
 use simsys::session::{ExperimentSession, RunReport};
 use simsys::store::ResultStore;
 use workloads::{domain_switch_suite, parsec_suite, spec_suite, Scale, Workload};
@@ -477,13 +477,11 @@ pub fn figure_session(
 }
 
 /// The raw outcome of every attack against every configuration the security
-/// argument compares: the full [`DefenseRegistry::standard`] catalogue, in
-/// registration order, so a newly registered defense can never silently fall
-/// out of the attack report.
+/// argument compares: every [`DefenseKind::NAMED`] kind, in that order, so a
+/// newly named defense can never silently fall out of the attack report.
 pub fn security_outcomes(config: &SystemConfig) -> Vec<AttackOutcome> {
-    let registry = DefenseRegistry::standard();
     let mut outcomes = Vec::new();
-    for (_, kind) in registry.iter() {
+    for kind in DefenseKind::NAMED {
         outcomes.push(attacks::spectre_prime_probe(kind, config));
         outcomes.extend(attacks::litmus::run_litmus_suite(kind, config));
     }

@@ -15,18 +15,17 @@
 //! under an unresolved branch are handled the same way: invisible now,
 //! installed at commit.
 
-use std::collections::HashSet;
-
-use simkit::addr::LineAddr;
 use simkit::config::SystemConfig;
 use simkit::cycles::Cycle;
 use simkit::stats::StatSet;
 
-use memsys::hierarchy::MemoryHierarchy;
-use memsys::tlb::{Mmu, PageTable};
+use memsys::tlb::PageTable;
 use memsys::types::{AccessKind, AccessRequest, FillLevel};
+use memsys::Platform;
 
 use ooo_core::memmodel::{DomainSwitch, MemAccessCtx, MemOutcome, MemoryModel};
+
+use crate::deferred::DeferredFetches;
 
 /// The no-speculative-fills memory model.
 ///
@@ -49,58 +48,31 @@ use ooo_core::memmodel::{DomainSwitch, MemAccessCtx, MemOutcome, MemoryModel};
 /// );
 /// // A speculative load completes, but leaves nothing in any cache.
 /// assert!(model.load(&ctx).latency().is_some());
-/// let line = model.phys_line(0, VirtAddr::new(0x8000));
-/// assert!(!model.hierarchy().own_l1_contains(0, line));
+/// let line = model.platform().phys_line(0, VirtAddr::new(0x8000));
+/// assert!(!model.platform().hierarchy.own_l1_contains(0, line));
 /// ```
 #[derive(Debug)]
 pub struct DelayLoads {
-    config: SystemConfig,
-    hierarchy: MemoryHierarchy,
-    mmus: Vec<Mmu>,
-    /// Per-core instruction lines fetched under an unresolved branch and not
-    /// yet committed: invisible for now, installed if and when they commit.
-    pending_ifetch: Vec<HashSet<LineAddr>>,
+    platform: Platform,
+    /// Fetches made under an unresolved branch, installed if they commit.
+    deferred: DeferredFetches,
     stats: StatSet,
 }
 
 impl DelayLoads {
-    /// Builds the model over a fresh hierarchy.
+    /// Builds the model over a fresh platform.
     pub fn new(config: &SystemConfig) -> Self {
-        let mmus = (0..config.cores)
-            .map(|i| {
-                Mmu::new(
-                    &config.tlb,
-                    PageTable::new(config.tlb.page_bytes, (i as u64 + 1) << 32),
-                )
-            })
-            .collect();
         DelayLoads {
-            config: config.clone(),
-            hierarchy: MemoryHierarchy::new(config),
-            mmus,
-            pending_ifetch: (0..config.cores).map(|_| HashSet::new()).collect(),
+            platform: Platform::new(config),
+            deferred: DeferredFetches::new(config.cores),
             stats: StatSet::new(),
         }
     }
 
-    /// Read-only access to the hierarchy (for the attack harness).
-    pub fn hierarchy(&self) -> &MemoryHierarchy {
-        &self.hierarchy
-    }
-
-    /// Translates a virtual address on `core` to its physical line without
-    /// timing side effects.
-    pub fn phys_line(&self, core: usize, vaddr: simkit::addr::VirtAddr) -> LineAddr {
-        let pa = self.mmus[core].page_table().translate(vaddr);
-        LineAddr::from_phys(pa, self.config.line_bytes)
-    }
-
-    fn data_line(&mut self, core: usize, ctx: &MemAccessCtx) -> (LineAddr, u64) {
-        let t = self.mmus[core].translate_data(ctx.vaddr);
-        (
-            LineAddr::from_phys(t.paddr, self.config.line_bytes),
-            t.latency,
-        )
+    /// The platform underneath, whose hierarchy shows what speculation left
+    /// behind.
+    pub fn platform(&self) -> &Platform {
+        &self.platform
     }
 }
 
@@ -110,40 +82,29 @@ impl MemoryModel for DelayLoads {
     }
 
     fn fetch_instruction(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
-        let t = self.mmus[ctx.core].translate_inst(ctx.vaddr);
-        let line = LineAddr::from_phys(t.paddr, self.config.line_bytes);
-        if ctx.under_unresolved_branch {
+        let (line, xlat) = self.platform.inst_line(ctx.core, ctx.vaddr);
+        let latency = if ctx.under_unresolved_branch {
             self.stats.bump("delay_loads.invisible_ifetches");
-            let req = AccessRequest::new(ctx.core, line, AccessKind::InstFetch, ctx.when)
-                .with_fill(FillLevel::None)
-                .without_prefetch_training();
-            let resp = self.hierarchy.access(&req);
-            self.pending_ifetch[ctx.core].insert(line);
-            return MemOutcome::Done {
-                latency: resp.latency + t.latency,
-            };
-        }
-        let req = AccessRequest::new(ctx.core, line, AccessKind::InstFetch, ctx.when);
-        let resp = self.hierarchy.access(&req);
+            self.deferred
+                .fetch(&mut self.platform, ctx.core, line, ctx.when)
+        } else {
+            self.platform.fetch_line(ctx.core, line, ctx.when)
+        };
         MemOutcome::Done {
-            latency: resp.latency + t.latency,
+            latency: latency + xlat,
         }
     }
 
     fn load(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
-        let (line, xlat) = self.data_line(ctx.core, ctx);
+        let (line, xlat) = self.platform.data_line(ctx.core, ctx.vaddr);
 
         // Non-speculative accesses (atomics at the head of the ROB, retried
         // loads) behave exactly as on the unprotected hierarchy.
         if !ctx.speculative {
             self.stats.bump("delay_loads.nonspec_loads");
-            let kind = if ctx.is_store {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
-            let req = AccessRequest::new(ctx.core, line, kind, ctx.when).with_pc(ctx.pc.raw());
-            let resp = self.hierarchy.access(&req);
+            let resp = self
+                .platform
+                .load_line(ctx.core, line, ctx.pc, ctx.is_store, ctx.when);
             return MemOutcome::Done {
                 latency: resp.latency + xlat,
             };
@@ -158,7 +119,7 @@ impl MemoryModel for DelayLoads {
             .with_fill(FillLevel::None)
             .without_prefetch_training()
             .without_remote_downgrade();
-        let resp = self.hierarchy.access(&req);
+        let resp = self.platform.hierarchy.access(&req);
         if resp.coherence_delayed {
             // Exclusively owned elsewhere: even an invisible read would be
             // observable through the owner's timing, so wait until safe.
@@ -175,55 +136,46 @@ impl MemoryModel for DelayLoads {
     }
 
     fn commit_access(&mut self, ctx: &MemAccessCtx) -> u64 {
-        let (line, _) = self.data_line(ctx.core, ctx);
+        let (line, _) = self.platform.data_line(ctx.core, ctx.vaddr);
         if ctx.is_store {
             self.stats.bump("delay_loads.committed_stores");
-            let req = AccessRequest::new(ctx.core, line, AccessKind::Store, ctx.when)
-                .with_pc(ctx.pc.raw());
-            let _ = self.hierarchy.access(&req);
-            return 0;
+        } else {
+            // The deferred fill: an ordinary access at commit installs the
+            // line and gives the prefetcher its only (committed-stream)
+            // training. The fill is asynchronous — the data itself was
+            // already delivered at execute — so commit is not stalled.
+            self.stats.bump("delay_loads.committed_loads");
         }
-        // The deferred fill: an ordinary access at commit installs the line
-        // and gives the prefetcher its only (committed-stream) training. The
-        // fill is asynchronous — the data itself was already delivered at
-        // execute — so commit is not stalled.
-        self.stats.bump("delay_loads.committed_loads");
-        let req =
-            AccessRequest::new(ctx.core, line, AccessKind::Load, ctx.when).with_pc(ctx.pc.raw());
-        let _ = self.hierarchy.access(&req);
+        let _ = self
+            .platform
+            .load_line(ctx.core, line, ctx.pc, ctx.is_store, ctx.when);
         0
     }
 
     fn commit_fetch(&mut self, ctx: &MemAccessCtx) {
-        let t = self.mmus[ctx.core].translate_inst(ctx.vaddr);
-        let line = LineAddr::from_phys(t.paddr, self.config.line_bytes);
-        if self.pending_ifetch[ctx.core].remove(&line) {
+        let (line, _) = self.platform.inst_line(ctx.core, ctx.vaddr);
+        if self
+            .deferred
+            .commit(&mut self.platform, ctx.core, line, ctx.when)
+        {
             self.stats.bump("delay_loads.committed_ifetch_installs");
-            let req = AccessRequest::new(ctx.core, line, AccessKind::InstFetch, ctx.when);
-            let _ = self.hierarchy.access(&req);
         }
     }
 
     fn set_page_table(&mut self, core: usize, table: PageTable) {
-        self.mmus[core].set_page_table(table);
+        self.platform.set_page_table(core, table);
     }
 
     fn on_squash(&mut self, core: usize, _when: Cycle) {
-        self.pending_ifetch[core].clear();
+        self.deferred.clear(core);
     }
 
-    fn on_domain_switch(&mut self, core: usize, kind: DomainSwitch, _when: Cycle) {
-        self.pending_ifetch[core].clear();
-        if matches!(kind, DomainSwitch::ContextSwitch) {
-            let table = self.mmus[core].page_table().clone();
-            self.mmus[core].set_page_table(table);
-        }
+    fn on_domain_switch(&mut self, core: usize, _kind: DomainSwitch, _when: Cycle) {
+        self.deferred.clear(core);
     }
 
     fn stats(&self) -> StatSet {
-        let mut s = self.stats.clone();
-        s.merge(self.hierarchy.stats());
-        s
+        self.platform.stats(&self.stats)
     }
 }
 
@@ -250,9 +202,9 @@ mod tests {
     fn speculative_loads_fill_nothing() {
         let mut m = DelayLoads::new(&SystemConfig::paper_default());
         let _ = m.load(&ctx(0, 0x8000, true, false));
-        let line = m.phys_line(0, VirtAddr::new(0x8000));
-        assert!(!m.hierarchy().own_l1_contains(0, line));
-        assert!(!m.hierarchy().l2_contains(line));
+        let line = m.platform().phys_line(0, VirtAddr::new(0x8000));
+        assert!(!m.platform().hierarchy.own_l1_contains(0, line));
+        assert!(!m.platform().hierarchy.l2_contains(line));
     }
 
     #[test]
@@ -274,8 +226,8 @@ mod tests {
         let _ = m.load(&ctx(0, 0x8000, true, false));
         let extra = m.commit_access(&ctx(0, 0x8000, false, false));
         assert_eq!(extra, 0, "the deferred fill is asynchronous");
-        let line = m.phys_line(0, VirtAddr::new(0x8000));
-        assert!(m.hierarchy().own_l1_contains(0, line));
+        let line = m.platform().phys_line(0, VirtAddr::new(0x8000));
+        assert!(m.platform().hierarchy.own_l1_contains(0, line));
     }
 
     #[test]
@@ -295,11 +247,11 @@ mod tests {
     fn wrong_path_fetches_leave_no_cache_state() {
         let mut m = DelayLoads::new(&SystemConfig::paper_default());
         let _ = m.fetch_instruction(&ctx(0, 0x41_0000, true, false));
-        let line = m.phys_line(0, VirtAddr::new(0x41_0000));
-        assert!(!m.hierarchy().l2_contains(line));
+        let line = m.platform().phys_line(0, VirtAddr::new(0x41_0000));
+        assert!(!m.platform().hierarchy.l2_contains(line));
         m.on_squash(0, Cycle::ZERO);
         m.commit_fetch(&ctx(0, 0x41_0000, false, false));
-        assert!(!m.hierarchy().l2_contains(line));
+        assert!(!m.platform().hierarchy.l2_contains(line));
     }
 
     #[test]
@@ -311,7 +263,7 @@ mod tests {
         let mut commit = ctx(0, 0x41_0000, false, false);
         commit.when = Cycle::new(10_000);
         m.commit_fetch(&commit);
-        let line = m.phys_line(0, VirtAddr::new(0x41_0000));
-        assert!(m.hierarchy().l2_contains(line));
+        let line = m.platform().phys_line(0, VirtAddr::new(0x41_0000));
+        assert!(m.platform().hierarchy.l2_contains(line));
     }
 }

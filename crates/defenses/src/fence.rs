@@ -22,18 +22,16 @@
 //! * everything non-speculative behaves exactly as on the unprotected
 //!   hierarchy.
 
-use std::collections::HashSet;
-
-use simkit::addr::LineAddr;
 use simkit::config::SystemConfig;
 use simkit::cycles::Cycle;
 use simkit::stats::StatSet;
 
-use memsys::hierarchy::MemoryHierarchy;
-use memsys::tlb::{Mmu, PageTable};
-use memsys::types::{AccessKind, AccessRequest, FillLevel};
+use memsys::tlb::PageTable;
+use memsys::Platform;
 
 use ooo_core::memmodel::{DomainSwitch, MemAccessCtx, MemOutcome, MemoryModel};
+
+use crate::deferred::DeferredFetches;
 
 /// The fence-at-every-branch memory model.
 ///
@@ -63,53 +61,26 @@ use ooo_core::memmodel::{DomainSwitch, MemAccessCtx, MemOutcome, MemoryModel};
 /// ```
 #[derive(Debug)]
 pub struct Fence {
-    config: SystemConfig,
-    hierarchy: MemoryHierarchy,
-    mmus: Vec<Mmu>,
-    /// Per-core instruction lines fetched under an unresolved branch and not
-    /// yet committed: invisible for now, installed if and when they commit.
-    pending_ifetch: Vec<HashSet<LineAddr>>,
+    platform: Platform,
+    /// Fetches made under an unresolved branch, installed if they commit.
+    deferred: DeferredFetches,
     stats: StatSet,
 }
 
 impl Fence {
-    /// Builds the fence model over a fresh hierarchy.
+    /// Builds the fence model over a fresh platform.
     pub fn new(config: &SystemConfig) -> Self {
-        let mmus = (0..config.cores)
-            .map(|i| {
-                Mmu::new(
-                    &config.tlb,
-                    PageTable::new(config.tlb.page_bytes, (i as u64 + 1) << 32),
-                )
-            })
-            .collect();
         Fence {
-            config: config.clone(),
-            hierarchy: MemoryHierarchy::new(config),
-            mmus,
-            pending_ifetch: (0..config.cores).map(|_| HashSet::new()).collect(),
+            platform: Platform::new(config),
+            deferred: DeferredFetches::new(config.cores),
             stats: StatSet::new(),
         }
     }
 
-    /// Read-only access to the hierarchy (for the attack harness).
-    pub fn hierarchy(&self) -> &MemoryHierarchy {
-        &self.hierarchy
-    }
-
-    /// Translates a virtual address on `core` to its physical line without
-    /// timing side effects.
-    pub fn phys_line(&self, core: usize, vaddr: simkit::addr::VirtAddr) -> LineAddr {
-        let pa = self.mmus[core].page_table().translate(vaddr);
-        LineAddr::from_phys(pa, self.config.line_bytes)
-    }
-
-    fn data_line(&mut self, core: usize, ctx: &MemAccessCtx) -> (LineAddr, u64) {
-        let t = self.mmus[core].translate_data(ctx.vaddr);
-        (
-            LineAddr::from_phys(t.paddr, self.config.line_bytes),
-            t.latency,
-        )
+    /// The platform underneath, whose hierarchy shows what speculation left
+    /// behind.
+    pub fn platform(&self) -> &Platform {
+        &self.platform
     }
 }
 
@@ -119,26 +90,19 @@ impl MemoryModel for Fence {
     }
 
     fn fetch_instruction(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
-        let t = self.mmus[ctx.core].translate_inst(ctx.vaddr);
-        let line = LineAddr::from_phys(t.paddr, self.config.line_bytes);
-        if ctx.under_unresolved_branch {
+        let (line, xlat) = self.platform.inst_line(ctx.core, ctx.vaddr);
+        let latency = if ctx.under_unresolved_branch {
             // A fenced machine would not have fetched past the branch yet;
             // service the fetch without perturbing any cache and install the
             // line at commit instead (when the fetch is known correct-path).
             self.stats.bump("fence.invisible_ifetches");
-            let req = AccessRequest::new(ctx.core, line, AccessKind::InstFetch, ctx.when)
-                .with_fill(FillLevel::None)
-                .without_prefetch_training();
-            let resp = self.hierarchy.access(&req);
-            self.pending_ifetch[ctx.core].insert(line);
-            return MemOutcome::Done {
-                latency: resp.latency + t.latency,
-            };
-        }
-        let req = AccessRequest::new(ctx.core, line, AccessKind::InstFetch, ctx.when);
-        let resp = self.hierarchy.access(&req);
+            self.deferred
+                .fetch(&mut self.platform, ctx.core, line, ctx.when)
+        } else {
+            self.platform.fetch_line(ctx.core, line, ctx.when)
+        };
         MemOutcome::Done {
-            latency: resp.latency + t.latency,
+            latency: latency + xlat,
         }
     }
 
@@ -152,18 +116,11 @@ impl MemoryModel for Fence {
             self.stats.bump("fence.delayed_loads");
             return MemOutcome::RetryWhenNonSpeculative;
         }
-        let (line, xlat) = self.data_line(ctx.core, ctx);
         self.stats.bump("fence.loads");
-        // Atomics arrive here with `is_store` set and need exclusive ownership.
-        let kind = if ctx.is_store {
-            AccessKind::Store
-        } else {
-            AccessKind::Load
-        };
-        let req = AccessRequest::new(ctx.core, line, kind, ctx.when).with_pc(ctx.pc.raw());
-        let resp = self.hierarchy.access(&req);
         MemOutcome::Done {
-            latency: resp.latency + xlat,
+            latency: self
+                .platform
+                .load(ctx.core, ctx.vaddr, ctx.pc, ctx.is_store, ctx.when),
         }
     }
 
@@ -172,51 +129,40 @@ impl MemoryModel for Fence {
     }
 
     fn commit_access(&mut self, ctx: &MemAccessCtx) -> u64 {
-        let (line, _) = self.data_line(ctx.core, ctx);
+        let (line, _) = self.platform.data_line(ctx.core, ctx.vaddr);
         if ctx.is_store {
             self.stats.bump("fence.stores");
-            let req = AccessRequest::new(ctx.core, line, AccessKind::Store, ctx.when)
-                .with_pc(ctx.pc.raw());
-            let _ = self.hierarchy.access(&req);
+            self.platform.commit_store(ctx.core, line, ctx.pc, ctx.when);
         }
         0
     }
 
     fn commit_fetch(&mut self, ctx: &MemAccessCtx) {
-        let t = self.mmus[ctx.core].translate_inst(ctx.vaddr);
-        let line = LineAddr::from_phys(t.paddr, self.config.line_bytes);
-        if self.pending_ifetch[ctx.core].remove(&line) {
-            // The fetch committed, so a fenced machine would have performed it
-            // post-resolution: install the line now (off the critical path).
+        // The fetch committed, so a fenced machine would have performed it
+        // post-resolution: install the line now.
+        let (line, _) = self.platform.inst_line(ctx.core, ctx.vaddr);
+        if self
+            .deferred
+            .commit(&mut self.platform, ctx.core, line, ctx.when)
+        {
             self.stats.bump("fence.committed_ifetch_installs");
-            let req = AccessRequest::new(ctx.core, line, AccessKind::InstFetch, ctx.when);
-            let _ = self.hierarchy.access(&req);
         }
     }
 
     fn set_page_table(&mut self, core: usize, table: PageTable) {
-        self.mmus[core].set_page_table(table);
+        self.platform.set_page_table(core, table);
     }
 
     fn on_squash(&mut self, core: usize, _when: Cycle) {
-        // Wrong-path invisible fetches must never install; dropping the whole
-        // pending set also drops correct-path entries, which simply re-install
-        // on their next miss.
-        self.pending_ifetch[core].clear();
+        self.deferred.clear(core);
     }
 
-    fn on_domain_switch(&mut self, core: usize, kind: DomainSwitch, _when: Cycle) {
-        self.pending_ifetch[core].clear();
-        if matches!(kind, DomainSwitch::ContextSwitch) {
-            let table = self.mmus[core].page_table().clone();
-            self.mmus[core].set_page_table(table);
-        }
+    fn on_domain_switch(&mut self, core: usize, _kind: DomainSwitch, _when: Cycle) {
+        self.deferred.clear(core);
     }
 
     fn stats(&self) -> StatSet {
-        let mut s = self.stats.clone();
-        s.merge(self.hierarchy.stats());
-        s
+        self.platform.stats(&self.stats)
     }
 }
 
@@ -246,9 +192,9 @@ mod tests {
             f.load(&ctx(0, 0x8000, true, false)),
             MemOutcome::RetryWhenNonSpeculative
         );
-        let line = f.phys_line(0, VirtAddr::new(0x8000));
-        assert!(!f.hierarchy().own_l1_contains(0, line));
-        assert!(!f.hierarchy().l2_contains(line));
+        let line = f.platform().phys_line(0, VirtAddr::new(0x8000));
+        assert!(!f.platform().hierarchy.own_l1_contains(0, line));
+        assert!(!f.platform().hierarchy.l2_contains(line));
     }
 
     #[test]
@@ -259,20 +205,20 @@ mod tests {
         let mut c = ctx(0, 0x8000, true, false);
         c.under_unresolved_branch = false;
         assert!(f.load(&c).latency().is_some());
-        let line = f.phys_line(0, VirtAddr::new(0x8000));
-        assert!(f.hierarchy().own_l1_contains(0, line));
+        let line = f.platform().phys_line(0, VirtAddr::new(0x8000));
+        assert!(f.platform().hierarchy.own_l1_contains(0, line));
     }
 
     #[test]
     fn wrong_path_fetches_leave_no_cache_state() {
         let mut f = Fence::new(&SystemConfig::paper_default());
         let _ = f.fetch_instruction(&ctx(0, 0x41_0000, true, false));
-        let line = f.phys_line(0, VirtAddr::new(0x41_0000));
-        assert!(!f.hierarchy().l2_contains(line));
+        let line = f.platform().phys_line(0, VirtAddr::new(0x41_0000));
+        assert!(!f.platform().hierarchy.l2_contains(line));
         f.on_squash(0, Cycle::ZERO);
         // Commit of an unrelated fetch installs nothing either.
         f.commit_fetch(&ctx(0, 0x41_0000, false, false));
-        assert!(!f.hierarchy().l2_contains(line));
+        assert!(!f.platform().hierarchy.l2_contains(line));
     }
 
     #[test]
@@ -284,16 +230,16 @@ mod tests {
         let mut commit = ctx(0, 0x41_0000, false, false);
         commit.when = Cycle::new(10_000);
         f.commit_fetch(&commit);
-        let line = f.phys_line(0, VirtAddr::new(0x41_0000));
-        assert!(f.hierarchy().l2_contains(line));
+        let line = f.platform().phys_line(0, VirtAddr::new(0x41_0000));
+        assert!(f.platform().hierarchy.l2_contains(line));
     }
 
     #[test]
     fn commit_of_store_updates_coherence() {
         let mut f = Fence::new(&SystemConfig::paper_default());
         let _ = f.commit_access(&ctx(0, 0x9000, false, true));
-        let line = f.phys_line(0, VirtAddr::new(0x9000));
-        assert!(f.hierarchy().own_l1_exclusive(0, line));
+        let line = f.platform().phys_line(0, VirtAddr::new(0x9000));
+        assert!(f.platform().hierarchy.own_l1_exclusive(0, line));
     }
 
     #[test]

@@ -29,9 +29,9 @@ use simkit::config::SystemConfig;
 use simkit::cycles::Cycle;
 use simkit::stats::StatSet;
 
-use memsys::hierarchy::MemoryHierarchy;
-use memsys::tlb::{Mmu, PageTable};
+use memsys::tlb::PageTable;
 use memsys::types::{AccessKind, AccessRequest, FillLevel};
+use memsys::Platform;
 
 use ooo_core::memmodel::{DomainSwitch, MemAccessCtx, MemOutcome, MemoryModel};
 
@@ -61,10 +61,8 @@ struct CoreBuffer {
 /// The InvisiSpec memory model.
 #[derive(Debug)]
 pub struct InvisiSpec {
-    config: SystemConfig,
+    platform: Platform,
     variant: InvisiSpecVariant,
-    hierarchy: MemoryHierarchy,
-    mmus: Vec<Mmu>,
     buffers: Vec<CoreBuffer>,
     stats: StatSet,
 }
@@ -72,19 +70,9 @@ pub struct InvisiSpec {
 impl InvisiSpec {
     /// Builds an InvisiSpec configuration of the given variant.
     pub fn new(config: &SystemConfig, variant: InvisiSpecVariant) -> Self {
-        let mmus = (0..config.cores)
-            .map(|i| {
-                Mmu::new(
-                    &config.tlb,
-                    PageTable::new(config.tlb.page_bytes, (i as u64 + 1) << 32),
-                )
-            })
-            .collect();
         InvisiSpec {
-            config: config.clone(),
+            platform: Platform::new(config),
             variant,
-            hierarchy: MemoryHierarchy::new(config),
-            mmus,
             buffers: (0..config.cores).map(|_| CoreBuffer::default()).collect(),
             stats: StatSet::new(),
         }
@@ -95,29 +83,15 @@ impl InvisiSpec {
         self.variant
     }
 
-    /// Read-only access to the hierarchy (for the attack harness).
-    pub fn hierarchy(&self) -> &MemoryHierarchy {
-        &self.hierarchy
-    }
-
-    /// Translates a virtual address on `core` to its physical line without
-    /// timing side effects.
-    pub fn phys_line(&self, core: usize, vaddr: simkit::addr::VirtAddr) -> LineAddr {
-        let pa = self.mmus[core].page_table().translate(vaddr);
-        LineAddr::from_phys(pa, self.config.line_bytes)
+    /// The platform underneath, whose hierarchy shows what speculation left
+    /// behind.
+    pub fn platform(&self) -> &Platform {
+        &self.platform
     }
 
     /// Number of lines currently in `core`'s speculative buffer.
     pub fn buffer_occupancy(&self, core: usize) -> usize {
         self.buffers[core].lines.len()
-    }
-
-    fn data_line(&mut self, core: usize, ctx: &MemAccessCtx) -> (LineAddr, u64) {
-        let t = self.mmus[core].translate_data(ctx.vaddr);
-        (
-            LineAddr::from_phys(t.paddr, self.config.line_bytes),
-            t.latency,
-        )
     }
 }
 
@@ -132,29 +106,21 @@ impl MemoryModel for InvisiSpec {
     fn fetch_instruction(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
         // InvisiSpec does not protect the instruction cache; fetches behave as
         // in the unprotected system.
-        let t = self.mmus[ctx.core].translate_inst(ctx.vaddr);
-        let line = LineAddr::from_phys(t.paddr, self.config.line_bytes);
-        let req = AccessRequest::new(ctx.core, line, AccessKind::InstFetch, ctx.when);
-        let resp = self.hierarchy.access(&req);
         MemOutcome::Done {
-            latency: resp.latency + t.latency,
+            latency: self.platform.fetch(ctx.core, ctx.vaddr, ctx.when),
         }
     }
 
     fn load(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
-        let (line, xlat) = self.data_line(ctx.core, ctx);
+        let (line, xlat) = self.platform.data_line(ctx.core, ctx.vaddr);
         self.stats.bump("invisispec.spec_loads");
 
         // Non-speculative accesses (atomics at the head of the ROB, retried
         // loads) behave exactly as on the unprotected hierarchy.
         if !ctx.speculative {
-            let kind = if ctx.is_store {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
-            let req = AccessRequest::new(ctx.core, line, kind, ctx.when).with_pc(ctx.pc.raw());
-            let resp = self.hierarchy.access(&req);
+            let resp = self
+                .platform
+                .load_line(ctx.core, line, ctx.pc, ctx.is_store, ctx.when);
             self.buffers[ctx.core].lines.remove(&line);
             return MemOutcome::Done {
                 latency: resp.latency + xlat,
@@ -167,7 +133,7 @@ impl MemoryModel for InvisiSpec {
             self.stats.bump("invisispec.spec_buffer_hits");
             let wait = ready_at.since(ctx.when);
             return MemOutcome::Done {
-                latency: self.config.l1d.hit_latency.max(wait) + xlat,
+                latency: self.platform.config().l1d.hit_latency.max(wait) + xlat,
             };
         }
 
@@ -180,7 +146,7 @@ impl MemoryModel for InvisiSpec {
             .with_pc(ctx.pc.raw())
             .with_fill(FillLevel::None)
             .without_remote_downgrade();
-        let resp = self.hierarchy.access(&req);
+        let resp = self.platform.hierarchy.access(&req);
         if resp.coherence_delayed {
             // The data is exclusively owned elsewhere; an invisible read of it
             // could be observed through that owner's timing, so InvisiSpec
@@ -200,14 +166,12 @@ impl MemoryModel for InvisiSpec {
     }
 
     fn commit_access(&mut self, ctx: &MemAccessCtx) -> u64 {
-        let (line, _) = self.data_line(ctx.core, ctx);
+        let (line, _) = self.platform.data_line(ctx.core, ctx.vaddr);
         let was_buffered = self.buffers[ctx.core].lines.remove(&line).is_some();
 
         if ctx.is_store {
             self.stats.bump("invisispec.committed_stores");
-            let req = AccessRequest::new(ctx.core, line, AccessKind::Store, ctx.when)
-                .with_pc(ctx.pc.raw());
-            let _ = self.hierarchy.access(&req);
+            self.platform.commit_store(ctx.core, line, ctx.pc, ctx.when);
             return 0;
         }
 
@@ -216,12 +180,13 @@ impl MemoryModel for InvisiSpec {
         // hierarchy and participates in coherence. The prefetcher was already
         // trained by the original speculative access, so it is not trained
         // again here.
+        let hierarchy = &mut self.platform.hierarchy;
         let nearby_before =
-            self.hierarchy.own_l1_contains(ctx.core, line) || self.hierarchy.l2_contains(line);
+            hierarchy.own_l1_contains(ctx.core, line) || hierarchy.l2_contains(line);
         let req = AccessRequest::new(ctx.core, line, AccessKind::Load, ctx.when)
             .with_pc(ctx.pc.raw())
             .without_prefetch_training();
-        let resp = self.hierarchy.access(&req);
+        let resp = hierarchy.access(&req);
 
         if !was_buffered {
             // The load was never speculatively buffered (e.g. it executed
@@ -238,7 +203,7 @@ impl MemoryModel for InvisiSpec {
                     VALIDATION_LATENCY
                 } else {
                     self.stats.bump("invisispec.exposure_misses");
-                    resp.latency.min(self.config.l2.hit_latency)
+                    resp.latency.min(self.platform.config().l2.hit_latency)
                 }
             }
             InvisiSpecVariant::Future => {
@@ -255,7 +220,7 @@ impl MemoryModel for InvisiSpec {
     }
 
     fn set_page_table(&mut self, core: usize, table: PageTable) {
-        self.mmus[core].set_page_table(table);
+        self.platform.set_page_table(core, table);
     }
 
     fn on_squash(&mut self, core: usize, _when: Cycle) {
@@ -270,9 +235,7 @@ impl MemoryModel for InvisiSpec {
     }
 
     fn stats(&self) -> StatSet {
-        let mut s = self.stats.clone();
-        s.merge(self.hierarchy.stats());
-        s
+        self.platform.stats(&self.stats)
     }
 }
 
@@ -299,9 +262,9 @@ mod tests {
     fn speculative_loads_do_not_touch_the_caches() {
         let mut m = InvisiSpec::new(&SystemConfig::paper_default(), InvisiSpecVariant::Spectre);
         let _ = m.load(&ctx(0, 0x8000, true, false));
-        let line = m.phys_line(0, VirtAddr::new(0x8000));
-        assert!(!m.hierarchy().own_l1_contains(0, line));
-        assert!(!m.hierarchy().l2_contains(line));
+        let line = m.platform().phys_line(0, VirtAddr::new(0x8000));
+        assert!(!m.platform().hierarchy.own_l1_contains(0, line));
+        assert!(!m.platform().hierarchy.l2_contains(line));
         assert_eq!(m.buffer_occupancy(0), 1);
     }
 
@@ -310,8 +273,8 @@ mod tests {
         let mut m = InvisiSpec::new(&SystemConfig::paper_default(), InvisiSpecVariant::Future);
         let _ = m.load(&ctx(0, 0x8000, true, false));
         let extra = m.commit_access(&ctx(0, 0x8000, false, false));
-        let line = m.phys_line(0, VirtAddr::new(0x8000));
-        assert!(m.hierarchy().own_l1_contains(0, line));
+        let line = m.platform().phys_line(0, VirtAddr::new(0x8000));
+        assert!(m.platform().hierarchy.own_l1_contains(0, line));
         assert!(extra > 0, "the Future variant pays the exposure at commit");
         assert_eq!(m.buffer_occupancy(0), 0);
     }
@@ -340,8 +303,8 @@ mod tests {
         m.on_squash(0, Cycle::ZERO);
         assert_eq!(m.buffer_occupancy(0), 0);
         // Nothing leaked into the caches either.
-        let line = m.phys_line(0, VirtAddr::new(0x8000));
-        assert!(!m.hierarchy().own_l1_contains(0, line));
+        let line = m.platform().phys_line(0, VirtAddr::new(0x8000));
+        assert!(!m.platform().hierarchy.own_l1_contains(0, line));
     }
 
     #[test]

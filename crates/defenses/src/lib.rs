@@ -4,9 +4,11 @@
 //! published defenses re-run on the same platform: **InvisiSpec** (Yan et al.,
 //! MICRO 2018) and **Speculative Taint Tracking** (Yu et al., MICRO 2019),
 //! each in a "Spectre" and a "Future" (futuristic attack model) variant. This
-//! crate reimplements those policies on top of the shared `memsys` hierarchy
-//! so every configuration in the evaluation runs on exactly the same substrate
-//! and only the protection policy differs:
+//! crate reimplements those policies on top of the shared [`memsys::Platform`]
+//! (the hierarchy plus one MMU per core, with the ordinary translate, fetch,
+//! load and commit-store paths), so every configuration in the evaluation runs
+//! on exactly the same substrate and each model holds only its protection
+//! policy:
 //!
 //! * [`Unprotected`] — the insecure baseline all figures are normalised to,
 //! * [`InvisiSpec`] — speculative loads go to an invisible per-core buffer and
@@ -28,16 +30,16 @@
 //!   prefetcher training,
 //! * [`SafeBet`] — SafeBet-style tracked-region speculation: loads to
 //!   recently-and-safely-accessed regions proceed speculatively, all others
-//!   are delayed (a Speculative Access Window, see [`SafeBetConfig`]).
+//!   are delayed (a Speculative Access Window).
 //!
 //! [`DefenseKind::build`] instantiates any configuration that appears in the
-//! paper's figures; the [`DefenseRegistry`] owns the label ⇄ kind mapping
-//! used by CLI flags and reports, and `FromStr`/`Display` on [`DefenseKind`]
-//! let the figure binaries accept defense names on the command line.
-//! [`build_defense`] is kept as a thin compatibility wrapper.
+//! paper's figures. [`DefenseKind::NAMED`] lists every configuration a name
+//! selects, and `FromStr`/`Display` on [`DefenseKind`] map those names to
+//! kinds and back for CLI flags and reports.
 
 #![forbid(unsafe_code)]
 
+mod deferred;
 pub mod delay_loads;
 pub mod fence;
 pub mod invisispec;
@@ -53,7 +55,7 @@ use simkit::config::{ProtectionConfig, SystemConfig};
 pub use delay_loads::DelayLoads;
 pub use fence::Fence;
 pub use invisispec::{InvisiSpec, InvisiSpecVariant};
-pub use safebet::{SafeBet, SafeBetConfig};
+pub use safebet::SafeBet;
 pub use stt::{Stt, SttVariant};
 pub use unprotected::Unprotected;
 
@@ -247,100 +249,6 @@ impl std::str::FromStr for DefenseKind {
     }
 }
 
-/// The catalogue of evaluable defense configurations.
-///
-/// The registry owns the name ⇄ kind mapping used by CLI flags and reports
-/// (model *construction* lives on [`DefenseKind::build`], which
-/// [`DefenseRegistry::build`] delegates to after the label lookup). The
-/// standard registry lists every named kind; harnesses that sweep custom
-/// protection configurations (figures 8 and 9) register their labelled
-/// [`DefenseKind::MuonTrapCustom`] entries on top.
-#[derive(Debug, Clone)]
-pub struct DefenseRegistry {
-    entries: Vec<(String, DefenseKind)>,
-}
-
-impl DefenseRegistry {
-    /// An empty registry (build one up with [`DefenseRegistry::register`]).
-    pub fn new() -> Self {
-        DefenseRegistry {
-            entries: Vec::new(),
-        }
-    }
-
-    /// The registry of every named kind, labelled by [`DefenseKind::label`].
-    pub fn standard() -> Self {
-        let mut registry = DefenseRegistry::new();
-        for kind in DefenseKind::NAMED {
-            registry.register(kind.label(), kind);
-        }
-        registry
-    }
-
-    /// Adds `kind` under `label`, replacing any previous entry with the same
-    /// label, and returns the registry for chaining.
-    pub fn register(&mut self, label: impl Into<String>, kind: DefenseKind) -> &mut Self {
-        let label = label.into();
-        if let Some(entry) = self.entries.iter_mut().find(|(l, _)| *l == label) {
-            entry.1 = kind;
-        } else {
-            self.entries.push((label, kind));
-        }
-        self
-    }
-
-    /// Looks up a kind by its registered label.
-    pub fn lookup(&self, label: &str) -> Option<DefenseKind> {
-        self.entries
-            .iter()
-            .find(|(l, _)| l == label)
-            .map(|(_, k)| *k)
-    }
-
-    /// Iterates over `(label, kind)` entries in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, DefenseKind)> {
-        self.entries.iter().map(|(l, k)| (l.as_str(), *k))
-    }
-
-    /// Number of registered entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the registry has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Builds the memory model for the kind registered under `label`, or
-    /// `None` when the label is unknown.
-    pub fn build_by_label(
-        &self,
-        label: &str,
-        config: &SystemConfig,
-    ) -> Option<Box<dyn MemoryModel>> {
-        self.lookup(label).map(|kind| kind.build(config))
-    }
-
-    /// Builds the memory model for `kind` over a fresh hierarchy described by
-    /// `config` (delegates to [`DefenseKind::build`]).
-    pub fn build(&self, kind: DefenseKind, config: &SystemConfig) -> Box<dyn MemoryModel> {
-        kind.build(config)
-    }
-}
-
-impl Default for DefenseRegistry {
-    fn default() -> Self {
-        DefenseRegistry::standard()
-    }
-}
-
-/// Builds the memory model for `kind` over a fresh hierarchy described by
-/// `config` (compatibility wrapper over [`DefenseKind::build`]).
-pub fn build_defense(kind: DefenseKind, config: &SystemConfig) -> Box<dyn MemoryModel> {
-    kind.build(config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,7 +271,7 @@ mod tests {
             DefenseKind::DelayLoads,
             DefenseKind::SafeBet,
         ] {
-            let model = build_defense(kind, &cfg);
+            let model = kind.build(&cfg);
             assert!(!model.name().is_empty());
             assert!(!kind.label().is_empty());
         }
@@ -416,36 +324,14 @@ mod tests {
     }
 
     #[test]
-    fn standard_registry_covers_every_named_kind_and_builds() {
-        let registry = DefenseRegistry::standard();
-        let cfg = SystemConfig::paper_default();
-        assert_eq!(registry.len(), DefenseKind::NAMED.len());
-        for kind in DefenseKind::NAMED {
-            assert_eq!(registry.lookup(kind.label()), Some(kind));
-            assert!(!registry.build(kind, &cfg).name().is_empty());
-            assert!(registry.build_by_label(kind.label(), &cfg).is_some());
-        }
-        assert_eq!(registry.lookup("nope"), None);
-        assert!(registry.build_by_label("nope", &cfg).is_none());
-    }
-
-    #[test]
-    fn registry_register_replaces_existing_labels() {
-        let mut registry = DefenseRegistry::new();
-        assert!(registry.is_empty());
-        registry.register("x", DefenseKind::MuonTrap);
-        registry.register("x", DefenseKind::Unprotected);
-        assert_eq!(registry.len(), 1);
-        assert_eq!(registry.lookup("x"), Some(DefenseKind::Unprotected));
-    }
-
-    #[test]
     fn only_stt_requests_taint_tracking() {
         let cfg = SystemConfig::paper_default();
-        assert!(build_defense(DefenseKind::SttSpectre, &cfg).needs_taint_tracking());
-        assert!(build_defense(DefenseKind::SttFuture, &cfg).needs_taint_tracking());
-        assert!(!build_defense(DefenseKind::MuonTrap, &cfg).needs_taint_tracking());
-        assert!(!build_defense(DefenseKind::Unprotected, &cfg).needs_taint_tracking());
-        assert!(!build_defense(DefenseKind::InvisiSpecFuture, &cfg).needs_taint_tracking());
+        assert!(DefenseKind::SttSpectre.build(&cfg).needs_taint_tracking());
+        assert!(DefenseKind::SttFuture.build(&cfg).needs_taint_tracking());
+        assert!(!DefenseKind::MuonTrap.build(&cfg).needs_taint_tracking());
+        assert!(!DefenseKind::Unprotected.build(&cfg).needs_taint_tracking());
+        assert!(!DefenseKind::InvisiSpecFuture
+            .build(&cfg)
+            .needs_taint_tracking());
     }
 }

@@ -19,83 +19,33 @@
 //!
 //! Instruction fetches get an analogous window; out-of-window fetches under an
 //! unresolved branch are serviced invisibly and installed at commit. The
-//! window is a recency window over the access stream — a region stays a member
-//! for [`SafeBetConfig::window_accesses`] subsequent safe accesses — at
-//! [`SafeBetConfig::region_bytes`] granularity (default: one cache line, the
-//! finest transmitter-distinguishing granularity the litmus attacks probe).
+//! window is a recency window over the access stream: a region stays a member
+//! for 4096 subsequent safe accesses. Regions are 64-byte physical blocks, one
+//! cache line: the finest transmitter-distinguishing granularity the litmus
+//! attacks probe (coarser regions would let an in-bounds access whitelist the
+//! secret-dependent line next to it).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use simkit::addr::LineAddr;
+use simkit::addr::{PhysAddr, VirtAddr};
 use simkit::config::SystemConfig;
 use simkit::cycles::Cycle;
-use simkit::json::{FromJson, Json, JsonError, ToJson};
 use simkit::stats::StatSet;
 
-use memsys::hierarchy::MemoryHierarchy;
-use memsys::tlb::{Mmu, PageTable};
-use memsys::types::{AccessKind, AccessRequest, FillLevel};
+use memsys::tlb::PageTable;
+use memsys::Platform;
 
 use ooo_core::memmodel::{DomainSwitch, MemAccessCtx, MemOutcome, MemoryModel};
 
-/// Tunables of the Speculative Access Window.
-///
-/// # Examples
-///
-/// ```
-/// use defenses::SafeBetConfig;
-/// use simkit::json::{FromJson, ToJson};
-///
-/// let config = SafeBetConfig::default();
-/// let round_tripped = SafeBetConfig::from_json(&config.to_json()).unwrap();
-/// assert_eq!(config, round_tripped);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SafeBetConfig {
-    /// Granularity at which accesses are tracked, in bytes. The default is one
-    /// cache line: coarser regions would let an in-bounds access whitelist the
-    /// secret-dependent line next to it.
-    pub region_bytes: u64,
-    /// How many subsequent safe accesses a region stays in the window for.
-    pub window_accesses: u64,
-}
+use crate::deferred::DeferredFetches;
 
-impl Default for SafeBetConfig {
-    fn default() -> Self {
-        SafeBetConfig {
-            region_bytes: 64,
-            window_accesses: 4096,
-        }
-    }
-}
+/// Granularity at which the window tracks accesses, in bytes.
+const REGION_BYTES: u64 = 64;
+/// How many subsequent safe accesses a region stays in the window for.
+const WINDOW_ACCESSES: u64 = 4096;
 
-impl ToJson for SafeBetConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("region_bytes", Json::UInt(self.region_bytes)),
-            ("window_accesses", Json::UInt(self.window_accesses)),
-        ])
-    }
-}
-
-impl FromJson for SafeBetConfig {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let field = |name: &str| -> Result<u64, JsonError> {
-            json.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| JsonError::missing(name))
-        };
-        let config = SafeBetConfig {
-            region_bytes: field("region_bytes")?,
-            window_accesses: field("window_accesses")?,
-        };
-        if config.region_bytes == 0 || config.window_accesses == 0 {
-            return Err(JsonError::decode(
-                "SafeBetConfig fields must be non-zero".to_string(),
-            ));
-        }
-        Ok(config)
-    }
+fn region(pa: PhysAddr) -> u64 {
+    pa.raw() / REGION_BYTES
 }
 
 /// One per-core Speculative Access Window: a recency window over the safe
@@ -108,20 +58,20 @@ struct Saw {
 }
 
 impl Saw {
-    fn contains(&self, region: u64, window: u64) -> bool {
+    fn contains(&self, region: u64) -> bool {
         self.last_seen
             .get(&region)
-            .is_some_and(|&s| self.seq - s < window)
+            .is_some_and(|&s| self.seq - s < WINDOW_ACCESSES)
     }
 
-    fn record(&mut self, region: u64, window: u64) {
+    fn record(&mut self, region: u64) {
         self.seq += 1;
         self.last_seen.insert(region, self.seq);
-        // At most `window` distinct regions can be live; prune expired
-        // entries once the map doubles past that bound.
-        if self.last_seen.len() as u64 > (2 * window).max(16) {
-            let (seq, w) = (self.seq, window);
-            self.last_seen.retain(|_, &mut s| seq - s < w);
+        // At most `WINDOW_ACCESSES` distinct regions can be live; prune
+        // expired entries once the map doubles past that bound.
+        if self.last_seen.len() as u64 > 2 * WINDOW_ACCESSES {
+            let seq = self.seq;
+            self.last_seen.retain(|_, &mut s| seq - s < WINDOW_ACCESSES);
         }
     }
 
@@ -161,74 +111,38 @@ impl Saw {
 /// ```
 #[derive(Debug)]
 pub struct SafeBet {
-    config: SystemConfig,
-    saw_config: SafeBetConfig,
-    hierarchy: MemoryHierarchy,
-    mmus: Vec<Mmu>,
+    platform: Platform,
     data_windows: Vec<Saw>,
     inst_windows: Vec<Saw>,
-    /// Per-core instruction lines fetched out-of-window under an unresolved
-    /// branch: invisible for now, installed if and when they commit.
-    pending_ifetch: Vec<HashSet<LineAddr>>,
+    /// Out-of-window fetches made under an unresolved branch, installed if
+    /// they commit.
+    deferred: DeferredFetches,
     stats: StatSet,
 }
 
 impl SafeBet {
-    /// Builds the model with the default window configuration.
+    /// Builds the model over a fresh platform.
     pub fn new(config: &SystemConfig) -> Self {
-        SafeBet::with_saw(config, SafeBetConfig::default())
-    }
-
-    /// Builds the model with an explicit window configuration.
-    pub fn with_saw(config: &SystemConfig, saw_config: SafeBetConfig) -> Self {
-        assert!(saw_config.region_bytes > 0, "region_bytes must be non-zero");
-        assert!(
-            saw_config.window_accesses > 0,
-            "window_accesses must be non-zero"
-        );
-        let mmus = (0..config.cores)
-            .map(|i| {
-                Mmu::new(
-                    &config.tlb,
-                    PageTable::new(config.tlb.page_bytes, (i as u64 + 1) << 32),
-                )
-            })
-            .collect();
         SafeBet {
-            config: config.clone(),
-            saw_config,
-            hierarchy: MemoryHierarchy::new(config),
-            mmus,
+            platform: Platform::new(config),
             data_windows: (0..config.cores).map(|_| Saw::default()).collect(),
             inst_windows: (0..config.cores).map(|_| Saw::default()).collect(),
-            pending_ifetch: (0..config.cores).map(|_| HashSet::new()).collect(),
+            deferred: DeferredFetches::new(config.cores),
             stats: StatSet::new(),
         }
     }
 
-    /// The window configuration in effect.
-    pub fn saw_config(&self) -> SafeBetConfig {
-        self.saw_config
-    }
-
-    /// Read-only access to the hierarchy (for the attack harness).
-    pub fn hierarchy(&self) -> &MemoryHierarchy {
-        &self.hierarchy
-    }
-
-    /// Translates a virtual address on `core` to its physical line without
-    /// timing side effects.
-    pub fn phys_line(&self, core: usize, vaddr: simkit::addr::VirtAddr) -> LineAddr {
-        let pa = self.mmus[core].page_table().translate(vaddr);
-        LineAddr::from_phys(pa, self.config.line_bytes)
+    /// The platform underneath, whose hierarchy shows what speculation left
+    /// behind.
+    pub fn platform(&self) -> &Platform {
+        &self.platform
     }
 
     /// Whether `core`'s *data* window currently covers `vaddr`'s region (test
     /// and diagnostic hook; no timing side effects).
-    pub fn data_window_covers(&self, core: usize, vaddr: simkit::addr::VirtAddr) -> bool {
-        let pa = self.mmus[core].page_table().translate(vaddr);
-        let region = pa.raw() / self.saw_config.region_bytes;
-        self.data_windows[core].contains(region, self.saw_config.window_accesses)
+    pub fn data_window_covers(&self, core: usize, vaddr: VirtAddr) -> bool {
+        let pa = self.platform.phys_addr(core, vaddr);
+        self.data_windows[core].contains(region(pa))
     }
 }
 
@@ -238,40 +152,30 @@ impl MemoryModel for SafeBet {
     }
 
     fn fetch_instruction(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
-        let t = self.mmus[ctx.core].translate_inst(ctx.vaddr);
-        let line = LineAddr::from_phys(t.paddr, self.config.line_bytes);
-        let region = t.paddr.raw() / self.saw_config.region_bytes;
-        let window = self.saw_config.window_accesses;
-        if !ctx.under_unresolved_branch {
-            self.inst_windows[ctx.core].record(region, window);
-        } else if !self.inst_windows[ctx.core].contains(region, window) {
+        let t = self.platform.mmu(ctx.core).translate_inst(ctx.vaddr);
+        let line = self.platform.line(t.paddr);
+        let latency = if !ctx.under_unresolved_branch {
+            self.inst_windows[ctx.core].record(region(t.paddr));
+            self.platform.fetch_line(ctx.core, line, ctx.when)
+        } else if !self.inst_windows[ctx.core].contains(region(t.paddr)) {
             // Out-of-window fetch on a speculative path: serviced invisibly,
             // installed at commit if it turns out to be correct-path.
             self.stats.bump("safebet.invisible_ifetches");
-            let req = AccessRequest::new(ctx.core, line, AccessKind::InstFetch, ctx.when)
-                .with_fill(FillLevel::None)
-                .without_prefetch_training();
-            let resp = self.hierarchy.access(&req);
-            self.pending_ifetch[ctx.core].insert(line);
-            return MemOutcome::Done {
-                latency: resp.latency + t.latency,
-            };
-        }
-        let req = AccessRequest::new(ctx.core, line, AccessKind::InstFetch, ctx.when);
-        let resp = self.hierarchy.access(&req);
+            self.deferred
+                .fetch(&mut self.platform, ctx.core, line, ctx.when)
+        } else {
+            self.platform.fetch_line(ctx.core, line, ctx.when)
+        };
         MemOutcome::Done {
-            latency: resp.latency + t.latency,
+            latency: latency + t.latency,
         }
     }
 
     fn load(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
-        let t = self.mmus[ctx.core].translate_data(ctx.vaddr);
-        let line = LineAddr::from_phys(t.paddr, self.config.line_bytes);
-        let region = t.paddr.raw() / self.saw_config.region_bytes;
-        let window = self.saw_config.window_accesses;
-
+        let t = self.platform.mmu(ctx.core).translate_data(ctx.vaddr);
+        let window = &mut self.data_windows[ctx.core];
         if ctx.speculative && ctx.under_unresolved_branch {
-            if !self.data_windows[ctx.core].contains(region, window) {
+            if !window.contains(region(t.paddr)) {
                 // Outside the window: nothing about this region was recently
                 // revealed safely, so touching it now would transmit. The core
                 // re-polls every cycle; the delay lapses when the guarding
@@ -284,15 +188,12 @@ impl MemoryModel for SafeBet {
         } else {
             // Safe (no unresolved older branch): the access itself extends
             // the window.
-            self.data_windows[ctx.core].record(region, window);
+            window.record(region(t.paddr));
         }
-        let kind = if ctx.is_store {
-            AccessKind::Store
-        } else {
-            AccessKind::Load
-        };
-        let req = AccessRequest::new(ctx.core, line, kind, ctx.when).with_pc(ctx.pc.raw());
-        let resp = self.hierarchy.access(&req);
+        let line = self.platform.line(t.paddr);
+        let resp = self
+            .platform
+            .load_line(ctx.core, line, ctx.pc, ctx.is_store, ctx.when);
         MemOutcome::Done {
             latency: resp.latency + t.latency,
         }
@@ -303,57 +204,48 @@ impl MemoryModel for SafeBet {
     }
 
     fn commit_access(&mut self, ctx: &MemAccessCtx) -> u64 {
-        let t = self.mmus[ctx.core].translate_data(ctx.vaddr);
-        let line = LineAddr::from_phys(t.paddr, self.config.line_bytes);
-        let region = t.paddr.raw() / self.saw_config.region_bytes;
-        self.data_windows[ctx.core].record(region, self.saw_config.window_accesses);
+        let t = self.platform.mmu(ctx.core).translate_data(ctx.vaddr);
+        self.data_windows[ctx.core].record(region(t.paddr));
         if ctx.is_store {
             self.stats.bump("safebet.committed_stores");
-            let req = AccessRequest::new(ctx.core, line, AccessKind::Store, ctx.when)
-                .with_pc(ctx.pc.raw());
-            let _ = self.hierarchy.access(&req);
+            let line = self.platform.line(t.paddr);
+            self.platform.commit_store(ctx.core, line, ctx.pc, ctx.when);
         }
         0
     }
 
     fn commit_fetch(&mut self, ctx: &MemAccessCtx) {
-        let t = self.mmus[ctx.core].translate_inst(ctx.vaddr);
-        let line = LineAddr::from_phys(t.paddr, self.config.line_bytes);
-        let region = t.paddr.raw() / self.saw_config.region_bytes;
-        self.inst_windows[ctx.core].record(region, self.saw_config.window_accesses);
-        if self.pending_ifetch[ctx.core].remove(&line) {
+        let t = self.platform.mmu(ctx.core).translate_inst(ctx.vaddr);
+        self.inst_windows[ctx.core].record(region(t.paddr));
+        let line = self.platform.line(t.paddr);
+        if self
+            .deferred
+            .commit(&mut self.platform, ctx.core, line, ctx.when)
+        {
             self.stats.bump("safebet.committed_ifetch_installs");
-            let req = AccessRequest::new(ctx.core, line, AccessKind::InstFetch, ctx.when);
-            let _ = self.hierarchy.access(&req);
         }
     }
 
     fn set_page_table(&mut self, core: usize, table: PageTable) {
-        self.mmus[core].set_page_table(table);
+        self.platform.set_page_table(core, table);
     }
 
     fn on_squash(&mut self, core: usize, _when: Cycle) {
         // The windows hold only safely-revealed regions, so they survive a
         // squash; the wrong path's invisible fetches must not install.
-        self.pending_ifetch[core].clear();
+        self.deferred.clear(core);
     }
 
-    fn on_domain_switch(&mut self, core: usize, kind: DomainSwitch, _when: Cycle) {
+    fn on_domain_switch(&mut self, core: usize, _kind: DomainSwitch, _when: Cycle) {
         // A new protection domain must not inherit (or extend) the previous
         // domain's window.
         self.data_windows[core].clear();
         self.inst_windows[core].clear();
-        self.pending_ifetch[core].clear();
-        if matches!(kind, DomainSwitch::ContextSwitch) {
-            let table = self.mmus[core].page_table().clone();
-            self.mmus[core].set_page_table(table);
-        }
+        self.deferred.clear(core);
     }
 
     fn stats(&self) -> StatSet {
-        let mut s = self.stats.clone();
-        s.merge(self.hierarchy.stats());
-        s
+        self.platform.stats(&self.stats)
     }
 }
 
@@ -383,9 +275,9 @@ mod tests {
             m.load(&ctx(0, 0x8000, true, false)),
             MemOutcome::RetryWhenNonSpeculative
         );
-        let line = m.phys_line(0, VirtAddr::new(0x8000));
-        assert!(!m.hierarchy().own_l1_contains(0, line));
-        assert!(!m.hierarchy().l2_contains(line));
+        let line = m.platform().phys_line(0, VirtAddr::new(0x8000));
+        assert!(!m.platform().hierarchy.own_l1_contains(0, line));
+        assert!(!m.platform().hierarchy.l2_contains(line));
     }
 
     #[test]
@@ -421,14 +313,9 @@ mod tests {
 
     #[test]
     fn regions_expire_after_window_accesses() {
-        let cfg = SystemConfig::paper_default();
-        let saw = SafeBetConfig {
-            region_bytes: 64,
-            window_accesses: 8,
-        };
-        let mut m = SafeBet::with_saw(&cfg, saw);
+        let mut m = SafeBet::new(&SystemConfig::paper_default());
         let _ = m.load(&ctx(0, 0x8000, false, false));
-        for i in 0..8u64 {
+        for i in 0..WINDOW_ACCESSES {
             let _ = m.load(&ctx(0, 0x10_0000 + i * 64, false, false));
         }
         assert!(!m.data_window_covers(0, VirtAddr::new(0x8000)));
@@ -460,28 +347,13 @@ mod tests {
     fn out_of_window_fetches_stay_invisible_until_commit() {
         let mut m = SafeBet::new(&SystemConfig::paper_default());
         let _ = m.fetch_instruction(&ctx(0, 0x41_0000, true, false));
-        let line = m.phys_line(0, VirtAddr::new(0x41_0000));
-        assert!(!m.hierarchy().l2_contains(line));
+        let line = m.platform().phys_line(0, VirtAddr::new(0x41_0000));
+        assert!(!m.platform().hierarchy.l2_contains(line));
         // Commit happens after the speculative fetch's fill has long landed
         // (otherwise the install coalesces with the in-flight invisible miss).
         let mut commit = ctx(0, 0x41_0000, false, false);
         commit.when = Cycle::new(10_000);
         m.commit_fetch(&commit);
-        assert!(m.hierarchy().l2_contains(line));
-    }
-
-    #[test]
-    fn saw_config_json_round_trips() {
-        let config = SafeBetConfig {
-            region_bytes: 128,
-            window_accesses: 17,
-        };
-        assert_eq!(SafeBetConfig::from_json(&config.to_json()), Ok(config));
-        assert!(SafeBetConfig::from_json(&Json::obj([])).is_err());
-        let zero = Json::obj([
-            ("region_bytes", Json::UInt(0)),
-            ("window_accesses", Json::UInt(4)),
-        ]);
-        assert!(SafeBetConfig::from_json(&zero).is_err());
+        assert!(m.platform().hierarchy.l2_contains(line));
     }
 }

@@ -19,14 +19,12 @@
 //! side effects are identical to the baseline and its cost is purely the
 //! delayed execution of dependent loads.
 
-use simkit::addr::LineAddr;
 use simkit::config::SystemConfig;
 use simkit::cycles::Cycle;
 use simkit::stats::StatSet;
 
-use memsys::hierarchy::MemoryHierarchy;
-use memsys::tlb::{Mmu, PageTable};
-use memsys::types::{AccessKind, AccessRequest};
+use memsys::tlb::PageTable;
+use memsys::Platform;
 
 use ooo_core::memmodel::{DomainSwitch, MemAccessCtx, MemOutcome, MemoryModel};
 
@@ -43,29 +41,17 @@ pub enum SttVariant {
 /// The speculative-taint-tracking memory model.
 #[derive(Debug)]
 pub struct Stt {
-    config: SystemConfig,
+    platform: Platform,
     variant: SttVariant,
-    hierarchy: MemoryHierarchy,
-    mmus: Vec<Mmu>,
     stats: StatSet,
 }
 
 impl Stt {
     /// Builds an STT configuration of the given variant.
     pub fn new(config: &SystemConfig, variant: SttVariant) -> Self {
-        let mmus = (0..config.cores)
-            .map(|i| {
-                Mmu::new(
-                    &config.tlb,
-                    PageTable::new(config.tlb.page_bytes, (i as u64 + 1) << 32),
-                )
-            })
-            .collect();
         Stt {
-            config: config.clone(),
+            platform: Platform::new(config),
             variant,
-            hierarchy: MemoryHierarchy::new(config),
-            mmus,
             stats: StatSet::new(),
         }
     }
@@ -75,24 +61,10 @@ impl Stt {
         self.variant
     }
 
-    /// Read-only access to the hierarchy (for the attack harness).
-    pub fn hierarchy(&self) -> &MemoryHierarchy {
-        &self.hierarchy
-    }
-
-    /// Translates a virtual address on `core` to its physical line without
-    /// timing side effects.
-    pub fn phys_line(&self, core: usize, vaddr: simkit::addr::VirtAddr) -> LineAddr {
-        let pa = self.mmus[core].page_table().translate(vaddr);
-        LineAddr::from_phys(pa, self.config.line_bytes)
-    }
-
-    fn data_line(&mut self, core: usize, ctx: &MemAccessCtx) -> (LineAddr, u64) {
-        let t = self.mmus[core].translate_data(ctx.vaddr);
-        (
-            LineAddr::from_phys(t.paddr, self.config.line_bytes),
-            t.latency,
-        )
+    /// The platform underneath, whose hierarchy shows what speculation left
+    /// behind.
+    pub fn platform(&self) -> &Platform {
+        &self.platform
     }
 
     fn blocked(&self, ctx: &MemAccessCtx) -> bool {
@@ -119,12 +91,8 @@ impl MemoryModel for Stt {
     }
 
     fn fetch_instruction(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
-        let t = self.mmus[ctx.core].translate_inst(ctx.vaddr);
-        let line = LineAddr::from_phys(t.paddr, self.config.line_bytes);
-        let req = AccessRequest::new(ctx.core, line, AccessKind::InstFetch, ctx.when);
-        let resp = self.hierarchy.access(&req);
         MemOutcome::Done {
-            latency: resp.latency + t.latency,
+            latency: self.platform.fetch(ctx.core, ctx.vaddr, ctx.when),
         }
     }
 
@@ -138,36 +106,27 @@ impl MemoryModel for Stt {
             self.stats.bump("stt.blocked_transmits");
             return MemOutcome::RetryWhenNonSpeculative;
         }
-        let (line, xlat) = self.data_line(ctx.core, ctx);
         self.stats.bump("stt.loads");
-        // Atomics arrive here with `is_store` set and need exclusive ownership.
-        let kind = if ctx.is_store {
-            AccessKind::Store
-        } else {
-            AccessKind::Load
-        };
-        let req = AccessRequest::new(ctx.core, line, kind, ctx.when).with_pc(ctx.pc.raw());
-        let resp = self.hierarchy.access(&req);
         MemOutcome::Done {
-            latency: resp.latency + xlat,
+            latency: self
+                .platform
+                .load(ctx.core, ctx.vaddr, ctx.pc, ctx.is_store, ctx.when),
         }
     }
 
     fn store_address_ready(&mut self, _ctx: &MemAccessCtx) {}
 
     fn commit_access(&mut self, ctx: &MemAccessCtx) -> u64 {
-        let (line, _) = self.data_line(ctx.core, ctx);
+        let (line, _) = self.platform.data_line(ctx.core, ctx.vaddr);
         if ctx.is_store {
             self.stats.bump("stt.stores");
-            let req = AccessRequest::new(ctx.core, line, AccessKind::Store, ctx.when)
-                .with_pc(ctx.pc.raw());
-            let _ = self.hierarchy.access(&req);
+            self.platform.commit_store(ctx.core, line, ctx.pc, ctx.when);
         }
         0
     }
 
     fn set_page_table(&mut self, core: usize, table: PageTable) {
-        self.mmus[core].set_page_table(table);
+        self.platform.set_page_table(core, table);
     }
 
     fn on_squash(&mut self, _core: usize, _when: Cycle) {}
@@ -175,9 +134,7 @@ impl MemoryModel for Stt {
     fn on_domain_switch(&mut self, _core: usize, _kind: DomainSwitch, _when: Cycle) {}
 
     fn stats(&self) -> StatSet {
-        let mut s = self.stats.clone();
-        s.merge(self.hierarchy.stats());
-        s
+        self.platform.stats(&self.stats)
     }
 }
 
@@ -205,9 +162,9 @@ mod tests {
         let mut m = Stt::new(&SystemConfig::paper_default(), SttVariant::Spectre);
         let outcome = m.load(&ctx(0x8000, false, false));
         assert!(matches!(outcome, MemOutcome::Done { .. }));
-        let line = m.phys_line(0, VirtAddr::new(0x8000));
+        let line = m.platform().phys_line(0, VirtAddr::new(0x8000));
         assert!(
-            m.hierarchy().own_l1_contains(0, line),
+            m.platform().hierarchy.own_l1_contains(0, line),
             "STT does not hide cache fills"
         );
     }
@@ -249,7 +206,7 @@ mod tests {
         c.is_store = true;
         c.speculative = false;
         let _ = m.commit_access(&c);
-        let line = m.phys_line(0, VirtAddr::new(0xa000));
-        assert!(m.hierarchy().own_l1_exclusive(0, line));
+        let line = m.platform().phys_line(0, VirtAddr::new(0xa000));
+        assert!(m.platform().hierarchy.own_l1_exclusive(0, line));
     }
 }

@@ -6,64 +6,35 @@
 //! protection-domain switches (other than the TLBs on a context switch, which
 //! every OS does).
 
-use simkit::addr::LineAddr;
 use simkit::config::SystemConfig;
 use simkit::cycles::Cycle;
 use simkit::stats::StatSet;
 
-use memsys::hierarchy::MemoryHierarchy;
-use memsys::tlb::{Mmu, PageTable};
-use memsys::types::{AccessKind, AccessRequest};
+use memsys::tlb::PageTable;
+use memsys::Platform;
 
 use ooo_core::memmodel::{DomainSwitch, MemAccessCtx, MemOutcome, MemoryModel};
 
 /// The insecure baseline memory model.
 #[derive(Debug)]
 pub struct Unprotected {
-    config: SystemConfig,
-    hierarchy: MemoryHierarchy,
-    mmus: Vec<Mmu>,
+    platform: Platform,
     stats: StatSet,
 }
 
 impl Unprotected {
-    /// Builds the baseline over a fresh hierarchy.
+    /// Builds the baseline over a fresh platform.
     pub fn new(config: &SystemConfig) -> Self {
-        let mmus = (0..config.cores)
-            .map(|i| {
-                Mmu::new(
-                    &config.tlb,
-                    PageTable::new(config.tlb.page_bytes, (i as u64 + 1) << 32),
-                )
-            })
-            .collect();
         Unprotected {
-            config: config.clone(),
-            hierarchy: MemoryHierarchy::new(config),
-            mmus,
+            platform: Platform::new(config),
             stats: StatSet::new(),
         }
     }
 
-    /// Read-only access to the hierarchy (used by the attack harness to check
-    /// what speculative execution left behind).
-    pub fn hierarchy(&self) -> &MemoryHierarchy {
-        &self.hierarchy
-    }
-
-    /// Translates a virtual address on `core` to its physical line with no
-    /// timing side effects.
-    pub fn phys_line(&self, core: usize, vaddr: simkit::addr::VirtAddr) -> LineAddr {
-        let pa = self.mmus[core].page_table().translate(vaddr);
-        LineAddr::from_phys(pa, self.config.line_bytes)
-    }
-
-    fn data_line(&mut self, core: usize, ctx: &MemAccessCtx) -> (LineAddr, u64) {
-        let t = self.mmus[core].translate_data(ctx.vaddr);
-        (
-            LineAddr::from_phys(t.paddr, self.config.line_bytes),
-            t.latency,
-        )
+    /// The platform underneath, whose hierarchy shows what speculation left
+    /// behind.
+    pub fn platform(&self) -> &Platform {
+        &self.platform
     }
 }
 
@@ -73,64 +44,44 @@ impl MemoryModel for Unprotected {
     }
 
     fn fetch_instruction(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
-        let t = self.mmus[ctx.core].translate_inst(ctx.vaddr);
-        let line = LineAddr::from_phys(t.paddr, self.config.line_bytes);
-        let req = AccessRequest::new(ctx.core, line, AccessKind::InstFetch, ctx.when);
-        let resp = self.hierarchy.access(&req);
         MemOutcome::Done {
-            latency: resp.latency + t.latency,
+            latency: self.platform.fetch(ctx.core, ctx.vaddr, ctx.when),
         }
     }
 
     fn load(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
-        let (line, xlat) = self.data_line(ctx.core, ctx);
         self.stats.bump("unprotected.loads");
-        // Atomics arrive here with `is_store` set and need exclusive ownership.
-        let kind = if ctx.is_store {
-            AccessKind::Store
-        } else {
-            AccessKind::Load
-        };
-        let req = AccessRequest::new(ctx.core, line, kind, ctx.when).with_pc(ctx.pc.raw());
-        let resp = self.hierarchy.access(&req);
         MemOutcome::Done {
-            latency: resp.latency + xlat,
+            latency: self
+                .platform
+                .load(ctx.core, ctx.vaddr, ctx.pc, ctx.is_store, ctx.when),
         }
     }
 
     fn store_address_ready(&mut self, _ctx: &MemAccessCtx) {}
 
     fn commit_access(&mut self, ctx: &MemAccessCtx) -> u64 {
-        let (line, _) = self.data_line(ctx.core, ctx);
+        let (line, _) = self.platform.data_line(ctx.core, ctx.vaddr);
         if ctx.is_store {
             self.stats.bump("unprotected.stores");
-            let req = AccessRequest::new(ctx.core, line, AccessKind::Store, ctx.when)
-                .with_pc(ctx.pc.raw());
-            let _ = self.hierarchy.access(&req);
+            self.platform.commit_store(ctx.core, line, ctx.pc, ctx.when);
         }
         0
     }
 
     fn set_page_table(&mut self, core: usize, table: PageTable) {
-        self.mmus[core].set_page_table(table);
+        self.platform.set_page_table(core, table);
     }
 
     fn on_squash(&mut self, _core: usize, _when: Cycle) {}
 
-    fn on_domain_switch(&mut self, core: usize, kind: DomainSwitch, _when: Cycle) {
-        // Only the ordinary TLB flush on a context switch; caches are left
-        // exactly as speculation perturbed them, which is what the attacks
-        // exploit.
-        if matches!(kind, DomainSwitch::ContextSwitch) {
-            let table = self.mmus[core].page_table().clone();
-            self.mmus[core].set_page_table(table);
-        }
-    }
+    // Caches are left exactly as speculation perturbed them, which is what
+    // the attacks exploit; the TLBs were flushed by the page-table install
+    // that precedes every context switch.
+    fn on_domain_switch(&mut self, _core: usize, _kind: DomainSwitch, _when: Cycle) {}
 
     fn stats(&self) -> StatSet {
-        let mut s = self.stats.clone();
-        s.merge(self.hierarchy.stats());
-        s
+        self.platform.stats(&self.stats)
     }
 }
 
@@ -157,9 +108,9 @@ mod tests {
     fn speculative_loads_fill_the_l1() {
         let mut u = Unprotected::new(&SystemConfig::paper_default());
         let _ = u.load(&ctx(0, 0x8000, true, false));
-        let line = u.phys_line(0, VirtAddr::new(0x8000));
+        let line = u.platform().phys_line(0, VirtAddr::new(0x8000));
         assert!(
-            u.hierarchy().own_l1_contains(0, line),
+            u.platform().hierarchy.own_l1_contains(0, line),
             "this is exactly the Spectre vulnerability"
         );
     }
@@ -178,16 +129,16 @@ mod tests {
         let mut u = Unprotected::new(&SystemConfig::paper_default());
         let _ = u.load(&ctx(0, 0x8000, true, false));
         u.on_domain_switch(0, DomainSwitch::ContextSwitch, Cycle::ZERO);
-        let line = u.phys_line(0, VirtAddr::new(0x8000));
-        assert!(u.hierarchy().own_l1_contains(0, line));
+        let line = u.platform().phys_line(0, VirtAddr::new(0x8000));
+        assert!(u.platform().hierarchy.own_l1_contains(0, line));
     }
 
     #[test]
     fn commit_of_store_updates_coherence() {
         let mut u = Unprotected::new(&SystemConfig::paper_default());
         let _ = u.commit_access(&ctx(0, 0x9000, false, true));
-        let line = u.phys_line(0, VirtAddr::new(0x9000));
-        assert!(u.hierarchy().own_l1_exclusive(0, line));
+        let line = u.platform().phys_line(0, VirtAddr::new(0x9000));
+        assert!(u.platform().hierarchy.own_l1_exclusive(0, line));
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Seeded property tests for the defense catalogue: the name ⇄ kind mapping
-//! and the JSON payloads must round-trip exactly, for every variant, under
-//! arbitrary (seeded) inputs.
+//! must round-trip exactly for every variant, and every defense must behave
+//! exactly like the unprotected baseline on non-speculative accesses.
 //!
 //! The build runs offline (no `proptest`), so these drive the randomised
 //! properties with the deterministic `SimRng`; a failing case reproduces
 //! exactly from its printed seed.
 
-use defenses::{DefenseKind, DefenseRegistry, SafeBetConfig};
+use defenses::DefenseKind;
+use ooo_core::memmodel::MemAccessCtx;
+use simkit::addr::VirtAddr;
 use simkit::config::SystemConfig;
-use simkit::json::{FromJson, Json, ToJson};
+use simkit::cycles::Cycle;
 use simkit::rng::SimRng;
 
 fn for_each_case(cases: u64, mut body: impl FnMut(u64, &mut SimRng)) {
@@ -28,23 +30,10 @@ fn every_named_kind_round_trips_through_display_and_fromstr() {
 }
 
 #[test]
-fn the_standard_registry_lists_every_named_kind_under_its_label() {
-    let registry = DefenseRegistry::standard();
-    assert_eq!(registry.len(), DefenseKind::NAMED.len());
-    for kind in DefenseKind::NAMED {
-        assert_eq!(registry.lookup(kind.label()), Some(kind), "{kind}");
-    }
-    // Registration order is the NAMED order, so reports are stable.
-    let labels: Vec<&str> = registry.iter().map(|(l, _)| l).collect();
-    let named: Vec<&str> = DefenseKind::NAMED.iter().map(|k| k.label()).collect();
-    assert_eq!(labels, named);
-}
-
-#[test]
 fn every_registry_entry_builds_a_model_answering_to_its_label() {
     let config = SystemConfig::small_test();
-    let registry = DefenseRegistry::standard();
-    for (label, kind) in registry.iter() {
+    for kind in DefenseKind::NAMED {
+        let label = kind.label();
         let model = kind.build(&config);
         // MuonTrap flavours share one model; everything else is eponymous.
         assert!(
@@ -89,41 +78,109 @@ fn corrupted_labels_never_parse() {
     });
 }
 
-#[test]
-fn safebet_config_round_trips_through_json_for_arbitrary_values() {
-    for_each_case(64, |seed, rng| {
-        let config = SafeBetConfig {
-            region_bytes: rng.below(1 << 20) + 1,
-            window_accesses: rng.below(1 << 24) + 1,
-        };
-        let json = config.to_json();
-        let back =
-            SafeBetConfig::from_json(&json).unwrap_or_else(|e| panic!("case seed {seed}: {e:?}"));
-        assert_eq!(back, config, "case seed {seed}");
-        // The encoding is a stable two-field object (fingerprint material).
-        assert_eq!(
-            json.get("region_bytes").and_then(Json::as_u64),
-            Some(config.region_bytes)
-        );
-        assert_eq!(
-            json.get("window_accesses").and_then(Json::as_u64),
-            Some(config.window_accesses)
-        );
-    });
+/// One access of the non-speculative stream [`nonspeculative_ops`] drives.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Load,
+    Atomic,
+    CommitStore,
+    Fetch,
 }
 
+/// A seeded stream of non-speculative accesses: loads and atomics at the head
+/// of the ROB, committed stores and fetches under no branch, over a few pages
+/// per core so it exercises hits, misses, TLB refills and evictions.
+fn nonspeculative_ops(seed: u64, cores: usize, count: usize) -> Vec<(Op, MemAccessCtx)> {
+    let mut rng = SimRng::seed_from(seed);
+    let mut when = 0;
+    (0..count)
+        .map(|_| {
+            when += rng.below(40);
+            let op = [Op::Load, Op::Atomic, Op::CommitStore, Op::Fetch][rng.below(4) as usize];
+            let base = if matches!(op, Op::Fetch) {
+                0x40_0000
+            } else {
+                0x10_0000
+            };
+            let vaddr = VirtAddr::new(base + rng.below(16 * 4096) / 8 * 8);
+            let is_store = matches!(op, Op::Atomic | Op::CommitStore);
+            let mut ctx = MemAccessCtx::simple(
+                rng.below(cores as u64) as usize,
+                vaddr,
+                VirtAddr::new(0x40_0000 + rng.below(64) * 4),
+                Cycle::new(when),
+                is_store,
+            );
+            ctx.speculative = false;
+            (op, ctx)
+        })
+        .collect()
+}
+
+/// Every latency the stream observes, followed by the model's `hierarchy.*`
+/// counters.
+fn drive(
+    kind: DefenseKind,
+    config: &SystemConfig,
+    ops: &[(Op, MemAccessCtx)],
+) -> (Vec<u64>, Vec<(String, u64)>) {
+    let mut model = kind.build(config);
+    let latencies = ops
+        .iter()
+        .map(|(op, ctx)| match op {
+            Op::Load | Op::Atomic => model
+                .load(ctx)
+                .latency()
+                .expect("non-speculative loads complete"),
+            Op::CommitStore => model.commit_access(ctx),
+            Op::Fetch => model
+                .fetch_instruction(ctx)
+                .latency()
+                .expect("fetches complete"),
+        })
+        .collect();
+    let hierarchy = model
+        .stats()
+        .iter_counters()
+        .filter(|(name, _)| name.starts_with("hierarchy."))
+        .map(|(name, value)| (name.to_string(), value))
+        .collect();
+    (latencies, hierarchy)
+}
+
+/// A defense's policy engages only on speculative accesses: on a purely
+/// non-speculative stream every latency and every hierarchy counter matches
+/// the unprotected baseline's.
 #[test]
-fn safebet_config_rejects_degenerate_payloads() {
-    let zero_region = Json::obj([
-        ("region_bytes", Json::UInt(0)),
-        ("window_accesses", Json::UInt(4)),
-    ]);
-    assert!(SafeBetConfig::from_json(&zero_region).is_err());
-    let zero_window = Json::obj([
-        ("region_bytes", Json::UInt(64)),
-        ("window_accesses", Json::UInt(0)),
-    ]);
-    assert!(SafeBetConfig::from_json(&zero_window).is_err());
-    let missing = Json::obj([("region_bytes", Json::UInt(64))]);
-    assert!(SafeBetConfig::from_json(&missing).is_err());
+fn nonspeculative_accesses_match_unprotected() {
+    let config = SystemConfig::small_test();
+    for seed in 0..3 {
+        let ops = nonspeculative_ops(0x5afe + seed, config.cores, 3_000);
+        let baseline = drive(DefenseKind::Unprotected, &config, &ops);
+        assert!(
+            baseline.1.iter().any(|(_, v)| *v > 0),
+            "the stream reaches the hierarchy"
+        );
+        for kind in [
+            DefenseKind::InvisiSpecSpectre,
+            DefenseKind::InvisiSpecFuture,
+            DefenseKind::SttSpectre,
+            DefenseKind::SttFuture,
+            DefenseKind::Fence,
+            DefenseKind::DelayLoads,
+            DefenseKind::SafeBet,
+        ] {
+            let (latencies, hierarchy) = drive(kind, &config, &ops);
+            if let Some(i) = (0..ops.len()).find(|&i| latencies[i] != baseline.0[i]) {
+                panic!(
+                    "seed {seed}: {kind} op {i} {:?} took {} cycles, unprotected {}",
+                    ops[i].0, latencies[i], baseline.0[i]
+                );
+            }
+            assert_eq!(
+                hierarchy, baseline.1,
+                "seed {seed}: {kind} hierarchy counters"
+            );
+        }
+    }
 }

@@ -15,7 +15,10 @@
 //! * [`hierarchy`] — the multi-core [`hierarchy::MemoryHierarchy`] tying the
 //!   above together and exposing the fine-grained operations the defenses
 //!   (MuonTrap, InvisiSpec, STT) need: fills that bypass the non-speculative
-//!   levels, exclusive upgrades, coherence probes and invalidation queues.
+//!   levels, exclusive upgrades, coherence probes and invalidation queues,
+//! * [`platform`] — the [`Platform`] every memory model runs on: the hierarchy
+//!   plus one MMU per core, with the ordinary translate, fetch, load and
+//!   commit-store paths, so each model adds only its protection policy.
 //!
 //! The hierarchy is a *timing and state* model: it tracks which lines are
 //! where and in which coherence state, and reports access latencies. Data
@@ -48,6 +51,7 @@ pub mod dram;
 pub mod hierarchy;
 pub mod mesi;
 pub mod mshr;
+pub mod platform;
 pub mod prefetch;
 pub mod tlb;
 pub mod types;
@@ -55,5 +59,6 @@ pub mod types;
 pub use cache::CacheArray;
 pub use hierarchy::MemoryHierarchy;
 pub use mesi::MesiState;
+pub use platform::Platform;
 pub use tlb::{Mmu, PageTable, Tlb, Translation};
 pub use types::{AccessKind, AccessRequest, AccessResponse, FillLevel, ServiceLevel};

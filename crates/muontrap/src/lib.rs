@@ -41,7 +41,8 @@
 //! let ctx = MemAccessCtx::simple(0, VirtAddr::new(0x8000), VirtAddr::new(0x400_000), Cycle::ZERO, false);
 //! let _ = mt.load(&ctx);
 //! assert!(mt.data_filter_contains(0, VirtAddr::new(0x8000)));
-//! assert!(!mt.hierarchy().own_l1_contains(0, mt.phys_line(0, VirtAddr::new(0x8000))));
+//! let line = mt.platform().phys_line(0, VirtAddr::new(0x8000));
+//! assert!(!mt.platform().hierarchy.own_l1_contains(0, line));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -7,14 +7,14 @@
 //! experiments (figures 8 and 9) and the "insecure L0" baseline are produced
 //! from this one implementation.
 
-use simkit::addr::{LineAddr, VirtAddr};
+use simkit::addr::{LineAddr, PhysAddr, VirtAddr};
 use simkit::config::{ProtectionConfig, SystemConfig};
 use simkit::cycles::Cycle;
 use simkit::stats::StatSet;
 
-use memsys::hierarchy::MemoryHierarchy;
-use memsys::tlb::{Mmu, PageTable};
+use memsys::tlb::PageTable;
 use memsys::types::{AccessKind, AccessRequest, FillLevel, ServiceLevel};
+use memsys::Platform;
 
 use ooo_core::memmodel::{DomainSwitch, MemAccessCtx, MemOutcome, MemoryModel};
 
@@ -27,15 +27,13 @@ struct CoreState {
     data_filter: FilterCache,
     inst_filter: FilterCache,
     filter_tlb: FilterTlb,
-    mmu: Mmu,
 }
 
 /// The MuonTrap protection scheme as a pluggable memory model.
 #[derive(Debug)]
 pub struct MuonTrap {
-    config: SystemConfig,
+    platform: Platform,
     protection: ProtectionConfig,
-    hierarchy: MemoryHierarchy,
     cores: Vec<CoreState>,
     stats: StatSet,
     /// Reusable buffer for draining the hierarchy's invalidation queues, so
@@ -45,24 +43,18 @@ pub struct MuonTrap {
 
 impl MuonTrap {
     /// Builds MuonTrap (and all baseline variants selected through
-    /// `config.protection`) over a fresh hierarchy.
+    /// `config.protection`) over a fresh platform.
     pub fn new(config: &SystemConfig) -> Self {
-        let hierarchy = MemoryHierarchy::new(config);
         let cores = (0..config.cores)
-            .map(|i| CoreState {
+            .map(|_| CoreState {
                 data_filter: FilterCache::new(&config.data_filter, config.line_bytes),
                 inst_filter: FilterCache::new(&config.inst_filter, config.line_bytes),
                 filter_tlb: FilterTlb::new(config.filter_tlb_entries),
-                mmu: Mmu::new(
-                    &config.tlb,
-                    PageTable::new(config.tlb.page_bytes, (i as u64 + 1) << 32),
-                ),
             })
             .collect();
         MuonTrap {
-            config: config.clone(),
+            platform: Platform::new(config),
             protection: config.protection,
-            hierarchy,
             cores,
             stats: StatSet::new(),
             inval_scratch: Vec::new(),
@@ -74,30 +66,23 @@ impl MuonTrap {
         &self.protection
     }
 
-    /// Read-only access to the underlying non-speculative hierarchy (used by
-    /// the attack harness to check what became architecturally visible).
-    pub fn hierarchy(&self) -> &MemoryHierarchy {
-        &self.hierarchy
-    }
-
-    /// Translates a virtual address on `core` to its physical line without any
-    /// timing side effects (test and attack-harness helper).
-    pub fn phys_line(&self, core: usize, vaddr: VirtAddr) -> LineAddr {
-        let pa = self.cores[core].mmu.page_table().translate(vaddr);
-        LineAddr::from_phys(pa, self.config.line_bytes)
+    /// The platform underneath, whose non-speculative hierarchy shows what
+    /// became architecturally visible.
+    pub fn platform(&self) -> &Platform {
+        &self.platform
     }
 
     /// Whether `core`'s data filter cache currently holds the line containing
     /// `vaddr`.
     pub fn data_filter_contains(&self, core: usize, vaddr: VirtAddr) -> bool {
-        let line = self.phys_line(core, vaddr);
+        let line = self.platform.phys_line(core, vaddr);
         self.cores[core].data_filter.contains(line)
     }
 
     /// Whether `core`'s instruction filter cache currently holds the line
     /// containing `vaddr`.
     pub fn inst_filter_contains(&self, core: usize, vaddr: VirtAddr) -> bool {
-        let line = self.phys_line(core, vaddr);
+        let line = self.platform.phys_line(core, vaddr);
         self.cores[core].inst_filter.contains(line)
     }
 
@@ -122,11 +107,12 @@ impl MuonTrap {
     /// every tick and before every access, so the common empty-queue case
     /// returns immediately and the drain reuses one scratch buffer.
     fn drain_invalidations(&mut self, core: usize) {
-        if !self.hierarchy.has_pending_invalidations(core) {
+        let hierarchy = &mut self.platform.hierarchy;
+        if !hierarchy.has_pending_invalidations(core) {
             return;
         }
         let mut lines = std::mem::take(&mut self.inval_scratch);
-        self.hierarchy.drain_invalidations_into(core, &mut lines);
+        hierarchy.drain_invalidations_into(core, &mut lines);
         for &line in &lines {
             let state = &mut self.cores[core];
             if state.data_filter.external_invalidate(line) {
@@ -142,35 +128,23 @@ impl MuonTrap {
     /// filter TLB when that protection is enabled. Returns the physical line
     /// and the translation latency.
     fn translate_data(&mut self, core: usize, ctx: &MemAccessCtx) -> (LineAddr, u64) {
-        let state = &mut self.cores[core];
+        let filter_tlb = &mut self.cores[core].filter_tlb;
         let use_filter_tlb = self.protection.filter_tlb && self.protection.secure_filter;
-        if use_filter_tlb && ctx.speculative {
-            let vpn = ctx.vaddr.page_number(self.config.tlb.page_bytes);
-            if let Some(ppn) = state.filter_tlb.lookup(vpn) {
-                let pa = ppn * self.config.tlb.page_bytes
-                    + ctx.vaddr.page_offset(self.config.tlb.page_bytes);
-                return (
-                    LineAddr::from_phys(simkit::addr::PhysAddr::new(pa), self.config.line_bytes),
-                    self.config.tlb.hit_latency,
-                );
-            }
-            // Consult the main TLB without filling it; walk if needed and put
-            // the speculative translation in the filter TLB.
-            let t = state.mmu.translate_data_no_fill(ctx.vaddr);
-            state
-                .filter_tlb
-                .fill(t.vpn, t.paddr.raw() / self.config.tlb.page_bytes);
-            (
-                LineAddr::from_phys(t.paddr, self.config.line_bytes),
-                t.latency,
-            )
-        } else {
-            let t = state.mmu.translate_data(ctx.vaddr);
-            (
-                LineAddr::from_phys(t.paddr, self.config.line_bytes),
-                t.latency,
-            )
+        if !(use_filter_tlb && ctx.speculative) {
+            return self.platform.data_line(core, ctx.vaddr);
         }
+        let tlb = &self.platform.config().tlb;
+        let (page_bytes, hit_latency) = (tlb.page_bytes, tlb.hit_latency);
+        let vpn = ctx.vaddr.page_number(page_bytes);
+        if let Some(ppn) = filter_tlb.lookup(vpn) {
+            let pa = ppn * page_bytes + ctx.vaddr.page_offset(page_bytes);
+            return (self.platform.line(PhysAddr::new(pa)), hit_latency);
+        }
+        // Consult the main TLB without filling it; walk if needed and put the
+        // speculative translation in the filter TLB.
+        let t = self.platform.mmu(core).translate_data_no_fill(ctx.vaddr);
+        filter_tlb.fill(t.vpn, t.paddr.raw() / page_bytes);
+        (self.platform.line(t.paddr), t.latency)
     }
 
     /// The extra lookup penalty the L0 adds in front of the L1 (§4, "Adding
@@ -180,7 +154,7 @@ impl MuonTrap {
         if self.protection.parallel_l1_access {
             0
         } else {
-            self.config.data_filter.hit_latency
+            self.platform.config().data_filter.hit_latency
         }
     }
 
@@ -198,9 +172,7 @@ impl MuonTrap {
         // the head of the ROB) behaves like a committed store: it may update
         // the non-speculative hierarchy and acquire exclusive ownership.
         if !ctx.speculative && ctx.is_store {
-            let req =
-                AccessRequest::new(core, line, AccessKind::Store, ctx.when).with_pc(ctx.pc.raw());
-            let resp = self.hierarchy.access(&req);
+            let resp = self.platform.load_line(core, line, ctx.pc, true, ctx.when);
             self.cores[core]
                 .data_filter
                 .insert_committed(line, ctx.vaddr, resp.served_by);
@@ -216,7 +188,7 @@ impl MuonTrap {
             self.stats.bump("muontrap.l0d_hits");
             let wait = meta.fill_ready_at.since(ctx.when);
             return MemOutcome::Done {
-                latency: self.config.data_filter.hit_latency.max(wait) + xlat_latency,
+                latency: self.platform.config().data_filter.hit_latency.max(wait) + xlat_latency,
             };
         }
         self.stats.bump("muontrap.l0d_misses");
@@ -227,7 +199,10 @@ impl MuonTrap {
         if secure
             && self.protection.coherence_protection
             && ctx.speculative
-            && self.hierarchy.remote_private_holds_exclusive(core, line)
+            && self
+                .platform
+                .hierarchy
+                .remote_private_holds_exclusive(core, line)
         {
             self.stats.bump("muontrap.coherence_nacks");
             return MemOutcome::RetryWhenNonSpeculative;
@@ -250,7 +225,8 @@ impl MuonTrap {
         if secure && self.protection.coherence_protection && ctx.speculative {
             req = req.without_remote_downgrade();
         }
-        let resp = self.hierarchy.access(&req);
+        let hierarchy = &mut self.platform.hierarchy;
+        let resp = hierarchy.access(&req);
         if resp.coherence_delayed {
             self.stats.bump("muontrap.coherence_nacks");
             return MemOutcome::RetryWhenNonSpeculative;
@@ -260,8 +236,8 @@ impl MuonTrap {
         // unprotected system would have taken it Exclusive.
         let exclusive_eligible = secure
             && !ctx.is_store
-            && !self.hierarchy.any_other_copy(core, line)
-            && !self.hierarchy.own_l1_contains(core, line);
+            && !hierarchy.any_other_copy(core, line)
+            && !hierarchy.own_l1_contains(core, line);
 
         let latency = resp.latency + self.l0_miss_penalty() + xlat_latency;
         let evicted = self.cores[core].data_filter.insert_speculative(
@@ -288,7 +264,7 @@ impl MuonTrap {
     ) -> MemOutcome {
         let req =
             AccessRequest::new(ctx.core, line, AccessKind::Load, ctx.when).with_pc(ctx.pc.raw());
-        let resp = self.hierarchy.access(&req);
+        let resp = self.platform.hierarchy.access(&req);
         MemOutcome::Done {
             latency: resp.latency + xlat_latency,
         }
@@ -306,15 +282,14 @@ impl MemoryModel for MuonTrap {
 
     fn fetch_instruction(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
         let core = ctx.core;
-        let t = self.cores[core].mmu.translate_inst(ctx.vaddr);
-        let line = LineAddr::from_phys(t.paddr, self.config.line_bytes);
+        let (line, xlat) = self.platform.inst_line(core, ctx.vaddr);
 
         if self.protection.instruction_filter_cache && self.protection.secure_filter {
             if let Some(meta) = self.cores[core].inst_filter.lookup(line) {
                 self.stats.bump("muontrap.l0i_hits");
                 let wait = meta.fill_ready_at.since(ctx.when);
                 return MemOutcome::Done {
-                    latency: self.config.inst_filter.hit_latency.max(wait) + t.latency,
+                    latency: self.platform.config().inst_filter.hit_latency.max(wait) + xlat,
                 };
             }
             self.stats.bump("muontrap.l0i_misses");
@@ -326,8 +301,8 @@ impl MemoryModel for MuonTrap {
             let req = AccessRequest::new(core, line, AccessKind::InstFetch, ctx.when)
                 .with_fill(fill)
                 .without_prefetch_training();
-            let resp = self.hierarchy.access(&req);
-            let latency = resp.latency + self.config.inst_filter.hit_latency + t.latency;
+            let resp = self.platform.hierarchy.access(&req);
+            let latency = resp.latency + self.platform.config().inst_filter.hit_latency + xlat;
             self.cores[core].inst_filter.insert_speculative(
                 line,
                 ctx.vaddr,
@@ -337,10 +312,8 @@ impl MemoryModel for MuonTrap {
             );
             MemOutcome::Done { latency }
         } else {
-            let req = AccessRequest::new(core, line, AccessKind::InstFetch, ctx.when);
-            let resp = self.hierarchy.access(&req);
             MemOutcome::Done {
-                latency: resp.latency + t.latency,
+                latency: self.platform.fetch_line(core, line, ctx.when) + xlat,
             }
         }
     }
@@ -366,10 +339,9 @@ impl MemoryModel for MuonTrap {
         if self.cores[ctx.core].data_filter.contains(line) {
             return;
         }
+        let hierarchy = &mut self.platform.hierarchy;
         if self.protection.coherence_protection
-            && self
-                .hierarchy
-                .remote_private_holds_exclusive(ctx.core, line)
+            && hierarchy.remote_private_holds_exclusive(ctx.core, line)
         {
             // Cannot even fetch a shared copy without downgrading the owner;
             // the store will get its data at commit instead.
@@ -380,7 +352,7 @@ impl MemoryModel for MuonTrap {
             .with_fill(FillLevel::None)
             .without_prefetch_training()
             .without_remote_downgrade();
-        let resp = self.hierarchy.access(&req);
+        let resp = hierarchy.access(&req);
         if !resp.coherence_delayed {
             self.stats.bump("muontrap.store_prefetches");
             self.cores[ctx.core].data_filter.insert_speculative(
@@ -398,16 +370,15 @@ impl MemoryModel for MuonTrap {
         let core = ctx.core;
         // Commit-time translation uses (and fills) the non-speculative TLB;
         // the speculative entry, if any, is promoted out of the filter TLB.
-        let vpn = ctx.vaddr.page_number(self.config.tlb.page_bytes);
+        let vpn = ctx.vaddr.page_number(self.platform.config().tlb.page_bytes);
         if self.protection.filter_tlb
             && self.protection.secure_filter
             && self.cores[core].filter_tlb.take(vpn).is_some()
         {
-            self.cores[core].mmu.fill_data_tlb(vpn);
+            self.platform.mmu(core).fill_data_tlb(vpn);
             self.stats.bump("muontrap.filter_tlb_promotions");
         }
-        let t = self.cores[core].mmu.translate_data(ctx.vaddr);
-        let line = LineAddr::from_phys(t.paddr, self.config.line_bytes);
+        let (line, _) = self.platform.data_line(core, ctx.vaddr);
 
         if ctx.is_store {
             self.stats.bump("muontrap.committed_stores");
@@ -419,9 +390,7 @@ impl MemoryModel for MuonTrap {
             // Insecure L0 / no L0: the access already updated the hierarchy at
             // execute time; a store still needs exclusive permission now.
             if ctx.is_store {
-                let req = AccessRequest::new(core, line, AccessKind::Store, ctx.when)
-                    .with_pc(ctx.pc.raw());
-                let _ = self.hierarchy.access(&req);
+                self.platform.commit_store(core, line, ctx.pc, ctx.when);
                 if self.protection.data_filter_cache {
                     self.cores[core].data_filter.insert_committed(
                         line,
@@ -431,7 +400,7 @@ impl MemoryModel for MuonTrap {
                 }
             }
             if self.protection.prefetch_at_commit {
-                self.hierarchy.train_prefetcher(ctx.pc.raw(), line);
+                self.platform.hierarchy.train_prefetcher(ctx.pc.raw(), line);
             }
             return 0;
         }
@@ -446,13 +415,14 @@ impl MemoryModel for MuonTrap {
         // Whether our own L1 already held the line exclusively *before* this
         // commit: only then can a store avoid the invalidation broadcast that
         // keeps other filter caches timing-invariant (§4.5, figure 7).
-        let already_exclusive = self.hierarchy.own_l1_exclusive(core, line);
+        let hierarchy = &mut self.platform.hierarchy;
+        let already_exclusive = hierarchy.own_l1_exclusive(core, line);
 
         if was_uncommitted {
             // Install the line into the non-speculative L1 (re-fetching it if
             // it was evicted from the filter cache before commit, §4.2). This
             // is asynchronous and does not stall commit.
-            let _ = self.hierarchy.commit_fill_l1(core, line, ctx.when);
+            let _ = hierarchy.commit_fill_l1(core, line, ctx.when);
             self.stats.bump("muontrap.commit_writethroughs");
         }
 
@@ -462,12 +432,12 @@ impl MemoryModel for MuonTrap {
             // every other copy including other filter caches (fig. 7 counts
             // how often that broadcast happens).
             if !already_exclusive {
-                let _ = self.hierarchy.upgrade_exclusive(core, line, ctx.when);
+                let _ = hierarchy.upgrade_exclusive(core, line, ctx.when);
                 self.stats.bump("muontrap.store_upgrade_broadcasts");
             }
         } else if exclusive_eligible {
             // SE pseudo-state: launch the asynchronous upgrade to Exclusive.
-            let _ = self.hierarchy.upgrade_exclusive(core, line, ctx.when);
+            let _ = hierarchy.upgrade_exclusive(core, line, ctx.when);
             self.stats.bump("muontrap.se_upgrades");
         }
 
@@ -475,7 +445,7 @@ impl MemoryModel for MuonTrap {
         if self.protection.prefetch_at_commit {
             let _ = filled_from; // direction of the notification; the only
                                  // prefetcher in the system sits at the L2.
-            self.hierarchy.train_prefetcher(ctx.pc.raw(), line);
+            hierarchy.train_prefetcher(ctx.pc.raw(), line);
         }
         0
     }
@@ -485,21 +455,20 @@ impl MemoryModel for MuonTrap {
             return;
         }
         let core = ctx.core;
-        let t = self.cores[core].mmu.translate_inst(ctx.pc);
-        let line = LineAddr::from_phys(t.paddr, self.config.line_bytes);
+        let (line, _) = self.platform.inst_line(core, ctx.pc);
         let meta = self.cores[core].inst_filter.mark_committed(line);
         if matches!(meta, Some(m) if !m.committed) {
             // Instruction lines are read-only: committing them just installs
             // them in the L1I; no coherence transaction is needed (§4.7).
             let req = AccessRequest::new(core, line, AccessKind::InstFetch, ctx.when)
                 .without_prefetch_training();
-            let _ = self.hierarchy.access(&req);
+            let _ = self.platform.hierarchy.access(&req);
             self.stats.bump("muontrap.l0i_commit_writethroughs");
         }
     }
 
     fn set_page_table(&mut self, core: usize, table: PageTable) {
-        self.cores[core].mmu.set_page_table(table);
+        self.platform.set_page_table(core, table);
     }
 
     fn on_squash(&mut self, core: usize, _when: Cycle) {
@@ -529,12 +498,11 @@ impl MemoryModel for MuonTrap {
         // The only per-cycle background work is draining invalidation
         // broadcasts; with an empty queue, `tick` is a no-op and idle cycles
         // may be fast-forwarded.
-        !self.hierarchy.has_pending_invalidations(core)
+        !self.platform.hierarchy.has_pending_invalidations(core)
     }
 
     fn stats(&self) -> StatSet {
-        let mut out = self.stats.clone();
-        out.merge(self.hierarchy.stats());
+        let mut out = self.platform.stats(&self.stats);
         for (i, c) in self.cores.iter().enumerate() {
             c.data_filter
                 .accumulate_stats(&mut out, &format!("muontrap.core{i}.l0d"));
@@ -573,14 +541,14 @@ mod tests {
         let c = ctx(0, 0x8000, true, false);
         let outcome = mt.load(&c);
         assert!(matches!(outcome, MemOutcome::Done { .. }));
-        let line = mt.phys_line(0, VirtAddr::new(0x8000));
+        let line = mt.platform().phys_line(0, VirtAddr::new(0x8000));
         assert!(mt.data_filter_contains(0, VirtAddr::new(0x8000)));
         assert!(
-            !mt.hierarchy().own_l1_contains(0, line),
+            !mt.platform().hierarchy.own_l1_contains(0, line),
             "speculative data must not enter the L1"
         );
         assert!(
-            !mt.hierarchy().l2_contains(line),
+            !mt.platform().hierarchy.l2_contains(line),
             "speculative data must not enter the L2"
         );
     }
@@ -607,15 +575,15 @@ mod tests {
         let mut mt = muontrap();
         let spec = ctx(0, 0x8000, true, false);
         let _ = mt.load(&spec);
-        let line = mt.phys_line(0, VirtAddr::new(0x8000));
-        assert!(!mt.hierarchy().own_l1_contains(0, line));
+        let line = mt.platform().phys_line(0, VirtAddr::new(0x8000));
+        assert!(!mt.platform().hierarchy.own_l1_contains(0, line));
         let commit = ctx(0, 0x8000, false, false);
         let extra = mt.commit_access(&commit);
         assert_eq!(
             extra, 0,
             "the write-through is asynchronous and must not stall commit"
         );
-        assert!(mt.hierarchy().own_l1_contains(0, line));
+        assert!(mt.platform().hierarchy.own_l1_contains(0, line));
         let s = mt.stats();
         assert_eq!(s.counter("muontrap.commit_writethroughs"), 1);
     }
@@ -633,10 +601,10 @@ mod tests {
             !mt.data_filter_contains(0, target),
             "the first line must have been evicted"
         );
-        let line = mt.phys_line(0, target);
+        let line = mt.platform().phys_line(0, target);
         let _ = mt.commit_access(&ctx(0, 0x10_0000, false, false));
         assert!(
-            mt.hierarchy().own_l1_contains(0, line),
+            mt.platform().hierarchy.own_l1_contains(0, line),
             "commit must bring the line into the L1 anyway"
         );
     }
@@ -687,8 +655,9 @@ mod tests {
         // Core 1 commits a store, so its L1 holds the line in Modified.
         let _ = mt.commit_access(&ctx(1, 0x9000, false, true));
         assert!(mt
-            .hierarchy()
-            .own_l1_exclusive(1, mt.phys_line(1, VirtAddr::new(0x9000))));
+            .platform()
+            .hierarchy
+            .own_l1_exclusive(1, mt.platform().phys_line(1, VirtAddr::new(0x9000))));
         // Core 0 now tries to load the same line speculatively: nacked.
         let outcome = mt.load(&ctx(0, 0x9000, true, false));
         assert_eq!(outcome, MemOutcome::RetryWhenNonSpeculative);
@@ -751,7 +720,10 @@ mod tests {
             let _ = mt.load(&c);
         }
         assert_eq!(
-            mt.hierarchy().stats().counter("hierarchy.prefetch_fills"),
+            mt.platform()
+                .hierarchy
+                .stats()
+                .counter("hierarchy.prefetch_fills"),
             0
         );
         // The same stream committing trains it.
@@ -760,7 +732,13 @@ mod tests {
             c.pc = VirtAddr::new(0x40_1000);
             let _ = mt.commit_access(&c);
         }
-        assert!(mt.hierarchy().stats().counter("hierarchy.prefetch_fills") > 0);
+        assert!(
+            mt.platform()
+                .hierarchy
+                .stats()
+                .counter("hierarchy.prefetch_fills")
+                > 0
+        );
     }
 
     #[test]
@@ -770,9 +748,9 @@ mod tests {
         let mut mt = MuonTrap::new(&cfg);
         assert_eq!(mt.name(), "insecure-l0");
         let _ = mt.load(&ctx(0, 0x8000, true, false));
-        let line = mt.phys_line(0, VirtAddr::new(0x8000));
+        let line = mt.platform().phys_line(0, VirtAddr::new(0x8000));
         assert!(
-            mt.hierarchy().own_l1_contains(0, line),
+            mt.platform().hierarchy.own_l1_contains(0, line),
             "the insecure L0 does not isolate the L1"
         );
     }
@@ -784,14 +762,14 @@ mod tests {
         let first = mt.fetch_instruction(&c);
         assert!(matches!(first, MemOutcome::Done { .. }));
         assert!(mt.inst_filter_contains(0, VirtAddr::new(0x40_0000)));
-        let line = mt.phys_line(0, VirtAddr::new(0x40_0000));
+        let line = mt.platform().phys_line(0, VirtAddr::new(0x40_0000));
         assert!(
-            !mt.hierarchy().l2_contains(line),
+            !mt.platform().hierarchy.l2_contains(line),
             "speculative fetch must not fill the L2"
         );
         // Committing the fetch installs the line in the non-speculative side.
         mt.commit_fetch(&c);
-        assert!(mt.hierarchy().own_l1i_contains(0, line));
+        assert!(mt.platform().hierarchy.own_l1i_contains(0, line));
         assert_eq!(mt.stats().counter("muontrap.l0i_commit_writethroughs"), 1);
     }
 
@@ -826,9 +804,9 @@ mod tests {
         let c = ctx(0, 0xd000, true, true);
         mt.store_address_ready(&c);
         assert!(mt.data_filter_contains(0, VirtAddr::new(0xd000)));
-        let line = mt.phys_line(0, VirtAddr::new(0xd000));
-        assert!(!mt.hierarchy().own_l1_exclusive(0, line));
-        assert!(!mt.hierarchy().own_l1_contains(0, line));
+        let line = mt.platform().phys_line(0, VirtAddr::new(0xd000));
+        assert!(!mt.platform().hierarchy.own_l1_exclusive(0, line));
+        assert!(!mt.platform().hierarchy.own_l1_contains(0, line));
         assert_eq!(mt.stats().counter("muontrap.store_prefetches"), 1);
     }
 

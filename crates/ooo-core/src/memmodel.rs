@@ -106,9 +106,9 @@ impl MemOutcome {
 
 /// The memory system as seen by a core.
 ///
-/// Implementations hold the shared [`memsys::MemoryHierarchy`] plus whatever
-/// per-core protection structures they need (filter caches, speculative
-/// buffers, taint state). All methods take `&mut self` — the simulation is
+/// Implementations hold the shared [`memsys::Platform`] (the hierarchy plus
+/// one MMU per core) plus whatever per-core protection structures their
+/// policy needs (filter caches, speculative buffers, access windows). All methods take `&mut self` — the simulation is
 /// single-threaded and cores are ticked round-robin within a cycle.
 pub trait MemoryModel {
     /// A short human-readable name ("unprotected", "muontrap", ...).

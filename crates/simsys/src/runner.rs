@@ -110,14 +110,10 @@ pub struct Plan {
     pub workloads: Vec<String>,
     /// Column labels, grid order.
     pub columns: Vec<String>,
-    /// Baseline units. With memoization (the default) one per distinct
-    /// (workload, baseline machine); without, one per cell.
+    /// Baseline units, one per distinct (workload, baseline machine).
     pub baselines: Vec<WorkUnit>,
     /// Cell units, workload-major grid order.
     pub cells: Vec<WorkUnit>,
-    /// Whether baselines were deduplicated (see
-    /// [`ExperimentSession::memoize`](crate::session::ExperimentSession::memoize)).
-    pub memoized: bool,
 }
 
 impl Plan {
@@ -137,7 +133,7 @@ impl Plan {
 ///
 /// `Completed` means a simulation was executed for the unit (it counts
 /// toward [`RunReport::sims_executed`]); `Cached` means the unit resolved
-/// without simulating — a store hit, a process-cache hit, or a derived
+/// without simulating — a store hit or a derived
 /// `Unprotected` cell. Cell-kind events carry the full [`CellResult`] so the
 /// merger can rebuild the report from logs alone.
 ///
@@ -542,7 +538,6 @@ pub(crate) fn run_parallel<T: Sync, R: Send>(
 pub fn execute_local(
     plan: &Plan,
     store: Option<&ResultStore>,
-    process_cache: bool,
     threads: usize,
     sink: Option<&mut (dyn Write + Send)>,
 ) -> Vec<RunEvent> {
@@ -569,29 +564,6 @@ pub fn execute_local(
 
     // Phase A: baselines. Results flow to phase B through a fingerprint map.
     let baseline_outcomes = run_parallel(&plan.baselines, threads, |unit| {
-        if process_cache && plan.memoized {
-            if let Some(hit) = session::process_cache_get(&unit.workload, &unit.config) {
-                // In-memory reuse within this process, not a store hit:
-                // provenance stays `cached: false`. Write through to the
-                // store so a warm process cache still leaves the store warm
-                // for the next process.
-                if let Some(s) = store {
-                    if !s.contains(unit.fingerprint) {
-                        let _ = s.put(unit.fingerprint, &hit);
-                    }
-                }
-                let event = RunEvent::Cached {
-                    shard,
-                    kind: UnitKind::Baseline,
-                    index: unit.index,
-                    fingerprint: unit.fingerprint,
-                    cell: None,
-                    t_ms: stamp_now(),
-                };
-                sink.emit(&event);
-                return (Arc::new(hit), false, event);
-            }
-        }
         let (result, cached, sim_ms) = run_or_load(unit);
         let result = Arc::new(result);
         let event = if cached {
@@ -620,9 +592,6 @@ pub fn execute_local(
     let mut events: Vec<RunEvent> = Vec::with_capacity(plan.baselines.len() + plan.cells.len());
     let mut baselines: HashMap<Fingerprint, (Arc<ExperimentResult>, bool)> = HashMap::new();
     for (unit, (result, cached, event)) in plan.baselines.iter().zip(baseline_outcomes) {
-        if process_cache && plan.memoized {
-            session::process_cache_put(&unit.workload, &unit.config, Arc::clone(&result));
-        }
         baselines.insert(unit.fingerprint, (result, cached));
         events.push(event);
     }
@@ -704,16 +673,6 @@ mod tests {
         assert_eq!(a.cells[0].fingerprint, a.cells[0].baseline.unwrap());
         assert!(!a.cells[1].copies_baseline);
         assert_eq!(a.expected_cold_sims(), 4); // 2 baselines + 2 muontrap cells
-    }
-
-    #[test]
-    fn unmemoized_plans_carry_one_baseline_per_cell() {
-        let plan = tiny_session(2, &[DefenseKind::MuonTrap, DefenseKind::SttSpectre])
-            .memoize(false)
-            .plan();
-        assert_eq!(plan.cells.len(), 4);
-        assert_eq!(plan.baselines.len(), 4, "no deduplication without memoize");
-        assert!(!plan.memoized);
     }
 
     #[test]
@@ -828,7 +787,7 @@ mod tests {
     fn merge_requires_every_cell_and_prefers_execution_provenance() {
         let session = tiny_session(1, &[DefenseKind::MuonTrap]);
         let plan = session.clone().plan();
-        let events = execute_local(&plan, None, false, 1, None);
+        let events = execute_local(&plan, None, 1, None);
         // Missing cells are an error, not a silent hole.
         let partial: Vec<RunEvent> = events
             .iter()

@@ -51,10 +51,9 @@
 //! assert!(report.geomeans().iter().all(|g| *g > 0.0));
 //! ```
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use simkit::config::{ProtectionConfig, SystemConfig};
@@ -166,8 +165,6 @@ pub struct ExperimentSession {
     config: SystemConfig,
     config_sweep: Option<Vec<(String, SystemConfig)>>,
     threads: usize,
-    memoize: bool,
-    process_cache: bool,
     store: Option<ResultStore>,
 }
 
@@ -182,8 +179,6 @@ impl ExperimentSession {
             config: SystemConfig::paper_default(),
             config_sweep: None,
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            memoize: true,
-            process_cache: false,
             store: None,
         }
     }
@@ -246,25 +241,6 @@ impl ExperimentSession {
     /// [`std::thread::available_parallelism`].
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Disables baseline memoization: every cell re-runs its own `Unprotected`
-    /// baseline, as the pre-session harness did. Only useful for validating
-    /// that memoization does not change results; costs ~2× the simulations.
-    pub fn memoize(mut self, memoize: bool) -> Self {
-        self.memoize = memoize;
-        self
-    }
-
-    /// Shares baseline runs through a process-wide in-memory cache, so
-    /// separate sessions over the same (workload, machine) pairs — e.g. a
-    /// harness constructing one session per sweep point — skip repeated
-    /// baselines. Off by default so [`RunReport::baseline_sims`] counts are
-    /// self-contained and tests stay order-independent. For persistence
-    /// *across* processes, use [`with_store`](Self::with_store) instead.
-    pub fn process_cache(mut self, enabled: bool) -> Self {
-        self.process_cache = enabled;
         self
     }
 
@@ -335,7 +311,7 @@ impl ExperimentSession {
     pub fn plan(&self) -> Plan {
         let columns = self.columns();
         let mut baselines: Vec<WorkUnit> = Vec::new();
-        let mut seen: HashMap<Fingerprint, usize> = HashMap::new();
+        let mut seen: HashSet<Fingerprint> = HashSet::new();
         let mut cells: Vec<WorkUnit> = Vec::new();
         for workload in &self.workloads {
             let programs = store::programs_digest(workload);
@@ -347,10 +323,8 @@ impl ExperimentSession {
                     DefenseKind::Unprotected,
                     &baseline_config,
                 );
-                // With memoization, one baseline unit per distinct machine;
-                // without, one per cell (the validation mode's semantics).
-                if !self.memoize || !seen.contains_key(&baseline_fp) {
-                    seen.insert(baseline_fp, baselines.len());
+                // One baseline unit per distinct (workload, baseline machine).
+                if seen.insert(baseline_fp) {
                     baselines.push(WorkUnit {
                         kind: UnitKind::Baseline,
                         index: baselines.len(),
@@ -396,7 +370,6 @@ impl ExperimentSession {
             columns: columns.into_iter().map(|c| c.label).collect(),
             baselines,
             cells,
-            memoized: self.memoize,
         }
     }
 
@@ -420,13 +393,7 @@ impl ExperimentSession {
     pub fn run_with_events(self, sink: Option<&mut (dyn Write + Send)>) -> RunReport {
         let started = Instant::now();
         let plan = self.plan();
-        let events = runner::execute_local(
-            &plan,
-            self.store.as_ref(),
-            self.process_cache,
-            self.threads,
-            sink,
-        );
+        let events = runner::execute_local(&plan, self.store.as_ref(), self.threads, sink);
         let wall_clock_ms = started.elapsed().as_secs_f64() * 1e3;
         let report = runner::merge_events(&plan, events, wall_clock_ms)
             .expect("a local execution resolves every cell");
@@ -509,43 +476,6 @@ pub fn baseline_machine(config: &SystemConfig) -> SystemConfig {
     cfg
 }
 
-/// Key of a memoized baseline: the workload plus its canonical baseline
-/// machine. Full values, not hashes, so cache hits can never alias distinct
-/// experiments.
-type BaselineKey = (Workload, SystemConfig);
-/// The process-wide cache stores results only; store provenance is per-run.
-type ProcessCache = HashMap<BaselineKey, Arc<ExperimentResult>>;
-
-/// Process-wide baseline cache shared by sessions with
-/// [`ExperimentSession::process_cache`] enabled (harnesses that construct a
-/// fresh session per sweep point).
-fn process_cache() -> &'static Mutex<ProcessCache> {
-    static CACHE: OnceLock<Mutex<ProcessCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-pub(crate) fn process_cache_get(
-    workload: &Workload,
-    config: &SystemConfig,
-) -> Option<ExperimentResult> {
-    process_cache()
-        .lock()
-        .unwrap()
-        .get(&(workload.clone(), config.clone()))
-        .map(|arc| (**arc).clone())
-}
-
-pub(crate) fn process_cache_put(
-    workload: &Workload,
-    config: &SystemConfig,
-    value: Arc<ExperimentResult>,
-) {
-    process_cache()
-        .lock()
-        .unwrap()
-        .insert((workload.clone(), config.clone()), value);
-}
-
 /// One grid cell of a [`RunReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
@@ -600,10 +530,10 @@ pub struct RunReport {
     /// Wall-clock duration of the whole grid, in milliseconds.
     pub wall_clock_ms: f64,
     /// Number of `Unprotected` baseline simulations actually executed
-    /// (store and process-cache hits are not executions).
+    /// (store hits are not executions).
     pub baseline_sims: usize,
     /// Total simulations actually executed for this report — baselines plus
-    /// grid cells, excluding every store, process-cache and memoization hit.
+    /// grid cells, excluding every store and memoization hit.
     /// A re-run of an unchanged grid against a warm store reports zero.
     pub sims_executed: usize,
     /// Workload names, grid order.
@@ -910,16 +840,6 @@ mod tests {
     }
 
     #[test]
-    fn unmemoized_runs_match_memoized_cell_for_cell() {
-        let kinds = [DefenseKind::MuonTrap, DefenseKind::SttSpectre];
-        let memoized = tiny_session(2, &kinds).run();
-        let unmemoized = tiny_session(2, &kinds).memoize(false).run();
-        assert!(unmemoized.baseline_sims > memoized.baseline_sims);
-        assert_eq!(memoized.cells, unmemoized.cells);
-        assert_eq!(memoized.columns, unmemoized.columns);
-    }
-
-    #[test]
     fn parallel_and_serial_runs_produce_identical_ordered_results() {
         let kinds = [DefenseKind::MuonTrap, DefenseKind::InsecureL0];
         let serial = tiny_session(4, &kinds).threads(1).run();
@@ -949,37 +869,6 @@ mod tests {
         assert!(text.contains("test grid"));
         assert!(text.contains("muontrap"));
         assert!(text.contains("geomean"));
-    }
-
-    #[test]
-    fn process_cache_reuses_baselines_across_sessions() {
-        // Use a distinctive machine so parallel-running tests cannot have
-        // primed the cache for these keys.
-        let mut cfg = SystemConfig::small_test();
-        cfg.scheduler_quantum = 19_997;
-        let workloads: Vec<Workload> = spec_suite(Scale::Tiny)
-            .into_iter()
-            .skip(5)
-            .take(2)
-            .collect();
-        let first = ExperimentSession::new()
-            .workloads(workloads.clone())
-            .defenses([DefenseKind::MuonTrap])
-            .config(cfg.clone())
-            .process_cache(true)
-            .run();
-        assert_eq!(first.baseline_sims, 2);
-        let second = ExperimentSession::new()
-            .workloads(workloads)
-            .defenses([DefenseKind::MuonTrap])
-            .config(cfg)
-            .process_cache(true)
-            .run();
-        assert_eq!(
-            second.baseline_sims, 0,
-            "second session must hit the process cache"
-        );
-        assert_eq!(first.cells, second.cells);
     }
 
     fn temp_store_dir(tag: &str) -> std::path::PathBuf {
@@ -1086,40 +975,6 @@ mod tests {
         // And the rewrite healed the store.
         assert_eq!(store.len(), 2);
         assert_eq!(session().run().sims_executed, 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn process_cache_hits_write_through_to_the_store() {
-        // A distinctive machine so concurrently-running tests cannot have
-        // primed the process cache for these keys.
-        let mut cfg = SystemConfig::small_test();
-        cfg.scheduler_quantum = 19_993;
-        let workloads: Vec<Workload> = spec_suite(Scale::Tiny)
-            .into_iter()
-            .skip(3)
-            .take(1)
-            .collect();
-        let session = || {
-            ExperimentSession::new()
-                .workloads(workloads.clone())
-                .defenses([DefenseKind::MuonTrap])
-                .config(cfg.clone())
-        };
-        // Prime the process cache with no store attached.
-        let first = session().process_cache(true).run();
-        assert_eq!(first.baseline_sims, 1);
-        // The baseline now comes from the process cache, but must still be
-        // written through to the newly attached store...
-        let dir = temp_store_dir("writethrough");
-        let second = session().process_cache(true).with_store(&dir).run();
-        assert_eq!(second.baseline_sims, 0);
-        // ...so a store-only rerun (e.g. a fresh process) is fully warm.
-        let third = session().with_store(&dir).run();
-        assert_eq!(
-            third.sims_executed, 0,
-            "process-cache hits must leave the store warm"
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -86,9 +86,6 @@ pub struct System {
     scheduled_at: Vec<Cycle>,
     now: Cycle,
     context_switches: u64,
-    /// Flush the branch-target buffer on context switches (the variant-2
-    /// mitigation the paper assumes is present on recent hardware).
-    pub flush_btb_on_switch: bool,
     /// Reusable per-tick buffer for core events — the hot loop never
     /// allocates for event delivery.
     event_scratch: Vec<CoreEvent>,
@@ -123,7 +120,6 @@ impl System {
             scheduled_at: vec![Cycle::ZERO; config.cores],
             now: Cycle::ZERO,
             context_switches: 0,
-            flush_btb_on_switch: true,
             event_scratch: Vec::new(),
             core_wake: vec![Cycle::ZERO; config.cores],
             accounted_until: vec![0; config.cores],
@@ -442,9 +438,9 @@ impl System {
         // switch from the memory model's point of view.
         self.memory_model
             .on_domain_switch(core_idx, DomainSwitch::ContextSwitch, self.now);
-        if self.flush_btb_on_switch {
-            self.cores[core_idx].predictor_mut().flush_btb();
-        }
+        // Flush the branch-target buffer: the variant-2 mitigation the paper
+        // assumes is present on recent hardware.
+        self.cores[core_idx].predictor_mut().flush_btb();
         let previous = self.cores[core_idx].swap_thread(Some(context));
         debug_assert!(previous.is_none(), "dispatch onto a busy core");
         self.running[core_idx] = Some(tid);
@@ -510,14 +506,14 @@ impl std::fmt::Debug for System {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use defenses::{build_defense, DefenseKind};
+    use defenses::DefenseKind;
     use uarch_isa::prog::ProgramBuilder;
     use uarch_isa::reg::Reg;
     use workloads::{parsec_suite, spec_suite, Scale};
 
     fn small_system(kind: DefenseKind) -> System {
         let cfg = SystemConfig::small_test();
-        let mem = build_defense(kind, &cfg);
+        let mem = kind.build(&cfg);
         System::new(&cfg, mem)
     }
 
@@ -548,7 +544,7 @@ mod tests {
         let mut cfg = SystemConfig::small_test();
         cfg.cores = 1;
         cfg.scheduler_quantum = 2_000;
-        let mem = build_defense(DefenseKind::MuonTrap, &cfg);
+        let mem = DefenseKind::MuonTrap.build(&cfg);
         let mut sys = System::new(&cfg, mem);
         // Two separate processes compete for the single core.
         let a = sys.add_process();
@@ -586,7 +582,7 @@ mod tests {
     #[test]
     fn parsec_workload_uses_all_cores() {
         let cfg = SystemConfig::small_test();
-        let mem = build_defense(DefenseKind::Unprotected, &cfg);
+        let mem = DefenseKind::Unprotected.build(&cfg);
         let mut sys = System::new(&cfg, mem);
         let w = &parsec_suite(Scale::Tiny, cfg.cores)[0];
         sys.load_workload(&w.thread_programs, w.shared_memory);
@@ -606,7 +602,7 @@ mod tests {
         let cfg = SystemConfig::small_test();
         let w = &spec_suite(Scale::Tiny)[15]; // mcf
         for kind in [DefenseKind::Unprotected, DefenseKind::MuonTrap] {
-            let mem = build_defense(kind, &cfg);
+            let mem = kind.build(&cfg);
             let mut sys = System::new(&cfg, mem);
             sys.load_workload(&w.thread_programs, w.shared_memory);
             let report = sys.run(30_000_000);

@@ -101,7 +101,7 @@ pub use workloads;
 /// The most commonly used items, re-exported flat for convenience.
 pub mod prelude {
     pub use attacks::{spectre_prime_probe, AttackOutcome};
-    pub use defenses::{build_defense, DefenseKind, DefenseRegistry};
+    pub use defenses::DefenseKind;
     pub use muontrap::MuonTrap;
     pub use ooo_core::{MemoryModel, OooCore, ThreadContext};
     pub use reportgen::{HtmlDocument, ReportFigure, SummaryTable};
@@ -128,9 +128,6 @@ mod tests {
         assert_eq!(cfg.cores, 4);
         assert_eq!(DefenseKind::MuonTrap.label(), "muontrap");
         assert_eq!(spec_suite(Scale::Tiny).len(), 26);
-        assert_eq!(
-            DefenseRegistry::standard().lookup("muontrap"),
-            Some(DefenseKind::MuonTrap)
-        );
+        assert_eq!("muontrap".parse(), Ok(DefenseKind::MuonTrap));
     }
 }

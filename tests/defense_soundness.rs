@@ -188,7 +188,7 @@ fn fence_costs_the_same_as_the_program_level_fence_transformation() {
             .find(|e| e.program.name() == base)
             .expect("gadget twin exists");
         let run = |program: &uarch_isa::prog::Program| {
-            let mut system = System::new(&cfg, build_defense(DefenseKind::Fence, &cfg));
+            let mut system = System::new(&cfg, DefenseKind::Fence.build(&cfg));
             system.load_workload(std::slice::from_ref(program), false);
             system.run(1_000_000)
         };

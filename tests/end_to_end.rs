@@ -174,7 +174,7 @@ fn context_switch_flush_cost_appears_in_time_sliced_runs() {
     cfg.scheduler_quantum = 5_000;
     let suite = spec_suite(Scale::Tiny);
     let a = suite.iter().find(|w| w.name == "hmmer").unwrap();
-    let model = build_defense(DefenseKind::MuonTrap, &cfg);
+    let model = DefenseKind::MuonTrap.build(&cfg);
     let mut system = System::new(&cfg, model);
     let pid_a = system.add_process();
     let pid_b = system.add_process();

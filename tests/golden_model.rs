@@ -62,7 +62,7 @@ fn spec_like_kernels_match_the_interpreter_on_rob_sizes_that_round_up_the_slot_r
                 cfg.pipeline.rob_entries = rob_entries;
                 cfg.pipeline.iq_entries = iq_entries;
                 for kind in [DefenseKind::Unprotected, DefenseKind::MuonTrap] {
-                    let mut mem = build_defense(kind, &cfg);
+                    let mut mem = kind.build(&cfg);
                     let finished = run_on_core_with(&cfg, program, mem.as_mut());
                     assert_eq!(
                         finished.regs.snapshot(),
@@ -98,7 +98,7 @@ fn representative_kernels_match_the_interpreter_under_muontrap_and_baseline() {
             DefenseKind::MuonTrap,
             DefenseKind::SttFuture,
         ] {
-            let mut mem = build_defense(kind, &cfg);
+            let mut mem = kind.build(&cfg);
             let finished = run_on_core(program, mem.as_mut());
             assert_eq!(
                 finished.regs.snapshot(),
@@ -123,7 +123,7 @@ fn committed_instruction_counts_match_the_interpreter() {
     let golden = interp.run(20_000_000).expect("interpreter halts");
 
     let mut core = ooo_core::OooCore::new(0, &cfg);
-    let mut mem = build_defense(DefenseKind::MuonTrap, &cfg);
+    let mut mem = DefenseKind::MuonTrap.build(&cfg);
     core.run_to_halt(
         ThreadContext::new(program.clone(), 0),
         mem.as_mut(),

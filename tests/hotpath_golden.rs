@@ -147,7 +147,7 @@ fn small_reports_match_pre_optimization_goldens() {
 /// threads than cores), memory-retry defenses and domain switches.
 #[test]
 fn fast_forward_is_invisible() {
-    use defenses::{build_defense, DefenseKind};
+    use defenses::DefenseKind;
     use simsys::system::{System, SystemReport};
     use workloads::{domain_switch_suite, parsec_suite, spec_suite};
 
@@ -174,7 +174,7 @@ fn fast_forward_is_invisible() {
     ] {
         for workload in &picks {
             let run = |tick_every_cycle: bool| {
-                let mut system = System::new(&cfg, build_defense(kind, &cfg));
+                let mut system = System::new(&cfg, kind.build(&cfg));
                 system.load_workload(&workload.thread_programs, workload.shared_memory);
                 finish(system, workload.cycle_budget, tick_every_cycle)
             };
@@ -205,7 +205,7 @@ fn fast_forward_is_invisible() {
     one_core.scheduler_quantum = 1_500;
     for kind in [DefenseKind::MuonTrap, DefenseKind::Unprotected] {
         let run = |tick_every_cycle: bool| {
-            let mut system = System::new(&one_core, build_defense(kind, &one_core));
+            let mut system = System::new(&one_core, kind.build(&one_core));
             for workload in spec_suite(Scale::Tiny).iter().take(2) {
                 system.load_workload(&workload.thread_programs, workload.shared_memory);
             }

@@ -387,7 +387,7 @@ fn event_driven_and_naive_loops_report_identical_timing() {
         let cfg = SystemConfig::small_test();
         const BUDGET: u64 = 10_000_000;
         let run = |tick_every_cycle: bool| {
-            let mut sys = System::new(&cfg, build_defense(kind, &cfg));
+            let mut sys = System::new(&cfg, kind.build(&cfg));
             let process = sys.add_process();
             sys.add_thread(process, program.clone());
             while tick_every_cycle && !sys.all_finished() && sys.now().raw() < BUDGET {
@@ -427,9 +427,9 @@ fn speculative_accesses_never_reach_the_non_speculative_hierarchy() {
                 false,
             );
             let _ = mt.load(&ctx);
-            let line = mt.phys_line(0, vaddr);
+            let (line, hierarchy) = (mt.platform().phys_line(0, vaddr), &mt.platform().hierarchy);
             assert!(
-                !mt.hierarchy().own_l1_contains(0, line) && !mt.hierarchy().l2_contains(line),
+                !hierarchy.own_l1_contains(0, line) && !hierarchy.l2_contains(line),
                 "speculative line {line:?} leaked into the non-speculative hierarchy"
             );
         }

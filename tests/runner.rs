@@ -118,3 +118,40 @@ fn read_only_stores_serve_figure_grids_without_writing() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The premise baseline memoization rests on: an `Unprotected` run ignores
+/// every knob [`simsys::session::baseline_machine`] canonicalises, so one
+/// baseline per (workload, canonical machine) stands in for every sweep
+/// point. Checked over each cumulative protection configuration of figures 8
+/// and 9, each paired with its own filter-cache and filter-TLB geometry.
+#[test]
+fn unprotected_runs_ignore_the_knobs_the_baseline_machine_canonicalises() {
+    use simkit::config::CacheConfig;
+    use simsys::session::{baseline_machine, simulate};
+
+    let kinds = bench::cumulative_protection_kinds(true);
+    assert!(kinds.len() >= 6);
+    for workload in spec_suite(Scale::Tiny).into_iter().take(2) {
+        for (i, (label, kind)) in kinds.iter().enumerate() {
+            let DefenseKind::MuonTrapCustom(protection) = *kind else {
+                panic!("{label} is not a custom protection configuration");
+            };
+            let mut cfg = SystemConfig::paper_default();
+            cfg.protection = protection;
+            cfg.data_filter = CacheConfig::new(256 << i, 1 << (i % 4), 1 + i as u64 % 2, 2 + i);
+            cfg.inst_filter = CacheConfig::new(4096 >> (i % 3), 2, 1, 4);
+            cfg.filter_tlb_entries = 4 + 3 * i;
+            assert_ne!(
+                cfg,
+                baseline_machine(&cfg),
+                "{label} varies a canonicalised knob"
+            );
+            assert_eq!(
+                simulate(&workload, DefenseKind::Unprotected, &cfg),
+                simulate(&workload, DefenseKind::Unprotected, &baseline_machine(&cfg)),
+                "{} under `{label}`: the baseline must not see protection knobs",
+                workload.name
+            );
+        }
+    }
+}

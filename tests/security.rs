@@ -2,9 +2,12 @@
 //! security argument. Every attack must succeed against the unprotected
 //! baseline (otherwise the litmus is vacuous) and must fail against MuonTrap.
 
+use std::path::PathBuf;
+
 use attacks::litmus;
 use attacks::spectre::spectre_prime_probe_with_secret;
 use muontrap_repro::prelude::*;
+use simkit::json;
 
 fn config() -> SystemConfig {
     SystemConfig::paper_default()
@@ -116,4 +119,32 @@ fn disabling_individual_protections_reopens_the_matching_channel() {
     // The full configuration closes both.
     assert!(!litmus::prefetch_attack_leaks(DefenseKind::MuonTrap, &cfg));
     assert!(!litmus::icache_attack_leaks(DefenseKind::MuonTrap, &cfg));
+}
+
+/// The whole security matrix — every named kind against every attack,
+/// including each outcome's `detail` — pinned against its recording.
+/// Regenerate (only after an intentional change to a defense or an attack)
+/// with `MUONTRAP_REGEN_GOLDENS=1 cargo test --test security`.
+#[test]
+fn security_matrix_matches_golden() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/security_matrix.json");
+    let produced = bench::security_json(&config());
+    if std::env::var_os("MUONTRAP_REGEN_GOLDENS").is_some() {
+        std::fs::write(&path, produced.to_string_pretty()).expect("write golden");
+        eprintln!("regenerated {}", path.display());
+        return;
+    }
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); regenerate with MUONTRAP_REGEN_GOLDENS=1",
+            path.display()
+        )
+    });
+    let golden = json::parse(&text).expect("golden parses");
+    let (produced, golden) = (produced.as_arr().unwrap(), golden.as_arr().unwrap());
+    assert_eq!(produced.len(), 12 * 6, "12 named kinds x 6 attacks");
+    assert_eq!(produced.len(), golden.len(), "matrix size changed");
+    for (now, then) in produced.iter().zip(golden) {
+        assert_eq!(now, then, "security outcome diverges from the golden");
+    }
 }
