@@ -9,9 +9,9 @@
 //! figure fig4 --html fig4.html          # plus a self-contained HTML page
 //! ```
 //!
-//! The text table is the normalised execution time of every cell, except
-//! for `fig7`, whose figure is the invalidation-broadcast rate derived from
-//! each cell's `muontrap.*` counters ([`bench::invalidate_rates`]).
+//! The text table ([`bench::figure_text`]) prints the values the figure's
+//! chart draws: each cell's normalised time, or for a counter-ratio chart
+//! the ratio of its counters.
 //!
 //! With `--store DIR` every simulation is persisted as it finishes, so a
 //! killed run resumes by running the same command again: finished units
@@ -68,12 +68,10 @@ fn main() {
         println!("{}", report.to_json().to_string_pretty());
     } else {
         println!("{}", bench::table1());
-        let figure = if name == "fig7" {
-            bench::invalidate_rates(&report)
-        } else {
-            bench::Figure::from_report(&report)
-        };
-        println!("{}", figure.render());
+        println!(
+            "{}",
+            bench::figure_text(name, &report).expect("every listed figure has a text table")
+        );
     }
 }
 

@@ -1,18 +1,21 @@
 //! Shared harness code behind the binaries.
 //!
-//! Every figure in the paper's evaluation section (§6) is an
-//! [`ExperimentSession`] that [`figure_session`] resolves by name (see
-//! [`FIGURE_NAMES`]), so baselines are memoized per workload and grid cells
-//! run in parallel; running one yields a structured [`RunReport`] that
-//! serialises to JSON (`--json` on every binary) or renders as the classic
-//! aligned text table.
+//! Every figure in the paper's evaluation section (§6) is one row of
+//! [`FIGURES`]: its chart metadata, report title, workload suite and column
+//! kind. Three functions serve every row, resolved by name (see
+//! [`FIGURE_NAMES`]): [`figure_session`] builds its [`ExperimentSession`]
+//! (baselines memoized per workload, grid cells run in parallel),
+//! [`figure_text`] prints the run's aligned text table, and
+//! [`render::figure_document`] renders its HTML page. A run yields a
+//! structured [`RunReport`] that serialises to JSON (`--json` on every
+//! binary).
 //!
 //! | Paper artefact | Name / function | Binary |
 //! |----------------|-----------------|--------|
 //! | Table 1        | [`table1`] | `table1` |
 //! | Figures 3–9    | `"fig3"`…`"fig9"` | `figure fig3` … `figure fig9` |
 //! | Shoot-out      | `"shootout"` | `figure shootout` |
-//! | §4.8 stress    | `"domain"` | `figure domain`, `attacks_report` |
+//! | §4.8 stress    | `"domain"` | `figure domain` |
 //! | Attacks 1–6    | [`security_matrix`] | `attacks_report` |
 //! | Static census  | [`lint::corpus_census`] | `speclint` |
 //!
@@ -23,9 +26,9 @@
 //! The `report` binary regenerates everything at once into one JSON
 //! document, and — with `--html` — into one self-contained HTML page: one
 //! SVG chart per figure plus the domain-switch summary table, rendered by
-//! the [`reportgen`] crate through this crate's chart-metadata registry
-//! ([`render::figure_meta`]). `figure` and `merge` accept the same flag for
-//! their single figure.
+//! the [`reportgen`] crate from each row's chart metadata (see
+//! [`render`]). `figure` and `merge` accept the same flag for their single
+//! figure.
 
 #![forbid(unsafe_code)]
 
@@ -40,99 +43,344 @@ use simkit::stats::geometric_mean;
 
 use attacks::AttackOutcome;
 use defenses::DefenseKind;
+use reportgen::report::{ChartKind, FigureMeta};
 use simsys::session::{ExperimentSession, RunReport};
 use simsys::store::ResultStore;
-use workloads::{domain_switch_suite, parsec_suite, spec_suite, Scale, Workload};
+use workloads::{domain_switch_suite, parsec_suite, spec_suite, Scale};
 
-/// One row of a normalised-execution-time figure: a workload plus one value
-/// per configuration, in the same order as the `configs` header.
-#[derive(Debug, Clone)]
-pub struct FigureRow {
-    /// Workload (benchmark) name.
-    pub workload: String,
-    /// Normalised execution time per configuration (1.0 = unprotected).
-    pub values: Vec<f64>,
+/// The workload suite on a figure's rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Suite {
+    /// The single-threaded SPEC CPU2006-like kernels ([`spec_suite`]).
+    Spec,
+    /// The multithreaded Parsec-like kernels, one thread per core
+    /// ([`parsec_suite`]).
+    Parsec,
+    /// The §4.8 syscall/sandbox-transition kernels, which force a
+    /// filter-cache flush every few hundred instructions
+    /// ([`domain_switch_suite`]).
+    DomainSwitch,
 }
 
-/// A complete figure: the configuration labels and one row per workload, plus
-/// the geometric-mean row the paper reports.
-#[derive(Debug, Clone)]
-pub struct Figure {
-    /// Figure title.
-    pub title: String,
-    /// One label per configuration column.
-    pub configs: Vec<String>,
-    /// One row per workload.
-    pub rows: Vec<FigureRow>,
+/// What a figure's columns are.
+#[derive(Debug, Clone, Copy)]
+pub enum Columns {
+    /// One column per defense, labelled by [`DefenseKind::label`].
+    Defenses(fn() -> Vec<DefenseKind>),
+    /// MuonTrap with a fully-associative data filter cache of each size in
+    /// bytes, labelled `"64 B"`…. One baseline per workload: the swept
+    /// filter-cache geometry is invisible to the unprotected machine.
+    FilterSizes(&'static [u64]),
+    /// MuonTrap with a `bytes`-byte data filter cache at each associativity,
+    /// labelled `"1-way"`….
+    FilterWays {
+        /// Filter-cache capacity, in bytes.
+        bytes: u64,
+        /// The swept associativities.
+        ways: &'static [usize],
+    },
+    /// The cumulative protection stack of [`cumulative_protection_kinds`].
+    Cumulative {
+        /// Whether the stack ends with the parallel L0/L1 lookup.
+        parallel_l1: bool,
+    },
 }
 
-impl Figure {
-    /// The normalised-execution-time view of a session report.
-    pub fn from_report(report: &RunReport) -> Figure {
-        Figure {
-            title: report.title.clone(),
-            configs: report.columns.clone(),
-            rows: (0..report.workloads.len())
-                .map(|w| FigureRow {
-                    workload: report.workloads[w].clone(),
-                    values: (0..report.columns.len())
-                        .map(|c| report.cell(w, c).normalized_time)
-                        .collect(),
-                })
-                .collect(),
-        }
-    }
-
-    /// The geometric mean of each column across all rows.
-    pub fn geomeans(&self) -> Vec<f64> {
-        (0..self.configs.len())
-            .map(|c| {
-                let column: Vec<f64> = self.rows.iter().map(|r| r.values[c]).collect();
-                geometric_mean(&column)
-            })
-            .collect()
-    }
-
-    /// Renders the figure as an aligned text table (what the binaries print).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("== {} ==\n", self.title));
-        out.push_str(&format!("{:<16}", "workload"));
-        for c in &self.configs {
-            out.push_str(&format!("{c:>24}"));
-        }
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&format!("{:<16}", row.workload));
-            for v in &row.values {
-                out.push_str(&format!("{v:>24.3}"));
-            }
-            out.push('\n');
-        }
-        out.push_str(&format!("{:<16}", "geomean"));
-        for g in self.geomeans() {
-            out.push_str(&format!("{g:>24.3}"));
-        }
-        out.push('\n');
-        out
-    }
+/// One evaluation figure: its chart metadata (`chart.name` is the name
+/// [`figure_session`] resolves) plus what its grid runs.
+#[derive(Debug, Clone, Copy)]
+pub struct FigureSpec {
+    /// How the figure renders: chart shape, axis titles, caption, paper
+    /// cross-reference.
+    pub chart: FigureMeta,
+    /// Report title, also the heading of the text table.
+    pub title: &'static str,
+    /// The workloads on the rows.
+    pub suite: Suite,
+    /// The configurations on the columns.
+    pub columns: Columns,
 }
 
-fn session(
-    title: &str,
+/// Every evaluation figure, in `report`-document order.
+pub const FIGURES: [FigureSpec; 9] = [
+    FigureSpec {
+        chart: FigureMeta {
+            name: "fig3",
+            kind: ChartKind::GroupedBars,
+            x_label: "SPEC CPU2006-like workload",
+            y_label: "normalised execution time (×)",
+            paper_section: "Paper §6, Figure 3",
+            caption: "Normalised execution time on the SPEC CPU2006-like suite under MuonTrap, \
+                      InvisiSpec and STT (each in Spectre and futuristic threat models). 1.0 is \
+                      the unprotected baseline (dashed); lower is better. MuonTrap's bars \
+                      hugging the baseline while the delay-based defenses sit well above it is \
+                      the paper's headline claim.",
+            reference_line: Some(1.0),
+        },
+        title: "Figure 3: SPEC CPU2006-like, normalised execution time (lower is better)",
+        suite: Suite::Spec,
+        columns: Columns::Defenses(DefenseKind::figure3_set),
+    },
+    FigureSpec {
+        chart: FigureMeta {
+            name: "fig4",
+            kind: ChartKind::GroupedBars,
+            x_label: "Parsec-like workload (4 threads)",
+            y_label: "normalised execution time (×)",
+            paper_section: "Paper §6, Figure 4",
+            caption: "The same comparison on the Parsec-like multithreaded suite (4 threads). \
+                      Sharing and coherence traffic make the delay-based defenses costlier \
+                      here; MuonTrap's filter caches keep speculative fills core-private \
+                      without delaying them.",
+            reference_line: Some(1.0),
+        },
+        title: "Figure 4: Parsec-like (4 threads), normalised execution time (lower is better)",
+        suite: Suite::Parsec,
+        columns: Columns::Defenses(DefenseKind::figure3_set),
+    },
+    FigureSpec {
+        chart: FigureMeta {
+            name: "fig5",
+            kind: ChartKind::SweepLines,
+            x_label: "data filter-cache size (fully associative)",
+            y_label: "normalised execution time (×)",
+            paper_section: "Paper §6, Figure 5",
+            caption: "Slowdown as the fully-associative data filter cache is swept from 64 B to \
+                      4 KiB. Gray lines are individual Parsec-like workloads; the highlighted \
+                      line is the geometric mean. A few hundred bytes already capture most \
+                      in-flight speculation, and the curve flattens as the filter cache stops \
+                      being the bottleneck.",
+            reference_line: Some(1.0),
+        },
+        title: "Figure 5: filter-cache size sweep (fully associative), Parsec-like",
+        suite: Suite::Parsec,
+        columns: Columns::FilterSizes(&[64, 128, 256, 512, 1024, 2048, 4096]),
+    },
+    FigureSpec {
+        chart: FigureMeta {
+            name: "fig6",
+            kind: ChartKind::SweepLines,
+            x_label: "2 KiB data filter-cache associativity (ways)",
+            y_label: "normalised execution time (×)",
+            paper_section: "Paper §6, Figure 6",
+            caption: "Associativity sweep of the 2 KiB data filter cache, direct-mapped to fully \
+                      associative. Speculative fills from many simultaneous loads conflict in \
+                      low-associativity filters, so ways matter more than raw size at this \
+                      scale.",
+            reference_line: Some(1.0),
+        },
+        title: "Figure 6: 2 KiB filter-cache associativity sweep, Parsec-like",
+        suite: Suite::Parsec,
+        columns: Columns::FilterWays {
+            bytes: 2048,
+            ways: &[1, 2, 4, 8, 16, 32],
+        },
+    },
+    FigureSpec {
+        chart: FigureMeta {
+            name: "fig7",
+            kind: ChartKind::CounterRatioBars {
+                numerator: "muontrap.store_upgrade_broadcasts",
+                denominator: "muontrap.committed_stores",
+            },
+            x_label: "SPEC CPU2006-like workload",
+            y_label: "invalidation-broadcast rate",
+            paper_section: "Paper §6, Figure 7",
+            caption: "Fraction of committed stores that trigger a filter-cache invalidation \
+                      broadcast under full MuonTrap (the coherence-protection cost of keeping \
+                      speculative lines core-private). Computed per workload as \
+                      muontrap.store_upgrade_broadcasts / muontrap.committed_stores.",
+            reference_line: None,
+        },
+        title: "Figure 7: fraction of writes triggering filter-cache invalidation broadcasts",
+        suite: Suite::Spec,
+        columns: Columns::Defenses(|| vec![DefenseKind::MuonTrap]),
+    },
+    FigureSpec {
+        chart: FigureMeta {
+            name: "fig8",
+            kind: ChartKind::GroupedBars,
+            x_label: "Parsec-like workload (4 threads)",
+            y_label: "normalised execution time (×)",
+            paper_section: "Paper §6, Figure 8",
+            caption: "Cost breakdown on the Parsec-like suite as protection mechanisms are \
+                      enabled cumulatively: an insecure L0, the secure filter cache, coherence \
+                      protection, the instruction filter cache, commit-time prefetcher \
+                      training, and clear-on-misspeculate.",
+            reference_line: Some(1.0),
+        },
+        title: "Figure 8: cumulative protection mechanisms, Parsec-like",
+        suite: Suite::Parsec,
+        columns: Columns::Cumulative { parallel_l1: false },
+    },
+    FigureSpec {
+        chart: FigureMeta {
+            name: "fig9",
+            kind: ChartKind::GroupedBars,
+            x_label: "SPEC CPU2006-like workload",
+            y_label: "normalised execution time (×)",
+            paper_section: "Paper §6, Figure 9",
+            caption: "The same cumulative breakdown on the SPEC-like suite, plus the optional \
+                      parallel L0/L1 lookup, which trades energy for latency on filter-cache \
+                      misses.",
+            reference_line: Some(1.0),
+        },
+        title: "Figure 9: cumulative protection mechanisms (+ parallel L1d), SPEC-like",
+        suite: Suite::Spec,
+        columns: Columns::Cumulative { parallel_l1: true },
+    },
+    FigureSpec {
+        chart: FigureMeta {
+            name: "shootout",
+            kind: ChartKind::GroupedBars,
+            x_label: "SPEC CPU2006-like workload",
+            y_label: "normalised execution time (×)",
+            paper_section: "Paper §7 (defense zoo; extends the paper's comparison)",
+            caption: "Cross-defense shoot-out on the SPEC-like suite: every modelled defense \
+                      from the registry — the insecure-L0 strawman, fence-at-every-branch, \
+                      delay-speculative-loads (naive InvisiSpec), the SafeBet-style speculative \
+                      access window, full MuonTrap, InvisiSpec and STT — normalised to the \
+                      unprotected baseline. The sound-and-cheap corner (MuonTrap, SafeBet) \
+                      versus the sound-but-slow delay family is the trade-off the defense zoo \
+                      exists to show; tests/defense_soundness.rs proves the soundness half \
+                      dynamically.",
+            reference_line: Some(1.0),
+        },
+        title: "Defense shoot-out: every modelled defense, SPEC-like, normalised execution time",
+        suite: Suite::Spec,
+        columns: Columns::Defenses(DefenseKind::shootout_set),
+    },
+    FigureSpec {
+        chart: FigureMeta {
+            name: "domain",
+            kind: ChartKind::GroupedBars,
+            x_label: "domain-switch kernel",
+            y_label: "normalised execution time (×)",
+            paper_section: "Paper §4.8 (stress grid; not a paper figure)",
+            caption: "Worst-case stress for MuonTrap's flush-on-domain-switch rule: the \
+                      syscall-storm and sandbox-hop kernels force a protection-domain switch — \
+                      and thus a filter-cache flush — every few hundred instructions. The \
+                      summary table below carries the flush counters behind these bars.",
+            reference_line: Some(1.0),
+        },
+        title:
+            "Domain-switch stress (§4.8): syscall/sandbox-heavy kernels, normalised execution time",
+        suite: Suite::DomainSwitch,
+        columns: Columns::Defenses(DefenseKind::figure3_set),
+    },
+];
+
+/// The names [`figure_session`] resolves: each [`FIGURES`] row's
+/// `chart.name`, in the same order.
+pub const FIGURE_NAMES: [&str; 9] = {
+    let mut names = [""; 9];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = FIGURES[i].chart.name;
+        i += 1;
+    }
+    names
+};
+
+/// The [`FIGURES`] row named `name`, if any.
+pub fn figure_spec(name: &str) -> Option<&'static FigureSpec> {
+    FIGURES.iter().find(|figure| figure.chart.name == name)
+}
+
+/// Resolves a figure name (see [`FIGURE_NAMES`]) to its un-run
+/// [`ExperimentSession`].
+///
+/// `figure NAME` and `merge` both rebuild the session from the name, so
+/// the log one writes and the plan the other folds it against agree on
+/// every [`Plan`](simsys::runner::Plan) unit.
+pub fn figure_session(
+    name: &str,
     scale: Scale,
-    workloads: Vec<Workload>,
     config: &SystemConfig,
     threads: usize,
     store: Option<&ResultStore>,
-) -> ExperimentSession {
-    ExperimentSession::new()
-        .title(title)
+) -> Option<ExperimentSession> {
+    let figure = figure_spec(name)?;
+    let workloads = match figure.suite {
+        Suite::Spec => spec_suite(scale),
+        Suite::Parsec => parsec_suite(scale, config.cores),
+        Suite::DomainSwitch => domain_switch_suite(scale),
+    };
+    let session = ExperimentSession::new()
+        .title(figure.title)
         .scale(scale)
         .workloads(workloads)
         .config(config.clone())
         .threads(threads)
-        .store(store.cloned())
+        .store(store.cloned());
+    Some(match figure.columns {
+        Columns::Defenses(kinds) => session.defenses(kinds()),
+        Columns::FilterSizes(sizes) => session.config_sweep(
+            DefenseKind::MuonTrap,
+            sizes.iter().map(|&size| {
+                let ways = (size / config.line_bytes) as usize;
+                (format!("{size} B"), config.with_data_filter(size, ways))
+            }),
+        ),
+        Columns::FilterWays { bytes, ways } => session.config_sweep(
+            DefenseKind::MuonTrap,
+            ways.iter()
+                .map(|&w| (format!("{w}-way"), config.with_data_filter(bytes, w))),
+        ),
+        Columns::Cumulative { parallel_l1 } => {
+            session.defenses_labeled(cumulative_protection_kinds(parallel_l1))
+        }
+    })
+}
+
+/// The text-table header of a counter-ratio figure's single column.
+const RATIO_COLUMN: &str = "invalidate rate";
+
+/// Renders `report` as figure `name`'s aligned text table (what `figure
+/// NAME` prints): a `== title ==` line, one row per workload, and a
+/// geometric-mean row, with the values its chart draws — each cell's
+/// normalised time, or for a [`ChartKind::CounterRatioBars`] chart the
+/// ratio of its counters. `None` for unknown names.
+pub fn figure_text(name: &str, report: &RunReport) -> Option<String> {
+    let figure = figure_spec(name)?;
+    let workloads = 0..report.workloads.len();
+    let (columns, rows): (Vec<String>, Vec<Vec<f64>>) = match figure.chart.kind {
+        ChartKind::CounterRatioBars {
+            numerator,
+            denominator,
+        } => (
+            vec![RATIO_COLUMN.to_string()],
+            workloads
+                .map(|w| vec![report.cell(w, 0).stats.ratio(numerator, denominator)])
+                .collect(),
+        ),
+        ChartKind::GroupedBars | ChartKind::SweepLines => (
+            report.columns.clone(),
+            workloads
+                .map(|w| {
+                    (0..report.columns.len())
+                        .map(|c| report.cell(w, c).normalized_time)
+                        .collect()
+                })
+                .collect(),
+        ),
+    };
+    let geomean: Vec<f64> = (0..columns.len())
+        .map(|c| geometric_mean(&rows.iter().map(|values| values[c]).collect::<Vec<_>>()))
+        .collect();
+    let mut out = format!("== {} ==\n{:<16}", report.title, "workload");
+    for column in &columns {
+        out.push_str(&format!("{column:>24}"));
+    }
+    let labelled = report.workloads.iter().map(String::as_str).zip(&rows);
+    for (label, values) in labelled.chain([("geomean", &geomean)]) {
+        out.push_str(&format!("\n{label:<16}"));
+        for v in values {
+            out.push_str(&format!("{v:>24.3}"));
+        }
+    }
+    out.push('\n');
+    Some(out)
 }
 
 /// Table 1: the simulated system configuration.
@@ -157,140 +405,6 @@ pub fn table1_json() -> Json {
         ("data_filter_ways", Json::UInt(cfg.data_filter.ways as u64)),
         ("description", Json::Str(format!("{cfg}"))),
     ])
-}
-
-/// Figure 3: normalised execution time on the SPEC-CPU2006-like suite for
-/// MuonTrap, InvisiSpec (both variants) and STT (both variants).
-fn figure3_session(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> ExperimentSession {
-    session(
-        "Figure 3: SPEC CPU2006-like, normalised execution time (lower is better)",
-        scale,
-        spec_suite(scale),
-        config,
-        threads,
-        store,
-    )
-    .defenses(DefenseKind::figure3_set())
-}
-
-/// Figure 4: normalised execution time on the Parsec-like suite (4 threads).
-fn figure4_session(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> ExperimentSession {
-    session(
-        "Figure 4: Parsec-like (4 threads), normalised execution time (lower is better)",
-        scale,
-        parsec_suite(scale, config.cores),
-        config,
-        threads,
-        store,
-    )
-    .defenses(DefenseKind::figure3_set())
-}
-
-/// Figure 5: Parsec-like performance as the (fully-associative) data filter
-/// cache is swept from 64 B to 4 KiB. One baseline per workload: the swept
-/// filter-cache geometry is invisible to the unprotected machine.
-fn figure5_session(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> ExperimentSession {
-    let sizes: [u64; 7] = [64, 128, 256, 512, 1024, 2048, 4096];
-    let sweep = sizes.map(|size| {
-        // Fully associative at every size, as in the paper's sweep.
-        (
-            format!("{size} B"),
-            config.with_data_filter(size, (size / config.line_bytes) as usize),
-        )
-    });
-    session(
-        "Figure 5: filter-cache size sweep (fully associative), Parsec-like",
-        scale,
-        parsec_suite(scale, config.cores),
-        config,
-        threads,
-        store,
-    )
-    .defenses([DefenseKind::MuonTrap])
-    .config_sweep(sweep)
-}
-
-/// Figure 6: Parsec-like performance as the associativity of a 2 KiB filter
-/// cache is swept from direct-mapped to fully associative.
-fn figure6_session(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> ExperimentSession {
-    let ways: [usize; 6] = [1, 2, 4, 8, 16, 32];
-    let sweep = ways.map(|w| (format!("{w}-way"), config.with_data_filter(2048, w)));
-    session(
-        "Figure 6: 2 KiB filter-cache associativity sweep, Parsec-like",
-        scale,
-        parsec_suite(scale, config.cores),
-        config,
-        threads,
-        store,
-    )
-    .defenses([DefenseKind::MuonTrap])
-    .config_sweep(sweep)
-}
-
-/// Figure 7: runs the SPEC-like suite under full MuonTrap; the figure's
-/// invalidation-broadcast rates come from [`invalidate_rates`] over the
-/// report's cell statistics.
-fn figure7_session(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> ExperimentSession {
-    session(
-        "Figure 7: fraction of writes triggering filter-cache invalidation broadcasts",
-        scale,
-        spec_suite(scale),
-        config,
-        threads,
-        store,
-    )
-    .defenses([DefenseKind::MuonTrap])
-}
-
-/// The per-workload invalidation-broadcast rates behind figure 7, derived
-/// from a `"fig7"` report's `muontrap.*` counters.
-pub fn invalidate_rates(report: &RunReport) -> Figure {
-    Figure {
-        title: report.title.clone(),
-        configs: vec!["invalidate rate".to_string()],
-        rows: report
-            .cells
-            .iter()
-            .map(|cell| {
-                let stores = cell.stats.counter("muontrap.committed_stores");
-                let broadcasts = cell.stats.counter("muontrap.store_upgrade_broadcasts");
-                let rate = if stores == 0 {
-                    0.0
-                } else {
-                    broadcasts as f64 / stores as f64
-                };
-                FigureRow {
-                    workload: cell.workload.clone(),
-                    values: vec![rate],
-                }
-            })
-            .collect(),
-    }
 }
 
 /// The cumulative protection configurations of figures 8 and 9, in the order
@@ -326,154 +440,25 @@ pub fn cumulative_protection_kinds(include_parallel_l1: bool) -> Vec<(String, De
         ..prefetching
     };
 
-    let mut kinds = vec![
-        (
-            "insecure L0".to_string(),
-            DefenseKind::MuonTrapCustom(insecure),
-        ),
-        (
-            "fcache only".to_string(),
-            DefenseKind::MuonTrapCustom(fcache_only),
-        ),
-        (
-            "coherency".to_string(),
-            DefenseKind::MuonTrapCustom(coherency),
-        ),
-        ("ifcache".to_string(), DefenseKind::MuonTrapCustom(ifcache)),
-        (
-            "prefetching".to_string(),
-            DefenseKind::MuonTrapCustom(prefetching),
-        ),
-        (
-            "clear misspec".to_string(),
-            DefenseKind::MuonTrapCustom(clear_misspec),
-        ),
+    let mut stack = vec![
+        ("insecure L0", insecure),
+        ("fcache only", fcache_only),
+        ("coherency", coherency),
+        ("ifcache", ifcache),
+        ("prefetching", prefetching),
+        ("clear misspec", clear_misspec),
     ];
     if include_parallel_l1 {
         let parallel = ProtectionConfig {
             parallel_l1_access: true,
             ..prefetching
         };
-        kinds.push((
-            "parallel L1d".to_string(),
-            DefenseKind::MuonTrapCustom(parallel),
-        ));
+        stack.push(("parallel L1d", parallel));
     }
-    kinds
-}
-
-/// Figure 8: cumulatively adding protection mechanisms, Parsec-like suite.
-fn figure8_session(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> ExperimentSession {
-    session(
-        "Figure 8: cumulative protection mechanisms, Parsec-like",
-        scale,
-        parsec_suite(scale, config.cores),
-        config,
-        threads,
-        store,
-    )
-    .defenses_labeled(cumulative_protection_kinds(false))
-}
-
-/// Figure 9: cumulatively adding protection mechanisms plus the parallel
-/// L0/L1 lookup option, SPEC-like suite.
-fn figure9_session(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> ExperimentSession {
-    session(
-        "Figure 9: cumulative protection mechanisms (+ parallel L1d), SPEC-like",
-        scale,
-        spec_suite(scale),
-        config,
-        threads,
-        store,
-    )
-    .defenses_labeled(cumulative_protection_kinds(true))
-}
-
-/// The cross-defense shoot-out: the SPEC-like suite under every member of
-/// the defense zoo ([`DefenseKind::shootout_set`]) — the insecure L0, Fence,
-/// DelayLoads, SafeBet, MuonTrap, InvisiSpec-Spectre and STT-Spectre — all
-/// normalised to the unprotected baseline, so the cost of each protection
-/// family lands on one axis. Shares its MuonTrap/InvisiSpec/STT cells (and
-/// every baseline) with figure 3 through the result store.
-fn shootout_session(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> ExperimentSession {
-    session(
-        "Defense shoot-out: every modelled defense, SPEC-like, normalised execution time",
-        scale,
-        spec_suite(scale),
-        config,
-        threads,
-        store,
-    )
-    .defenses(DefenseKind::shootout_set())
-}
-
-/// The §4.8 domain-switch stress grid: the syscall/sandbox-transition
-/// kernels (which force a filter-cache flush every few hundred instructions)
-/// under the figure-3 defense set. Printed by `attacks_report` alongside the
-/// security matrix and included in the `report` document.
-fn domain_switch_session(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> ExperimentSession {
-    session(
-        "Domain-switch stress (§4.8): syscall/sandbox-heavy kernels, normalised execution time",
-        scale,
-        domain_switch_suite(scale),
-        config,
-        threads,
-        store,
-    )
-    .defenses(DefenseKind::figure3_set())
-}
-
-/// The names [`figure_session`] resolves, in `report`-document order.
-pub const FIGURE_NAMES: [&str; 9] = [
-    "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "shootout", "domain",
-];
-
-/// Resolves a figure name (see [`FIGURE_NAMES`]) to its un-run
-/// [`ExperimentSession`].
-///
-/// `figure NAME` and `merge` both rebuild the session from the name, so
-/// the log one writes and the plan the other folds it against agree on
-/// every [`Plan`](simsys::runner::Plan) unit.
-pub fn figure_session(
-    name: &str,
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> Option<ExperimentSession> {
-    let build = match name {
-        "fig3" => figure3_session,
-        "fig4" => figure4_session,
-        "fig5" => figure5_session,
-        "fig6" => figure6_session,
-        "fig7" => figure7_session,
-        "fig8" => figure8_session,
-        "fig9" => figure9_session,
-        "shootout" => shootout_session,
-        "domain" => domain_switch_session,
-        _ => return None,
-    };
-    Some(build(scale, config, threads, store))
+    stack
+        .into_iter()
+        .map(|(label, protection)| (label.to_string(), DefenseKind::MuonTrapCustom(protection)))
+        .collect()
 }
 
 /// The raw outcome of every attack against every configuration the security
@@ -517,38 +502,85 @@ pub fn security_json(config: &SystemConfig) -> Json {
     )
 }
 
-/// Runs one workload under one defense and returns its simulated cycle count:
-/// exactly one simulation, no baseline. A convenience for ad-hoc throughput
-/// measurements.
-pub fn one_run_cycles(workload: &Workload, kind: DefenseKind, config: &SystemConfig) -> u64 {
-    simsys::session::simulate(workload, kind, config).cycles
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::stats::StatSet;
+    use simsys::session::CellResult;
 
     #[test]
-    fn figure_render_includes_geomean() {
-        let fig = Figure {
+    fn figure_text_pins_the_table_layout_and_counter_ratios() {
+        // Two workloads by two columns, built by hand (no simulation): column
+        // `a` carries invalidation counters for a 0.25 ratio on `w1` and a
+        // zero denominator on `w2`.
+        let cells = [
+            ("w1", "a", 1.0, 1, 4),
+            ("w1", "b", 2.0, 0, 0),
+            ("w2", "a", 4.0, 3, 0),
+            ("w2", "b", 8.0, 0, 0),
+        ]
+        .map(|(workload, column, normalized_time, broadcasts, stores)| {
+            let mut stats = StatSet::new();
+            stats.add("muontrap.store_upgrade_broadcasts", broadcasts);
+            stats.add("muontrap.committed_stores", stores);
+            CellResult {
+                workload: workload.to_string(),
+                column: column.to_string(),
+                defense: column.to_string(),
+                cycles: 100,
+                committed: 50,
+                completed: true,
+                cached: false,
+                baseline_cycles: 100,
+                normalized_time,
+                stats,
+            }
+        });
+        let report = RunReport {
             title: "test".to_string(),
-            configs: vec!["a".to_string(), "b".to_string()],
-            rows: vec![
-                FigureRow {
-                    workload: "w1".to_string(),
-                    values: vec![1.0, 2.0],
-                },
-                FigureRow {
-                    workload: "w2".to_string(),
-                    values: vec![4.0, 8.0],
-                },
-            ],
+            scale: None,
+            threads: 1,
+            wall_clock_ms: 0.0,
+            baseline_sims: 2,
+            sims_executed: 6,
+            workloads: vec!["w1".to_string(), "w2".to_string()],
+            columns: vec!["a".to_string(), "b".to_string()],
+            cells: cells.to_vec(),
         };
-        let text = fig.render();
-        assert!(text.contains("geomean"));
-        let geo = fig.geomeans();
-        assert!((geo[0] - 2.0).abs() < 1e-9);
-        assert!((geo[1] - 4.0).abs() < 1e-9);
+        // Normalised time: 16-character workload column, 24-character value
+        // columns, three decimals, the geomean row last.
+        assert_eq!(
+            figure_text("fig3", &report).unwrap(),
+            "== test ==\n\
+             workload                               a                       b\n\
+             w1                                 1.000                   2.000\n\
+             w2                                 4.000                   8.000\n\
+             geomean                            2.000                   4.000\n"
+        );
+        // A counter-ratio chart prints the ratio of its own counters; a zero
+        // denominator prints 0.000 and the geomean skips it.
+        let fig7 = figure_spec("fig7").unwrap();
+        let ChartKind::CounterRatioBars {
+            numerator,
+            denominator,
+        } = fig7.chart.kind
+        else {
+            panic!("fig7 draws a counter ratio");
+        };
+        let text = figure_text("fig7", &report).unwrap();
+        assert_eq!(
+            text,
+            "== test ==\n\
+             workload                 invalidate rate\n\
+             w1                                 0.250\n\
+             w2                                 0.000\n\
+             geomean                            0.250\n"
+        );
+        for (w, workload) in report.workloads.iter().enumerate() {
+            let ratio = report.cell(w, 0).stats.ratio(numerator, denominator);
+            assert!(text.contains(&format!("{workload:<16}{ratio:>24.3}\n")));
+        }
+        assert!(figure_text("fig12", &report).is_none());
     }
 
     #[test]
@@ -576,23 +608,13 @@ mod tests {
             .defenses([DefenseKind::MuonTrap])
             .config(cfg)
             .run();
-        let fig = Figure::from_report(&report);
-        assert_eq!(fig.rows.len(), 2);
-        assert!(fig
-            .rows
+        assert_eq!(report.cells.len(), 2);
+        assert!(report
+            .cells
             .iter()
-            .all(|r| r.values[0] > 0.2 && r.values[0] < 5.0));
-        assert_eq!(fig.geomeans(), report.geomeans());
-    }
-
-    #[test]
-    fn one_run_cycles_performs_a_single_deterministic_simulation() {
-        let cfg = SystemConfig::small_test();
-        let w = &spec_suite(Scale::Tiny)[0];
-        let a = one_run_cycles(w, DefenseKind::MuonTrap, &cfg);
-        let b = one_run_cycles(w, DefenseKind::MuonTrap, &cfg);
-        assert!(a > 0);
-        assert_eq!(a, b);
+            .all(|c| c.normalized_time > 0.2 && c.normalized_time < 5.0));
+        let text = figure_text("fig3", &report).unwrap();
+        assert!(text.ends_with(&format!("{:>24.3}\n", report.geomeans()[0])));
     }
 
     #[test]
@@ -623,7 +645,9 @@ mod tests {
 
     #[test]
     fn domain_switch_grid_runs_the_new_kernels_under_every_defense() {
-        let report = domain_switch_session(Scale::Tiny, &SystemConfig::small_test(), 2, None).run();
+        let report = figure_session("domain", Scale::Tiny, &SystemConfig::small_test(), 2, None)
+            .unwrap()
+            .run();
         assert_eq!(report.workloads, vec!["syscall-storm", "sandbox-hop"]);
         assert_eq!(report.columns.len(), DefenseKind::figure3_set().len());
         for cell in &report.cells {
@@ -643,23 +667,5 @@ mod tests {
                 > 0,
             "domain-switch kernels must trigger filter-cache flushes"
         );
-    }
-
-    #[test]
-    fn figure7_rates_are_fractions() {
-        let mut cfg = SystemConfig::small_test();
-        cfg.cores = 1;
-        let report = ExperimentSession::new()
-            .title("fig7 smoke")
-            .workloads(spec_suite(Scale::Tiny).into_iter().take(2))
-            .defenses([DefenseKind::MuonTrap])
-            .config(cfg)
-            .run();
-        let rates = invalidate_rates(&report);
-        assert_eq!(rates.rows.len(), 2);
-        assert!(rates
-            .rows
-            .iter()
-            .all(|r| (0.0..=1.0).contains(&r.values[0])));
     }
 }

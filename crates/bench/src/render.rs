@@ -1,164 +1,46 @@
-//! The figure ↔ chart metadata registry and the HTML-report assembly.
+//! HTML-report assembly.
 //!
-//! `reportgen` knows how to draw; this module knows what the paper's figures
-//! *are*: which chart shape each [`crate::FIGURE_NAMES`] entry renders as,
-//! its axis titles, its reader-facing caption and its paper cross-reference.
-//! The registry sits next to [`crate::figure_session`] so adding a figure
-//! means touching one crate, and everything here works on any
-//! [`RunReport`] with the right grid shape — run locally, replayed from a
-//! warm store, or folded out of an event log by
+//! `reportgen` knows how to draw; each [`crate::FIGURES`] row says what a
+//! figure *is* (chart shape, axis titles, caption, paper cross-reference).
+//! This module folds a row and its [`RunReport`] into one page section —
+//! chart, provenance and, for the domain-switch suite, the flush-counter
+//! summary table — and works on any report with the right grid shape: run
+//! locally, replayed from a warm store, or folded out of an event log by
 //! [`simsys::runner::merge_events`] (a merged report has the local run's
 //! cells, so the rendered chart is identical too).
 //!
 //! Entry points: [`figure_document`] (one figure → one page, the `--html`
-//! path of the figure binaries and `merge`) and [`evaluation_document`]
-//! (every figure plus the domain-switch table → `report --html`'s
-//! `report.html`).
+//! path of `figure` and `merge`) and [`evaluation_document`] (every figure
+//! plus the static gadget census → `report --html`'s `report.html`).
 
-use reportgen::report::{figure_chart, ChartKind, FigureMeta, Provenance};
+use reportgen::report::{figure_chart, Provenance};
 use reportgen::svg::fmt_value;
 use reportgen::{HtmlDocument, ReportFigure, SummaryTable};
 use simsys::session::RunReport;
 use speclint::Census;
 
-/// Chart metadata for every [`crate::FIGURE_NAMES`] entry, in the same
-/// order.
-pub const FIGURE_METAS: [FigureMeta; 9] = [
-    FigureMeta {
-        name: "fig3",
-        kind: ChartKind::GroupedBars,
-        x_label: "SPEC CPU2006-like workload",
-        y_label: "normalised execution time (×)",
-        paper_section: "Paper §6, Figure 3",
-        caption: "Normalised execution time on the SPEC CPU2006-like suite under MuonTrap, \
-                  InvisiSpec and STT (each in Spectre and futuristic threat models). 1.0 is the \
-                  unprotected baseline (dashed); lower is better. MuonTrap's bars hugging the \
-                  baseline while the delay-based defenses sit well above it is the paper's \
-                  headline claim.",
-        reference_line: Some(1.0),
-    },
-    FigureMeta {
-        name: "fig4",
-        kind: ChartKind::GroupedBars,
-        x_label: "Parsec-like workload (4 threads)",
-        y_label: "normalised execution time (×)",
-        paper_section: "Paper §6, Figure 4",
-        caption: "The same comparison on the Parsec-like multithreaded suite (4 threads). \
-                  Sharing and coherence traffic make the delay-based defenses costlier here; \
-                  MuonTrap's filter caches keep speculative fills core-private without delaying \
-                  them.",
-        reference_line: Some(1.0),
-    },
-    FigureMeta {
-        name: "fig5",
-        kind: ChartKind::SweepLines,
-        x_label: "data filter-cache size (fully associative)",
-        y_label: "normalised execution time (×)",
-        paper_section: "Paper §6, Figure 5",
-        caption: "Slowdown as the fully-associative data filter cache is swept from 64 B to \
-                  4 KiB. Gray lines are individual Parsec-like workloads; the highlighted line \
-                  is the geometric mean. A few hundred bytes already capture most in-flight \
-                  speculation, and the curve flattens as the filter cache stops being the \
-                  bottleneck.",
-        reference_line: Some(1.0),
-    },
-    FigureMeta {
-        name: "fig6",
-        kind: ChartKind::SweepLines,
-        x_label: "2 KiB data filter-cache associativity (ways)",
-        y_label: "normalised execution time (×)",
-        paper_section: "Paper §6, Figure 6",
-        caption: "Associativity sweep of the 2 KiB data filter cache, direct-mapped to fully \
-                  associative. Speculative fills from many simultaneous loads conflict in \
-                  low-associativity filters, so ways matter more than raw size at this scale.",
-        reference_line: Some(1.0),
-    },
-    FigureMeta {
-        name: "fig7",
-        kind: ChartKind::CounterRatioBars {
-            numerator: "muontrap.store_upgrade_broadcasts",
-            denominator: "muontrap.committed_stores",
-        },
-        x_label: "SPEC CPU2006-like workload",
-        y_label: "invalidation-broadcast rate",
-        paper_section: "Paper §6, Figure 7",
-        caption: "Fraction of committed stores that trigger a filter-cache invalidation \
-                  broadcast under full MuonTrap (the coherence-protection cost of keeping \
-                  speculative lines core-private). Computed per workload as \
-                  muontrap.store_upgrade_broadcasts / muontrap.committed_stores.",
-        reference_line: None,
-    },
-    FigureMeta {
-        name: "fig8",
-        kind: ChartKind::GroupedBars,
-        x_label: "Parsec-like workload (4 threads)",
-        y_label: "normalised execution time (×)",
-        paper_section: "Paper §6, Figure 8",
-        caption: "Cost breakdown on the Parsec-like suite as protection mechanisms are enabled \
-                  cumulatively: an insecure L0, the secure filter cache, coherence protection, \
-                  the instruction filter cache, commit-time prefetcher training, and \
-                  clear-on-misspeculate.",
-        reference_line: Some(1.0),
-    },
-    FigureMeta {
-        name: "fig9",
-        kind: ChartKind::GroupedBars,
-        x_label: "SPEC CPU2006-like workload",
-        y_label: "normalised execution time (×)",
-        paper_section: "Paper §6, Figure 9",
-        caption: "The same cumulative breakdown on the SPEC-like suite, plus the optional \
-                  parallel L0/L1 lookup, which trades energy for latency on filter-cache \
-                  misses.",
-        reference_line: Some(1.0),
-    },
-    FigureMeta {
-        name: "shootout",
-        kind: ChartKind::GroupedBars,
-        x_label: "SPEC CPU2006-like workload",
-        y_label: "normalised execution time (×)",
-        paper_section: "Paper §7 (defense zoo; extends the paper's comparison)",
-        caption: "Cross-defense shoot-out on the SPEC-like suite: every modelled defense from \
-                  the registry — the insecure-L0 strawman, fence-at-every-branch, \
-                  delay-speculative-loads (naive InvisiSpec), the SafeBet-style speculative \
-                  access window, full MuonTrap, InvisiSpec and STT — normalised to the \
-                  unprotected baseline. The sound-and-cheap corner (MuonTrap, SafeBet) versus \
-                  the sound-but-slow delay family is the trade-off the defense zoo exists to \
-                  show; tests/defense_soundness.rs proves the soundness half dynamically.",
-        reference_line: Some(1.0),
-    },
-    FigureMeta {
-        name: "domain",
-        kind: ChartKind::GroupedBars,
-        x_label: "domain-switch kernel",
-        y_label: "normalised execution time (×)",
-        paper_section: "Paper §4.8 (stress grid; not a paper figure)",
-        caption: "Worst-case stress for MuonTrap's flush-on-domain-switch rule: the \
-                  syscall-storm and sandbox-hop kernels force a protection-domain switch — and \
-                  thus a filter-cache flush — every few hundred instructions. The summary table \
-                  below carries the flush counters behind these bars.",
-        reference_line: Some(1.0),
-    },
-];
+use crate::{figure_spec, FigureSpec, Suite};
 
-/// Resolves a figure name (see [`crate::FIGURE_NAMES`]) to its chart
-/// metadata.
-pub fn figure_meta(name: &str) -> Option<&'static FigureMeta> {
-    FIGURE_METAS.iter().find(|meta| meta.name == name)
-}
-
-/// Builds the rendered figure section for `name` from `report`:
-/// [`figure_chart`] for the SVG plus title, caption, cross-reference and
-/// provenance. `None` for unregistered names.
-pub fn report_figure(name: &str, report: &RunReport, run_id: &str) -> Option<ReportFigure> {
-    let meta = figure_meta(name)?;
-    Some(ReportFigure {
-        id: meta.name.to_string(),
+/// Pushes `figure`'s section for `report` onto `doc`: the [`figure_chart`]
+/// SVG plus title, caption, cross-reference and provenance, followed on the
+/// domain-switch suite by its flush-counter summary table.
+fn push_figure(doc: &mut HtmlDocument, figure: &FigureSpec, report: &RunReport, run_id: &str) {
+    doc.figure(ReportFigure {
+        id: figure.chart.name.to_string(),
         title: report.title.clone(),
-        paper_section: meta.paper_section.to_string(),
-        caption: meta.caption.to_string(),
-        svg: figure_chart(meta, report),
+        paper_section: figure.chart.paper_section.to_string(),
+        caption: figure.chart.caption.to_string(),
+        svg: figure_chart(&figure.chart, report),
         provenance: Some(Provenance::from_report(report, run_id)),
-    })
+    });
+    if figure.suite == Suite::DomainSwitch {
+        doc.table(
+            "domain-table",
+            "Domain-switch summary",
+            DOMAIN_TABLE_CAPTION,
+            domain_switch_table(report),
+        );
+    }
 }
 
 /// The domain-switch summary table: one row per (kernel, defense) cell with
@@ -198,17 +80,9 @@ pub fn domain_switch_table(report: &RunReport) -> SummaryTable {
 /// `figure fig5 --html page.html` and `merge --html page.html` write). `None` for
 /// unregistered names.
 pub fn figure_document(name: &str, report: &RunReport, run_id: &str) -> Option<String> {
-    let figure = report_figure(name, report, run_id)?;
+    let figure = figure_spec(name)?;
     let mut doc = HtmlDocument::new(report.title.clone());
-    doc.figure(figure);
-    if name == "domain" {
-        doc.table(
-            "domain-table",
-            "Domain-switch summary",
-            DOMAIN_TABLE_CAPTION,
-            domain_switch_table(report),
-        );
-    }
+    push_figure(&mut doc, figure, report, run_id);
     Some(doc.render())
 }
 
@@ -317,16 +191,8 @@ pub fn evaluation_document(
          content-addressed result store."
     ));
     for (name, report) in reports {
-        if let Some(figure) = report_figure(name, report, run_id) {
-            doc.figure(figure);
-        }
-        if name == "domain" {
-            doc.table(
-                "domain-table",
-                "Domain-switch summary",
-                DOMAIN_TABLE_CAPTION,
-                domain_switch_table(report),
-            );
+        if let Some(figure) = figure_spec(name) {
+            push_figure(&mut doc, figure, report, run_id);
         }
     }
     if let Some(census) = census {
@@ -338,32 +204,34 @@ pub fn evaluation_document(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FIGURE_NAMES;
+    use crate::{FIGURES, FIGURE_NAMES};
     use defenses::DefenseKind;
+    use reportgen::report::ChartKind;
     use simkit::config::SystemConfig;
     use simsys::session::ExperimentSession;
     use workloads::{domain_switch_suite, spec_suite, Scale};
 
     #[test]
     fn every_figure_name_has_metadata_and_vice_versa() {
-        for name in FIGURE_NAMES {
-            let meta = figure_meta(name).unwrap_or_else(|| panic!("{name} needs metadata"));
-            assert_eq!(meta.name, name);
-            assert!(!meta.caption.is_empty() && !meta.paper_section.is_empty());
+        assert_eq!(FIGURES.len(), FIGURE_NAMES.len());
+        for (figure, name) in FIGURES.iter().zip(FIGURE_NAMES) {
+            assert_eq!(figure.chart.name, name);
+            let unique = FIGURE_NAMES.iter().filter(|&&n| n == name).count() == 1;
+            assert!(unique, "{name} is listed once");
+            assert_eq!(figure_spec(name).unwrap().title, figure.title);
+            assert!(!figure.chart.caption.is_empty() && !figure.chart.paper_section.is_empty());
+            assert!(!figure.title.is_empty());
         }
-        assert_eq!(FIGURE_METAS.len(), FIGURE_NAMES.len());
-        assert!(figure_meta("fig12").is_none());
+        assert!(figure_spec("fig12").is_none());
     }
 
     #[test]
     fn sweep_figures_render_lines_and_slowdown_figures_bars() {
-        assert_eq!(figure_meta("fig5").unwrap().kind, ChartKind::SweepLines);
-        assert_eq!(figure_meta("fig6").unwrap().kind, ChartKind::SweepLines);
-        assert_eq!(figure_meta("fig3").unwrap().kind, ChartKind::GroupedBars);
-        assert!(matches!(
-            figure_meta("fig7").unwrap().kind,
-            ChartKind::CounterRatioBars { .. }
-        ));
+        let kind = |name| figure_spec(name).unwrap().chart.kind;
+        assert_eq!(kind("fig5"), ChartKind::SweepLines);
+        assert_eq!(kind("fig6"), ChartKind::SweepLines);
+        assert_eq!(kind("fig3"), ChartKind::GroupedBars);
+        assert!(matches!(kind("fig7"), ChartKind::CounterRatioBars { .. }));
     }
 
     #[test]

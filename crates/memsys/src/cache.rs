@@ -261,20 +261,6 @@ impl<M: Default + Clone> CacheArray<M> {
         self.lines.iter().filter(|l| l.state.can_read())
     }
 
-    /// Applies `f` to every valid line.
-    pub fn for_each_valid(&self, mut f: impl FnMut(&CacheLine<M>)) {
-        for line in self.iter_valid() {
-            f(line);
-        }
-    }
-
-    /// Applies `f` to every valid line mutably.
-    pub fn for_each_valid_mut(&mut self, mut f: impl FnMut(&mut CacheLine<M>)) {
-        for line in self.lines.iter_mut().filter(|l| l.state.can_read()) {
-            f(line);
-        }
-    }
-
     /// The addresses of all valid lines, in set-major storage order.
     /// Allocation-free; collect and sort when a canonical order is needed
     /// (tests do).

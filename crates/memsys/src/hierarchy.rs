@@ -88,11 +88,6 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Number of cores the hierarchy was built for.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Read-only access to the accumulated statistics.
     pub fn stats(&self) -> &StatSet {
         &self.stats
@@ -236,11 +231,6 @@ impl MemoryHierarchy {
     /// tests). Returns whether a line was removed.
     pub fn invalidate_own_l1(&mut self, core: usize, line: LineAddr) -> bool {
         self.cores[core].l1d.invalidate(line).is_some()
-    }
-
-    /// Total number of lines currently valid in `core`'s L1 data cache.
-    pub fn l1d_occupancy(&self, core: usize) -> usize {
-        self.cores[core].l1d.occupancy()
     }
 
     // ------------------------------------------------------------------

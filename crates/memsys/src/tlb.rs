@@ -290,11 +290,6 @@ impl Mmu {
         self.dtlb.fill(vpn, ppn);
     }
 
-    /// Data-TLB statistics: (hits, misses).
-    pub fn dtlb_stats(&self) -> (u64, u64) {
-        (self.dtlb.hits(), self.dtlb.misses())
-    }
-
     fn translate_with(
         tlb: &mut Tlb,
         page_table: &PageTable,

@@ -122,11 +122,6 @@ impl Plan {
     pub fn expected_cold_sims(&self) -> usize {
         self.baselines.len() + self.cells.iter().filter(|c| !c.copies_baseline).count()
     }
-
-    /// The baseline unit holding `fingerprint`, if any (first match).
-    pub fn baseline_by_fingerprint(&self, fingerprint: Fingerprint) -> Option<&WorkUnit> {
-        self.baselines.iter().find(|u| u.fingerprint == fingerprint)
-    }
 }
 
 /// One line of the streaming JSONL event log.

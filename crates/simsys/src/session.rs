@@ -144,12 +144,13 @@ impl FromJson for ExperimentResult {
     }
 }
 
-/// One column of the experiment grid: a labelled defense on a machine.
+/// One column of the experiment grid: a labelled defense on a machine
+/// (`None`: the session's [`config`](ExperimentSession::config)).
 #[derive(Debug, Clone, PartialEq)]
 struct Column {
     label: String,
     kind: DefenseKind,
-    config: SystemConfig,
+    config: Option<SystemConfig>,
 }
 
 /// Builder and runner for one experiment grid.
@@ -161,9 +162,8 @@ pub struct ExperimentSession {
     title: String,
     scale: Option<Scale>,
     workloads: Vec<Workload>,
-    defenses: Vec<(Option<String>, DefenseKind)>,
+    columns: Vec<Column>,
     config: SystemConfig,
-    config_sweep: Option<Vec<(String, SystemConfig)>>,
     threads: usize,
     store: Option<ResultStore>,
 }
@@ -175,9 +175,8 @@ impl ExperimentSession {
             title: String::new(),
             scale: None,
             workloads: Vec::new(),
-            defenses: Vec::new(),
+            columns: Vec::new(),
             config: SystemConfig::paper_default(),
-            config_sweep: None,
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             store: None,
         }
@@ -203,9 +202,8 @@ impl ExperimentSession {
     }
 
     /// Sets the defense axis of the grid, labelled by [`DefenseKind::label`].
-    pub fn defenses(mut self, kinds: impl IntoIterator<Item = DefenseKind>) -> Self {
-        self.defenses = kinds.into_iter().map(|k| (None, k)).collect();
-        self
+    pub fn defenses(self, kinds: impl IntoIterator<Item = DefenseKind>) -> Self {
+        self.defenses_labeled(kinds.into_iter().map(|k| (k.label().to_string(), k)))
     }
 
     /// Sets the defense axis with explicit column labels (used by the
@@ -215,7 +213,14 @@ impl ExperimentSession {
         mut self,
         kinds: impl IntoIterator<Item = (String, DefenseKind)>,
     ) -> Self {
-        self.defenses = kinds.into_iter().map(|(l, k)| (Some(l), k)).collect();
+        self.columns = kinds
+            .into_iter()
+            .map(|(label, kind)| Column {
+                label,
+                kind,
+                config: None,
+            })
+            .collect();
         self
     }
 
@@ -225,15 +230,23 @@ impl ExperimentSession {
         self
     }
 
-    /// Sweeps machine configurations instead of defenses: the grid's columns
-    /// become the labelled configurations, each run under every defense set
-    /// via [`defenses`](Self::defenses) (typically exactly one — the
-    /// filter-cache sweeps of figures 5 and 6 use MuonTrap only).
+    /// Sweeps machine configurations under one defense instead of sweeping
+    /// defenses: the grid's columns become the labelled configurations, each
+    /// run under `kind` (the filter-cache sweeps of figures 5 and 6 use
+    /// MuonTrap). Replaces any [`defenses`](Self::defenses) axis.
     pub fn config_sweep(
         mut self,
+        kind: DefenseKind,
         configs: impl IntoIterator<Item = (String, SystemConfig)>,
     ) -> Self {
-        self.config_sweep = Some(configs.into_iter().collect());
+        self.columns = configs
+            .into_iter()
+            .map(|(label, config)| Column {
+                label,
+                kind,
+                config: Some(config),
+            })
+            .collect();
         self
     }
 
@@ -267,39 +280,6 @@ impl ExperimentSession {
         self
     }
 
-    fn columns(&self) -> Vec<Column> {
-        match &self.config_sweep {
-            None => self
-                .defenses
-                .iter()
-                .map(|(label, kind)| Column {
-                    label: label.clone().unwrap_or_else(|| kind.label().to_string()),
-                    kind: *kind,
-                    config: self.config.clone(),
-                })
-                .collect(),
-            Some(sweep) => sweep
-                .iter()
-                .flat_map(|(cfg_label, cfg)| {
-                    self.defenses.iter().map(move |(label, kind)| {
-                        let kind_label = label.clone().unwrap_or_else(|| kind.label().to_string());
-                        Column {
-                            // With a single defense the configuration label is
-                            // the whole story (figure 5's "64 B", "128 B", ...).
-                            label: if self.defenses.len() == 1 {
-                                cfg_label.clone()
-                            } else {
-                                format!("{cfg_label}/{kind_label}")
-                            },
-                            kind: *kind,
-                            config: cfg.clone(),
-                        }
-                    })
-                })
-                .collect(),
-        }
-    }
-
     /// Derives the pure, host-independent execution [`Plan`] of this grid:
     /// every baseline and cell as a self-describing, fingerprint-keyed
     /// [`runner::WorkUnit`], in deterministic order.
@@ -309,14 +289,14 @@ impl ExperimentSession {
     /// the same session description derive interchangeable plans, which is
     /// what lets `merge` fold an event log another process wrote.
     pub fn plan(&self) -> Plan {
-        let columns = self.columns();
         let mut baselines: Vec<WorkUnit> = Vec::new();
         let mut seen: HashSet<Fingerprint> = HashSet::new();
         let mut cells: Vec<WorkUnit> = Vec::new();
         for workload in &self.workloads {
             let programs = store::programs_digest(workload);
-            for column in &columns {
-                let baseline_config = baseline_machine(&column.config);
+            for column in &self.columns {
+                let config = column.config.as_ref().unwrap_or(&self.config);
+                let baseline_config = baseline_machine(config);
                 let baseline_fp = store::cell_fingerprint_with_programs(
                     workload,
                     programs,
@@ -342,19 +322,14 @@ impl ExperimentSession {
                     // An explicit Unprotected column *is* the baseline.
                     baseline_fp
                 } else {
-                    store::cell_fingerprint_with_programs(
-                        workload,
-                        programs,
-                        column.kind,
-                        &column.config,
-                    )
+                    store::cell_fingerprint_with_programs(workload, programs, column.kind, config)
                 };
                 cells.push(WorkUnit {
                     kind: UnitKind::Cell,
                     index: cells.len(),
                     workload: workload.clone(),
                     defense: column.kind,
-                    config: column.config.clone(),
+                    config: config.clone(),
                     fingerprint,
                     column: Some(column.label.clone()),
                     baseline: Some(baseline_fp),
@@ -367,7 +342,7 @@ impl ExperimentSession {
             scale: self.scale.map(|s| s.name().to_string()),
             threads: self.threads,
             workloads: self.workloads.iter().map(|w| w.name.clone()).collect(),
-            columns: columns.into_iter().map(|c| c.label).collect(),
+            columns: self.columns.iter().map(|c| c.label.clone()).collect(),
             baselines,
             cells,
         }
@@ -591,31 +566,6 @@ impl RunReport {
             })
             .collect()
     }
-
-    /// Renders the report as an aligned text table (what the figure binaries
-    /// print without `--json`).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("== {} ==\n", self.title));
-        out.push_str(&format!("{:<16}", "workload"));
-        for c in &self.columns {
-            out.push_str(&format!("{c:>24}"));
-        }
-        out.push('\n');
-        for w in 0..self.workloads.len() {
-            out.push_str(&format!("{:<16}", self.workloads[w]));
-            for c in 0..self.columns.len() {
-                out.push_str(&format!("{:>24.3}", self.cell(w, c).normalized_time));
-            }
-            out.push('\n');
-        }
-        out.push_str(&format!("{:<16}", "geomean"));
-        for g in self.geomeans() {
-            out.push_str(&format!("{g:>24.3}"));
-        }
-        out.push('\n');
-        out
-    }
 }
 
 impl ToJson for CellResult {
@@ -830,8 +780,7 @@ mod tests {
             .collect();
         let report = ExperimentSession::new()
             .workloads(spec_suite(Scale::Tiny).into_iter().take(2))
-            .defenses([DefenseKind::MuonTrap])
-            .config_sweep(sweep)
+            .config_sweep(DefenseKind::MuonTrap, sweep)
             .run();
         assert_eq!(report.columns, vec!["64 B", "128 B", "512 B"]);
         // The sweep only varies filter-cache geometry, which the unprotected
@@ -860,15 +809,6 @@ mod tests {
             RunReport::from_json(&json::parse(&report.to_json().to_string_pretty()).unwrap())
                 .unwrap();
         assert_eq!(pretty, report);
-    }
-
-    #[test]
-    fn render_includes_title_columns_and_geomean() {
-        let report = tiny_session(2, &[DefenseKind::MuonTrap]).run();
-        let text = report.render();
-        assert!(text.contains("test grid"));
-        assert!(text.contains("muontrap"));
-        assert!(text.contains("geomean"));
     }
 
     fn temp_store_dir(tag: &str) -> std::path::PathBuf {

@@ -494,16 +494,6 @@ impl ProgramBuilder {
         })
     }
 
-    /// 1-byte store.
-    pub fn store_byte(&mut self, rs: Reg, base: Reg, offset: i64) -> &mut Self {
-        self.emit(Instruction::Store {
-            rs,
-            base,
-            offset,
-            width: MemWidth::Byte,
-        })
-    }
-
     /// Atomic swap (8-byte).
     pub fn amoswap(&mut self, rd: Reg, rs: Reg, base: Reg) -> &mut Self {
         self.emit(Instruction::AtomicSwap { rd, rs, base })
@@ -541,16 +531,6 @@ impl ProgramBuilder {
     /// Branch if signed less-than.
     pub fn blt(&mut self, rs1: Reg, rs2: Reg, label: Label) -> &mut Self {
         self.branch(BranchCond::Lt, rs1, rs2, label)
-    }
-
-    /// Branch if signed greater-or-equal.
-    pub fn bge(&mut self, rs1: Reg, rs2: Reg, label: Label) -> &mut Self {
-        self.branch(BranchCond::Ge, rs1, rs2, label)
-    }
-
-    /// Branch if unsigned less-than.
-    pub fn bltu(&mut self, rs1: Reg, rs2: Reg, label: Label) -> &mut Self {
-        self.branch(BranchCond::Ltu, rs1, rs2, label)
     }
 
     /// Branch if unsigned greater-or-equal.

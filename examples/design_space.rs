@@ -39,21 +39,23 @@ fn main() {
     println!("== Filter-cache size sweep (fully associative), normalised execution time ==");
     let sizes = ExperimentSession::new()
         .workloads(chosen.clone())
-        .defenses([DefenseKind::MuonTrap])
-        .config_sweep([64u64, 256, 1024, 2048, 4096].map(|size| {
-            (
-                format!("{size} B"),
-                config.with_data_filter(size, (size / config.line_bytes) as usize),
-            )
-        }))
+        .config_sweep(
+            DefenseKind::MuonTrap,
+            [64u64, 256, 1024, 2048, 4096].map(|size| {
+                (
+                    format!("{size} B"),
+                    config.with_data_filter(size, (size / config.line_bytes) as usize),
+                )
+            }),
+        )
         .run();
     print_sweep(&sizes);
 
     println!("\n== 2 KiB filter-cache associativity sweep, normalised execution time ==");
     let ways = ExperimentSession::new()
         .workloads(chosen)
-        .defenses([DefenseKind::MuonTrap])
         .config_sweep(
+            DefenseKind::MuonTrap,
             [1usize, 2, 4, 8, 32]
                 .map(|ways| (format!("{ways}-way"), config.with_data_filter(2048, ways))),
         )

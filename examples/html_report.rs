@@ -6,8 +6,8 @@
 //! ```
 //!
 //! The flow is the whole rendering stack in four steps: resolve the figure's
-//! session from the by-name registry, run the grid, look up the figure's
-//! chart metadata (shape, axis titles, caption, paper cross-reference), and
+//! session by name, run the grid, read the chart metadata (shape, axis
+//! titles, caption, paper cross-reference) from its `bench::FIGURES` row, and
 //! fold the chart plus provenance into one HTML document with zero external
 //! assets — open the printed path in any browser, no server, no network.
 //! The all-figures version of the same artefact is
@@ -35,8 +35,10 @@ fn main() {
         report.sims_executed
     );
 
-    let meta = bench::render::figure_meta(name).expect("registered figures have metadata");
-    println!("chart: {:?} · {}", meta.kind, meta.paper_section);
+    let chart = bench::figure_spec(name)
+        .expect("domain is a registered figure")
+        .chart;
+    println!("chart: {:?} · {}", chart.kind, chart.paper_section);
 
     let html = bench::render::figure_document(name, &report, "html-report-example")
         .expect("registered figures render");

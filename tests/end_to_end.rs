@@ -150,11 +150,13 @@ fn undersized_filter_caches_hurt_cache_sensitive_parallel_workloads() {
         .expect("kernel exists");
     let report = ExperimentSession::new()
         .workloads([workload.clone()])
-        .defenses([DefenseKind::MuonTrap])
-        .config_sweep([
-            ("64 B".to_string(), cfg.with_data_filter(64, 1)),
-            ("2 KiB".to_string(), cfg.with_data_filter(2048, 32)),
-        ])
+        .config_sweep(
+            DefenseKind::MuonTrap,
+            [
+                ("64 B".to_string(), cfg.with_data_filter(64, 1)),
+                ("2 KiB".to_string(), cfg.with_data_filter(2048, 32)),
+            ],
+        )
         .run();
     assert_eq!(report.baseline_sims, 1);
     let tiny = report.cell(0, 0).normalized_time;
