@@ -45,6 +45,34 @@ struct CoreCaches {
     l1i_mshrs: MshrFile,
 }
 
+/// Counts of the L1 lookups every access makes, kept as plain fields: a
+/// named [`StatSet`] bump is a string-keyed map lookup, which every
+/// instruction fetch and data access would pay.
+/// [`stats`](MemoryHierarchy::stats) reports each count that is not zero
+/// under its `hierarchy.` name, exactly as a bump would have.
+#[derive(Debug, Default)]
+struct AccessCounts {
+    ifetch_accesses: u64,
+    l1i_hits: u64,
+    l1i_misses: u64,
+    data_accesses: u64,
+    l1d_hits: u64,
+    l1d_misses: u64,
+}
+
+impl AccessCounts {
+    fn named(&self) -> [(&'static str, u64); 6] {
+        [
+            ("hierarchy.ifetch_accesses", self.ifetch_accesses),
+            ("hierarchy.l1i_hits", self.l1i_hits),
+            ("hierarchy.l1i_misses", self.l1i_misses),
+            ("hierarchy.data_accesses", self.data_accesses),
+            ("hierarchy.l1d_hits", self.l1d_hits),
+            ("hierarchy.l1d_misses", self.l1d_misses),
+        ]
+    }
+}
+
 /// The full multi-core cache hierarchy.
 #[derive(Debug)]
 pub struct MemoryHierarchy {
@@ -56,7 +84,9 @@ pub struct MemoryHierarchy {
     /// Lines invalidated by exclusive upgrades, queued per core for external
     /// structures (filter caches) to consume.
     invalidation_queues: Vec<Vec<LineAddr>>,
+    /// Counters of the rarer events; the per-access ones are in `counts`.
     stats: StatSet,
+    counts: AccessCounts,
     l1d_hit_latency: u64,
     l1i_hit_latency: u64,
     /// Latency of one shared-L2 tag/data lookup (line transfer included).
@@ -82,15 +112,22 @@ impl MemoryHierarchy {
             prefetcher: StridePrefetcher::new(config.prefetch_degree),
             invalidation_queues: vec![Vec::new(); config.cores],
             stats: StatSet::new(),
+            counts: AccessCounts::default(),
             l1d_hit_latency: config.l1d.hit_latency,
             l1i_hit_latency: config.l1i.hit_latency,
             l2_hit_latency: config.l2.hit_latency,
         }
     }
 
-    /// Read-only access to the accumulated statistics.
-    pub fn stats(&self) -> &StatSet {
-        &self.stats
+    /// The accumulated statistics.
+    pub fn stats(&self) -> StatSet {
+        let mut stats = self.stats.clone();
+        for (name, count) in self.counts.named() {
+            if count > 0 {
+                stats.add(name, count);
+            }
+        }
+        stats
     }
 
     /// Drains the pending filter-cache invalidation notifications for `core`.
@@ -238,10 +275,10 @@ impl MemoryHierarchy {
     // ------------------------------------------------------------------
 
     fn access_instruction(&mut self, req: &AccessRequest) -> AccessResponse {
-        self.stats.bump("hierarchy.ifetch_accesses");
+        self.counts.ifetch_accesses += 1;
         let mut latency = self.l1i_hit_latency;
         if self.cores[req.core].l1i.lookup(req.line).is_some() {
-            self.stats.bump("hierarchy.l1i_hits");
+            self.counts.l1i_hits += 1;
             return AccessResponse {
                 latency,
                 served_by: ServiceLevel::L1,
@@ -250,7 +287,7 @@ impl MemoryHierarchy {
                 writeback: false,
             };
         }
-        self.stats.bump("hierarchy.l1i_misses");
+        self.counts.l1i_misses += 1;
         let mshr = self.cores[req.core].l1i_mshrs.check(req.line, req.when);
         if mshr.coalesced {
             // The fill is already in flight; ride along with it. The line is
@@ -291,7 +328,7 @@ impl MemoryHierarchy {
     }
 
     fn access_data(&mut self, req: &AccessRequest) -> AccessResponse {
-        self.stats.bump("hierarchy.data_accesses");
+        self.counts.data_accesses += 1;
         let wants_exclusive = req.kind.wants_exclusive();
         let mut latency = self.l1d_hit_latency;
         let mut invalidations = 0u32;
@@ -299,7 +336,7 @@ impl MemoryHierarchy {
         // L1 hit path.
         let hit_state = self.cores[req.core].l1d.lookup(req.line).map(|l| l.state);
         if let Some(state) = hit_state {
-            self.stats.bump("hierarchy.l1d_hits");
+            self.counts.l1d_hits += 1;
             if wants_exclusive && !state.can_write() {
                 // Upgrade: invalidate every other copy.
                 if !req.allow_remote_downgrade
@@ -331,7 +368,7 @@ impl MemoryHierarchy {
         }
 
         // L1 miss.
-        self.stats.bump("hierarchy.l1d_misses");
+        self.counts.l1d_misses += 1;
 
         // Check whether another core holds the line privately.
         let remote_exclusive = self.remote_private_holds_exclusive(req.core, req.line);
@@ -699,11 +736,11 @@ mod tests {
     fn probes_are_side_effect_free() {
         let mut h = hierarchy();
         let _ = h.access(&store(2, 77, 0));
-        let before = h.stats().clone();
+        let before = h.stats();
         assert!(h.remote_private_holds_exclusive(0, LineAddr::new(77)));
         assert!(!h.remote_private_holds_exclusive(2, LineAddr::new(77)));
         assert!(h.any_other_copy(0, LineAddr::new(77)));
-        assert_eq!(h.stats(), &before);
+        assert_eq!(h.stats(), before);
     }
 
     #[test]

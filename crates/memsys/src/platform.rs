@@ -162,7 +162,7 @@ impl Platform {
     /// A model's own counters followed by the hierarchy's.
     pub fn stats(&self, own: &StatSet) -> StatSet {
         let mut stats = own.clone();
-        stats.merge(self.hierarchy.stats());
+        stats.merge(&self.hierarchy.stats());
         stats
     }
 }

@@ -29,13 +29,47 @@ struct CoreState {
     filter_tlb: FilterTlb,
 }
 
+/// Counts of the events on MuonTrap's per-access paths, kept as plain
+/// fields: a named [`StatSet`] bump is a string-keyed map lookup, and a
+/// refused speculative load (most loads of a contended Parsec kernel) would
+/// pay two of them. [`stats`](MemoryModel::stats) reports each count that is
+/// not zero under its `muontrap.` name, exactly as a bump would have.
+#[derive(Debug, Default)]
+struct AccessCounts {
+    l0d_hits: u64,
+    l0d_misses: u64,
+    coherence_nacks: u64,
+    l0i_hits: u64,
+    committed_loads: u64,
+    committed_stores: u64,
+    filter_tlb_promotions: u64,
+    commit_writethroughs: u64,
+}
+
+impl AccessCounts {
+    fn named(&self) -> [(&'static str, u64); 8] {
+        [
+            ("muontrap.l0d_hits", self.l0d_hits),
+            ("muontrap.l0d_misses", self.l0d_misses),
+            ("muontrap.coherence_nacks", self.coherence_nacks),
+            ("muontrap.l0i_hits", self.l0i_hits),
+            ("muontrap.committed_loads", self.committed_loads),
+            ("muontrap.committed_stores", self.committed_stores),
+            ("muontrap.filter_tlb_promotions", self.filter_tlb_promotions),
+            ("muontrap.commit_writethroughs", self.commit_writethroughs),
+        ]
+    }
+}
+
 /// The MuonTrap protection scheme as a pluggable memory model.
 #[derive(Debug)]
 pub struct MuonTrap {
     platform: Platform,
     protection: ProtectionConfig,
     cores: Vec<CoreState>,
+    /// Counters of the rarer events; the per-access ones are in `counts`.
     stats: StatSet,
+    counts: AccessCounts,
     /// Reusable buffer for draining the hierarchy's invalidation queues, so
     /// the per-access/per-tick drain never allocates.
     inval_scratch: Vec<LineAddr>,
@@ -57,6 +91,7 @@ impl MuonTrap {
             protection: config.protection,
             cores,
             stats: StatSet::new(),
+            counts: AccessCounts::default(),
             inval_scratch: Vec::new(),
         }
     }
@@ -185,13 +220,13 @@ impl MuonTrap {
         // line in is still in flight, in which case this access rides along
         // with it like an MSHR-coalesced secondary miss.
         if let Some(meta) = self.cores[core].data_filter.lookup(line) {
-            self.stats.bump("muontrap.l0d_hits");
+            self.counts.l0d_hits += 1;
             let wait = meta.fill_ready_at.since(ctx.when);
             return MemOutcome::Done {
                 latency: self.platform.config().data_filter.hit_latency.max(wait) + xlat_latency,
             };
         }
-        self.stats.bump("muontrap.l0d_misses");
+        self.counts.l0d_misses += 1;
 
         // Reduced coherence speculation: a speculative access may not force a
         // remote private line out of M/E (§4.5). It is nacked and retried once
@@ -204,7 +239,7 @@ impl MuonTrap {
                 .hierarchy
                 .remote_private_holds_exclusive(core, line)
         {
-            self.stats.bump("muontrap.coherence_nacks");
+            self.counts.coherence_nacks += 1;
             return MemOutcome::RetryWhenNonSpeculative;
         }
 
@@ -228,7 +263,7 @@ impl MuonTrap {
         let hierarchy = &mut self.platform.hierarchy;
         let resp = hierarchy.access(&req);
         if resp.coherence_delayed {
-            self.stats.bump("muontrap.coherence_nacks");
+            self.counts.coherence_nacks += 1;
             return MemOutcome::RetryWhenNonSpeculative;
         }
 
@@ -286,7 +321,7 @@ impl MemoryModel for MuonTrap {
 
         if self.protection.instruction_filter_cache && self.protection.secure_filter {
             if let Some(meta) = self.cores[core].inst_filter.lookup(line) {
-                self.stats.bump("muontrap.l0i_hits");
+                self.counts.l0i_hits += 1;
                 let wait = meta.fill_ready_at.since(ctx.when);
                 return MemOutcome::Done {
                     latency: self.platform.config().inst_filter.hit_latency.max(wait) + xlat,
@@ -376,14 +411,14 @@ impl MemoryModel for MuonTrap {
             && self.cores[core].filter_tlb.take(vpn).is_some()
         {
             self.platform.mmu(core).fill_data_tlb(vpn);
-            self.stats.bump("muontrap.filter_tlb_promotions");
+            self.counts.filter_tlb_promotions += 1;
         }
         let (line, _) = self.platform.data_line(core, ctx.vaddr);
 
         if ctx.is_store {
-            self.stats.bump("muontrap.committed_stores");
+            self.counts.committed_stores += 1;
         } else {
-            self.stats.bump("muontrap.committed_loads");
+            self.counts.committed_loads += 1;
         }
 
         if !self.protection.data_filter_cache || !self.protection.secure_filter {
@@ -423,7 +458,7 @@ impl MemoryModel for MuonTrap {
             // it was evicted from the filter cache before commit, §4.2). This
             // is asynchronous and does not stall commit.
             let _ = hierarchy.commit_fill_l1(core, line, ctx.when);
-            self.stats.bump("muontrap.commit_writethroughs");
+            self.counts.commit_writethroughs += 1;
         }
 
         if ctx.is_store {
@@ -503,6 +538,11 @@ impl MemoryModel for MuonTrap {
 
     fn stats(&self) -> StatSet {
         let mut out = self.platform.stats(&self.stats);
+        for (name, count) in self.counts.named() {
+            if count > 0 {
+                out.add(name, count);
+            }
+        }
         for (i, c) in self.cores.iter().enumerate() {
             c.data_filter
                 .accumulate_stats(&mut out, &format!("muontrap.core{i}.l0d"));

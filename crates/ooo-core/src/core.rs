@@ -34,18 +34,25 @@
 //!   list of each unfinished producer and becomes ready when the last one
 //!   turns `Done`; a load that finds an older store with an unknown address
 //!   is linked behind that store and woken when the store (or atomic) gets
-//!   its address. The issue stage is one walk over the slot ring, a 64-slot
-//!   word at a time from the head: in each word it truncates at the first
-//!   serialising instruction past the head, spends the `iq_entries` window
-//!   budget with a popcount of the Waiting bits, and visits the ready and
-//!   retry candidates in sequence order. It reads the candidate bits live,
-//!   so a load woken by an older store that issued earlier in the same
-//!   cycle is still tried in that cycle — the same order a full window scan
-//!   would try it in. A parked retry re-polls the memory model from its
-//!   stored address, skipping the operand gather and the store-queue walk;
-//! * a tick that did no work reports itself [`quiescent`](OooCore::quiescent)
-//!   and can name the [`next_wake`](OooCore::next_wake) cycle, which lets the
-//!   driving loop **fast-forward over idle cycles** (crediting them via
+//!   its address; an atomic, which executes only at the ROB head, becomes
+//!   ready only once it is the head with its operands ready. The issue stage
+//!   is one walk over the slot ring, a 64-slot word at a time from the head:
+//!   in each word it finds where the window ends, if it does — the first
+//!   serialising instruction past the head or the `iq_entries + 1`-th
+//!   Waiting entry, one popcount per word and one bit select where the
+//!   budget runs out — and visits the ready and retry candidates before it
+//!   in sequence order. It reads the candidate bits live, so a load woken
+//!   by an older store that issued earlier in the same cycle is still tried
+//!   in that cycle — the same order a full window scan would try it in. A
+//!   parked retry re-polls the memory model from its stored address on
+//!   every cycle it lies in the window, skipping the operand gather and the
+//!   store-queue walk;
+//! * a core whose next tick provably does nothing —
+//!   [`quiescent`](OooCore::quiescent) after an idle tick, or
+//!   [`idle_at`](OooCore::idle_at) the next cycle — can name the
+//!   [`next_wake`](OooCore::next_wake) cycle, which lets the driving loop
+//!   **sleep from its last active tick** (see
+//!   [`next_tick`](OooCore::next_tick), crediting the cycles via
 //!   [`skip_idle_cycles`](OooCore::skip_idle_cycles)) with bit-identical
 //!   statistics — see `tests/hotpath_golden.rs` for the equivalence proof.
 
@@ -65,7 +72,7 @@ use crate::branch::{BranchPredictor, BranchUpdate};
 use crate::context::ThreadContext;
 use crate::events::CoreEvent;
 use crate::memmodel::{MemAccessCtx, MemOutcome, MemoryModel};
-use crate::wakeup::{SlotBits, WaitLists};
+use crate::wakeup::{select, SlotBits, WaitLists};
 
 /// Sentinel for "no in-flight producer: read the architectural register".
 const NO_PRODUCER: u64 = u64::MAX;
@@ -152,7 +159,10 @@ pub struct CoreStats {
     pub squashed: u64,
     /// Loads that were issued speculatively and later squashed.
     pub squashed_loads: u64,
-    /// Accesses the memory model asked to retry non-speculatively.
+    /// Refused memory-model polls: one per load or atomic access the model
+    /// answered [`MemOutcome::RetryWhenNonSpeculative`], counting every
+    /// re-poll of a parked access (each cycle it lies in the issue window),
+    /// not distinct accesses.
     pub mem_retries: u64,
 }
 
@@ -252,18 +262,22 @@ pub struct OooCore {
     slot_mask: u64,
     /// Slots holding a `Status::Waiting` entry.
     waiting_bits: SlotBits,
-    /// Waiting slots whose operands are all available and that are not
-    /// parked behind an older store with an unknown address. Such an entry
-    /// may still be refused at issue (a functional unit, a head-only
-    /// instruction past the head, `rdcycle` behind unfinished work, or a
-    /// store it has not yet been parked behind); every other Waiting entry
-    /// provably would be.
+    /// Waiting slots whose operands are all available, that are not parked
+    /// behind an older store with an unknown address and, for an atomic,
+    /// that head the ROB. Such an entry may still be refused at issue (a
+    /// functional unit, `rdcycle` behind unfinished work, or a store it has
+    /// not yet been parked behind); every other Waiting entry provably would
+    /// be.
     ready_bits: SlotBits,
     /// Slots parked by a memory-model retry.
     retry_bits: SlotBits,
     /// Slots holding a serialising instruction (valid for live slots only;
     /// rewritten at dispatch).
     serial_bits: SlotBits,
+    /// Slots holding an atomic (same validity as `serial_bits`). An atomic
+    /// executes only at the ROB head, so it joins `ready_bits` only when it
+    /// is the head with its operands ready.
+    atomic_bits: SlotBits,
     /// Per slot: producers this Waiting entry still waits for (0–2).
     pending_srcs: Vec<u8>,
     /// Operand wakeup lists: one list per producer slot, one node per
@@ -313,6 +327,7 @@ impl OooCore {
             ready_bits: SlotBits::new(slots),
             retry_bits: SlotBits::new(slots),
             serial_bits: SlotBits::new(slots),
+            atomic_bits: SlotBits::new(slots),
             pending_srcs: vec![0; slots],
             operand_waiters: WaitLists::new(slots, 2 * slots),
             store_waiters: WaitLists::new(slots, slots),
@@ -410,14 +425,13 @@ impl OooCore {
             events.clear();
             self.tick(now, mem, &mut events);
             now += 1;
-            // Skip only when this tick did nothing AND the memory model has
-            // no queued background work its per-cycle tick would advance.
-            if !self.tick_active && mem.is_idle(self.core_id) {
-                let wake = self.next_wake(now).raw().min(max_cycles);
-                if wake > now.raw() {
-                    self.skip_idle_cycles(wake - now.raw());
-                    now = Cycle::new(wake);
-                }
+            if self.halted {
+                break;
+            }
+            let wake = self.next_tick(now, mem).raw().min(max_cycles);
+            if wake > now.raw() {
+                self.skip_idle_cycles(wake - now.raw());
+                now = Cycle::new(wake);
             }
         }
         if self.halted {
@@ -449,6 +463,61 @@ impl OooCore {
         self.check_wakeup_state();
         let fetch_active = self.fetch_stage(now, mem);
         self.tick_active = commit_active || complete_active || issue_active || fetch_active;
+    }
+
+    /// Whether the fetch stage would do nothing at cycle `at`: fetch is
+    /// halted or stalled, or the next instruction finds the ROB, load queue
+    /// or store queue full. Running off the program is not blocked (fetch
+    /// halts, a state change).
+    fn fetch_blocked(&self, at: Cycle) -> bool {
+        if self.fetch_halted || at < self.fetch_stalled_until {
+            return true;
+        }
+        if self.rob.len() >= self.pipeline.rob_entries {
+            return true;
+        }
+        let Some(thread) = self.thread.as_ref() else {
+            return true;
+        };
+        thread
+            .program
+            .fetch(self.fetch_pc)
+            .is_some_and(|inst| self.queues_full_for(inst))
+    }
+
+    /// Whether dispatching `inst` must wait for a load- or store-queue entry.
+    fn queues_full_for(&self, inst: Instruction) -> bool {
+        let class = inst.class();
+        (matches!(class, InstClass::Load | InstClass::Atomic)
+            && self.loads_in_flight >= self.pipeline.lq_entries)
+            || (matches!(class, InstClass::Store | InstClass::Atomic)
+                && self.stores_in_flight >= self.pipeline.sq_entries)
+    }
+
+    /// Whether a tick at cycle `next` would provably do nothing: no access
+    /// is parked, no completion ticket is due, commit and fetch are blocked,
+    /// and no ready entry lies inside the issue window. Such a tick changes
+    /// no state, so the driving loop may sleep through it.
+    pub fn idle_at(&self, next: Cycle) -> bool {
+        self.retry_count == 0
+            && self.completion_q.peek() > next
+            && (self.done_prefix == 0 || next < self.commit_stalled_until)
+            && self.fetch_blocked(next)
+            && !self.ready_in_window()
+    }
+
+    /// The cycle at or after `next` (the cycle after the last tick) at which
+    /// this core must next be ticked: `next` itself unless the last tick was
+    /// [`quiescent`](Self::quiescent) or the one at `next` would be
+    /// [idle](Self::idle_at), and the memory model has no background work
+    /// for the core; then [`next_wake`](Self::next_wake). The one sleep rule
+    /// of [`run_to_halt`](Self::run_to_halt) and of the multicore loop.
+    pub fn next_tick(&self, next: Cycle, mem: &dyn MemoryModel) -> Cycle {
+        if (self.quiescent() || self.idle_at(next)) && mem.is_idle(self.core_id) {
+            self.next_wake(next)
+        } else {
+            next
+        }
     }
 
     /// Whether the last [`tick`](Self::tick) performed no pipeline work at
@@ -513,6 +582,15 @@ impl OooCore {
             self.retire_entry(&entry, now, mem, events);
             if self.halted || now < self.commit_stalled_until {
                 break;
+            }
+        }
+        // An atomic joins the ready set when the head reaches it: with every
+        // older entry committed, its operands are ready.
+        if let Some(head) = self.rob.front() {
+            let slot = self.slot(head.seq);
+            if self.atomic_bits.get(slot) && matches!(head.status, Status::Waiting) {
+                debug_assert_eq!(self.pending_srcs[slot], 0);
+                self.ready_bits.set(slot);
             }
         }
     }
@@ -801,15 +879,16 @@ impl OooCore {
     /// model (both make the cycle non-quiescent).
     ///
     /// Equivalent to walking the ROB from the head, trying every Waiting
-    /// entry and parked retry until `width` issue, and stopping at the first
-    /// serialising instruction past the head and at the `iq_entries + 1`-th
-    /// Waiting entry counted at the start of the stage. A Waiting entry that
-    /// is not ready would be refused without side effects, so only the
-    /// `ready | retry` bits are visited, one slot word at a time; the live
-    /// word is re-read after every candidate because issuing a store wakes
-    /// the younger loads parked behind it. A word's Waiting bits are counted
-    /// only when the walk reaches it, which gives the stage-start rank: issue
-    /// clears only bits the walk has passed, and wakeups set only ready bits.
+    /// entry and parked retry until `width` issue (a poll spends an issue
+    /// slot and a memory port whether or not it is accepted), and stopping at
+    /// the window end counted at the start of the stage (see
+    /// [`window_cut`](Self::window_cut)). A Waiting entry that is not ready
+    /// would be refused without side effects, so only the `ready | retry`
+    /// bits are visited, one slot word at a time; the live word is re-read
+    /// after every candidate because issuing a store wakes the younger loads
+    /// parked behind it. A word's cut is found only when the walk reaches
+    /// it, which gives the stage-start window: issue clears only bits the
+    /// walk has passed, and wakeups set only ready bits.
     fn issue_stage(&mut self, now: Cycle, mem: &mut dyn MemoryModel) -> bool {
         if self.waiting_count + self.retry_count == 0 {
             return false;
@@ -818,14 +897,9 @@ impl OooCore {
         let expected_end = self.window_end_by_rob_walk();
         let head = self.head_seq();
         let tail = head + self.rob.len() as u64;
+        let mut left = self.window_budget();
         let width = self.pipeline.width;
-        // Waiting entries the window still admits; the rank is needed only
-        // when more entries wait than the window holds.
-        let mut budget =
-            (self.waiting_count > self.pipeline.iq_entries).then_some(self.pipeline.iq_entries);
-
         let mut issued = 0usize;
-        let mut attempts = 0usize;
         let mut int_used = 0usize;
         let mut fp_used = 0usize;
         let mut muldiv_used = 0usize;
@@ -837,48 +911,18 @@ impl OooCore {
                 assert_eq!(tail, expected_end, "the issue window ends early");
                 break;
             }
-            let first_slot = self.slot(chunk);
-            let (w, first_bit) = (first_slot / 64, first_slot % 64);
-            let ring_left = (self.slot_mask + 1) as usize - first_slot;
-            let run = (64 - first_bit).min(ring_left).min((tail - chunk) as usize);
-            let mut window = (u64::MAX >> (64 - run)) << first_bit;
-            let seq_of = |bit: u32| chunk + (bit as usize - first_bit) as u64;
-            let mut stop = None;
-
-            // An unfinished serialising instruction blocks everything
-            // younger. It can itself execute only at the ROB head (where it
-            // is an ordinary candidate), so past the head it always ends the
-            // window.
-            let mut serial = self.serial_bits.word(w) & window;
-            if chunk == head {
-                serial &= !(1 << first_bit);
-            }
-            if serial != 0 {
-                let bit = serial.trailing_zeros();
+            let (w, mut window, run) = self.word_run(chunk, tail);
+            let first_bit = window.trailing_zeros();
+            let cut = self.window_cut(w, window, chunk == head, &mut left);
+            if let Some(bit) = cut {
                 window &= (1 << bit) - 1;
-                stop = Some(bit);
+                #[cfg(any(test, debug_assertions))]
+                assert_eq!(
+                    chunk + u64::from(bit - first_bit),
+                    expected_end,
+                    "the issue window ends elsewhere"
+                );
             }
-            // The instruction window: nothing from the `iq_entries + 1`-th
-            // Waiting entry on is visited, parked retries included.
-            if let Some(left) = budget.as_mut() {
-                let mut waiting = self.waiting_bits.word(w) & window;
-                let count = waiting.count_ones() as usize;
-                if count > *left {
-                    for _ in 0..*left {
-                        waiting &= waiting - 1;
-                    }
-                    let bit = waiting.trailing_zeros();
-                    window &= (1 << bit) - 1;
-                    stop = Some(bit);
-                } else {
-                    *left -= count;
-                }
-            }
-            #[cfg(any(test, debug_assertions))]
-            if let Some(bit) = stop {
-                assert_eq!(seq_of(bit), expected_end, "the issue window ends elsewhere");
-            }
-
             while issued < width {
                 let candidates = (self.ready_bits.word(w) | self.retry_bits.word(w)) & window;
                 if candidates == 0 {
@@ -886,28 +930,21 @@ impl OooCore {
                 }
                 let bit = candidates.trailing_zeros();
                 window &= !(u64::MAX >> (63 - bit));
-                let seq = seq_of(bit);
+                let seq = chunk + u64::from(bit - first_bit);
                 #[cfg(any(test, debug_assertions))]
                 assert!(seq < expected_end, "{seq} is past the issue window");
                 let idx = (seq - head) as usize;
                 let slot = self.slot(seq);
 
                 if self.retry_bits.get(slot) {
-                    // A previously delayed memory access: retry it (the
-                    // memory model re-evaluates its condition; at the head it
-                    // is non-speculative and must succeed). The poll reaches
-                    // the memory model, so a cycle with a parked retry is
-                    // never quiescent.
-                    attempts += 1;
-                    if self.retry_parked(idx, now, mem) {
-                        issued += 1;
-                        mem_ports_used += 1;
-                        if !self.entry_is_parked(idx) {
-                            // Completed: no longer a retry poll.
-                            self.retry_bits.clear(slot);
-                            self.retry_count -= 1;
-                        }
-                    }
+                    // A previously delayed memory access: the memory model
+                    // re-evaluates its condition (at the head it is
+                    // non-speculative and must succeed). The poll reaches the
+                    // memory model, so a cycle with a parked retry is never
+                    // quiescent.
+                    issued += 1;
+                    mem_ports_used += 1;
+                    self.poll(idx, now, mem);
                     continue;
                 }
 
@@ -952,12 +989,90 @@ impl OooCore {
                     }
                 }
             }
-            if stop.is_some() {
+            if cut.is_some() {
                 break;
             }
-            chunk += run as u64;
+            chunk += run;
         }
-        issued > 0 || attempts > 0
+        issued > 0
+    }
+
+    /// The slot-ring word holding sequence number `from`, the mask of the
+    /// bits of `from..to` that lie in it (a run ends at the word's end and at
+    /// the ring's wrap) and the length of that run.
+    fn word_run(&self, from: u64, to: u64) -> (usize, u64, u64) {
+        let first_slot = self.slot(from);
+        let (w, first_bit) = (first_slot / 64, first_slot % 64);
+        let ring_left = (self.slot_mask + 1) as usize - first_slot;
+        let run = (64 - first_bit).min(ring_left).min((to - from) as usize);
+        (w, (u64::MAX >> (64 - run)) << first_bit, run as u64)
+    }
+
+    /// The Waiting entries the issue window admits, when more wait than it
+    /// holds (`None`: the window rank needs no counting).
+    fn window_budget(&self) -> Option<usize> {
+        (self.waiting_count > self.pipeline.iq_entries).then_some(self.pipeline.iq_entries)
+    }
+
+    /// Where the issue window ends inside the run `window` of slot word `w`,
+    /// if it does: at the first serialising instruction past the head (the
+    /// head itself, `at_head`, is an ordinary candidate; past it a
+    /// serialising entry is unfinished, since it executes only at the head)
+    /// or at the `iq_entries + 1`-th Waiting entry, whichever comes first.
+    /// `left` is the Waiting budget still open before this run (see
+    /// [`window_budget`](Self::window_budget)); where it runs out, one
+    /// [`select`] finds the cutoff. The one cutoff rule of the issue walk
+    /// and of [`idle_at`](Self::idle_at).
+    fn window_cut(
+        &self,
+        w: usize,
+        window: u64,
+        at_head: bool,
+        left: &mut Option<usize>,
+    ) -> Option<u32> {
+        let mut serial = self.serial_bits.word(w) & window;
+        if at_head {
+            serial &= !(1 << window.trailing_zeros());
+        }
+        let mut cut = (serial != 0).then(|| serial.trailing_zeros());
+        if let Some(left) = left.as_mut() {
+            let waiting = self.waiting_bits.word(w) & window;
+            let count = waiting.count_ones() as usize;
+            if count > *left {
+                let bit = select(waiting, *left as u32);
+                cut = Some(cut.map_or(bit, |c| c.min(bit)));
+            } else {
+                *left -= count;
+            }
+        }
+        cut
+    }
+
+    /// Whether a ready entry lies inside the issue window: the issue walk's
+    /// cutoff, read-only, up to the first ready bit.
+    fn ready_in_window(&self) -> bool {
+        if self.ready_bits.is_empty() {
+            return false;
+        }
+        let head = self.head_seq();
+        let tail = head + self.rob.len() as u64;
+        let mut left = self.window_budget();
+        let mut chunk = head;
+        while chunk < tail {
+            let (w, mut window, run) = self.word_run(chunk, tail);
+            let cut = self.window_cut(w, window, chunk == head, &mut left);
+            if let Some(bit) = cut {
+                window &= (1 << bit) - 1;
+            }
+            if self.ready_bits.word(w) & window != 0 {
+                return true;
+            }
+            if cut.is_some() {
+                break;
+            }
+            chunk += run;
+        }
+        false
     }
 
     /// Where the issue stage must stop, recomputed with a plain ROB walk:
@@ -989,14 +1104,18 @@ impl OooCore {
     /// Wakes the consumers linked to the producer `seq`, which just turned
     /// `Done`: a consumer whose last unfinished producer this was becomes
     /// ready.
+    ///
+    /// An atomic is left for the commit stage to wake: its producer is
+    /// older and still in the ROB, so the atomic is not the head.
     fn wake_consumers(&mut self, seq: u64) {
         let slot = self.slot(seq);
         let pending = &mut self.pending_srcs;
         let ready = &mut self.ready_bits;
+        let atomic = &self.atomic_bits;
         self.operand_waiters.drain(slot, |node| {
             let consumer = node / 2;
             pending[consumer] -= 1;
-            if pending[consumer] == 0 {
+            if pending[consumer] == 0 && !atomic.get(consumer) {
                 ready.set(consumer);
             }
         });
@@ -1022,7 +1141,10 @@ impl OooCore {
 
     /// Registers the entry just dispatched as `seq` with the wakeup/select
     /// state: it is Waiting, linked into the wakeup list of each producer
-    /// that has not finished, and ready at once if there is none.
+    /// that has not finished, and ready at once if there is none. An atomic
+    /// is ready at once only if it becomes the ROB head (which leaves it no
+    /// producer in flight); otherwise the commit stage wakes it when the
+    /// head reaches it.
     fn dispatch_wakeup(&mut self, seq: u64, inst: &Instruction, src_producers: [u64; 2]) {
         let slot = self.slot(seq);
         debug_assert!(self.operand_waiters.is_empty(slot) && self.store_waiters.is_empty(slot));
@@ -1041,7 +1163,8 @@ impl OooCore {
         }
         self.pending_srcs[slot] = pending;
         self.waiting_bits.set(slot);
-        if pending == 0 {
+        let atomic = matches!(inst.class(), InstClass::Atomic);
+        if pending == 0 && (!atomic || self.rob.is_empty()) {
             self.ready_bits.set(slot);
         }
         if inst.is_serialising() {
@@ -1049,14 +1172,20 @@ impl OooCore {
         } else {
             self.serial_bits.clear(slot);
         }
+        if atomic {
+            self.atomic_bits.set(slot);
+        } else {
+            self.atomic_bits.clear(slot);
+        }
     }
 
     /// Recomputes issue readiness from the ROB and checks the wakeup/select
     /// state against it (debug builds, after every issue stage). The one
     /// failure that would not show up as a crash is a *lost wakeup* — a
-    /// Waiting entry whose producers are all `Done` and that has no older
-    /// store with an unknown address, yet lacks its ready bit — which would
-    /// silently delay its issue; this catches it on the cycle it happens.
+    /// Waiting entry whose producers are all `Done`, that has no older store
+    /// with an unknown address and that is not an atomic off the ROB head,
+    /// yet lacks its ready bit — which would silently delay its issue; this
+    /// catches it on the cycle it happens.
     /// Slots outside the live ROB must be free of bits and waiters (checked
     /// by population counts), which is what makes a squash followed by
     /// sequence-number reuse safe.
@@ -1079,6 +1208,8 @@ impl OooCore {
             );
             assert_eq!(self.retry_bits.get(slot), is_parked, "retry bit of {seq}");
             assert_eq!(self.serial_bits.get(slot), e.inst.is_serialising());
+            let atomic = matches!(e.inst.class(), InstClass::Atomic);
+            assert_eq!(self.atomic_bits.get(slot), atomic, "atomic bit of {seq}");
             waiting += usize::from(is_waiting);
             ready_count += usize::from(ready);
             parked += usize::from(is_parked);
@@ -1107,10 +1238,12 @@ impl OooCore {
                 operand_links += unfinished;
                 assert_eq!(usize::from(self.pending_srcs[slot]), unfinished);
                 let blocked = e.is_load() && unknown_store_older;
+                let off_head = atomic && idx != 0;
                 assert!(
-                    ready || unfinished > 0 || blocked,
+                    ready || unfinished > 0 || blocked || off_head,
                     "lost wakeup: seq {seq} can issue but is not ready"
                 );
+                assert!(!(ready && off_head), "atomic {seq} ready off the head");
                 assert!(
                     !ready || unfinished == 0,
                     "seq {seq} ready with producers pending"
@@ -1185,10 +1318,13 @@ impl OooCore {
         let inst = self.rob[idx].inst;
         let class = inst.class();
 
-        // Serialising instructions and atomics execute only at the ROB head.
-        if (inst.is_serialising() || matches!(class, InstClass::Atomic)) && idx != 0 {
-            return false;
-        }
+        // Serialising instructions and atomics execute only at the ROB head:
+        // one past the head ends the issue window, and an atomic is ready
+        // only at the head.
+        debug_assert!(
+            idx == 0 || !(inst.is_serialising() || matches!(class, InstClass::Atomic)),
+            "a head-only instruction visited past the head"
+        );
         // A cycle-counter read waits until every older instruction has
         // finished so it observes an accurate time (like lfence; rdtsc). The
         // done-prefix counter answers "are all older entries done?" in O(1).
@@ -1303,7 +1439,8 @@ impl OooCore {
         let entry = &mut self.rob[idx];
         entry.mem_addr = Some(addr);
         entry.store_data = data;
-        self.access_memory(idx, now, mem, forwarded_value)
+        self.access_memory(idx, now, mem, forwarded_value);
+        true
     }
 
     /// The youngest in-flight store older than entry `idx` that a load from
@@ -1325,12 +1462,13 @@ impl OooCore {
     }
 
     /// Re-polls the memory model for the parked load (or head atomic) at ROB
-    /// index `idx`; returns whether the poll counts as an issue. A parked
-    /// load passed disambiguation (every older store had a known, different
-    /// address) and older stores can only commit since, so the poll starts
-    /// from the stored address; speculation, branch and taint state are
-    /// recomputed by [`access_memory`](Self::access_memory).
-    fn retry_parked(&mut self, idx: usize, now: Cycle, mem: &mut dyn MemoryModel) -> bool {
+    /// index `idx`; an access the model accepts leaves the retry set. A
+    /// parked load passed disambiguation
+    /// (every older store had a known, different address) and older stores
+    /// can only commit since, so the poll starts from the stored address;
+    /// speculation, branch and taint state are recomputed by
+    /// [`access_memory`](Self::access_memory).
+    fn poll(&mut self, idx: usize, now: Cycle, mem: &mut dyn MemoryModel) {
         let addr = self.rob[idx]
             .mem_addr
             .expect("a parked access has its address");
@@ -1339,20 +1477,25 @@ impl OooCore {
             "a parked access gained an older conflicting store"
         );
         debug_assert!(idx == 0 || matches!(self.rob[idx].inst.class(), InstClass::Load));
-        self.access_memory(idx, now, mem, None)
+        self.access_memory(idx, now, mem, None);
+        if !self.entry_is_parked(idx) {
+            let slot = self.slot(self.rob[idx].seq);
+            self.retry_bits.clear(slot);
+            self.retry_count -= 1;
+        }
     }
 
     /// Issues the memory side of the operation at ROB index `idx`, whose
     /// address and store data are recorded: a store notifies the memory
     /// model; a load completes from `forwarded` or through the memory model,
-    /// which may park it. Returns whether the access counts as an issue.
+    /// which may park it.
     fn access_memory(
         &mut self,
         idx: usize,
         now: Cycle,
         mem: &mut dyn MemoryModel,
         forwarded: Option<u64>,
-    ) -> bool {
+    ) {
         let inst = self.rob[idx].inst;
         let addr = self.rob[idx].mem_addr.expect("memory op has an address");
         let data = self.rob[idx].store_data;
@@ -1388,7 +1531,6 @@ impl OooCore {
                 entry.actual_next = entry.pc + 1;
                 self.completion_q.push(done_at, seq);
                 mem.store_address_ready(&ctx);
-                true
             }
             InstClass::Load | InstClass::Atomic => {
                 let pc_addr = pc_vaddr;
@@ -1402,7 +1544,7 @@ impl OooCore {
                     let seq = entry.seq;
                     entry.status = Status::Executing(done_at);
                     self.completion_q.push(done_at, seq);
-                    return true;
+                    return;
                 }
                 let ctx = MemAccessCtx {
                     core: self.core_id,
@@ -1451,7 +1593,6 @@ impl OooCore {
                             let entry = &mut self.rob[idx];
                             entry.store_data = Some(new_value);
                         }
-                        true
                     }
                     MemOutcome::RetryWhenNonSpeculative => {
                         self.stats.mem_retries += 1;
@@ -1461,7 +1602,6 @@ impl OooCore {
                         // future and is retried by the issue stage.
                         entry.status = Status::Executing(Cycle::NEVER);
                         entry.actual_next = entry.pc + 1;
-                        true
                     }
                 }
             }
@@ -1578,17 +1718,8 @@ impl OooCore {
                 active = true;
                 break;
             };
-            if inst.class().is_memory() {
-                if matches!(inst.class(), InstClass::Load | InstClass::Atomic)
-                    && self.loads_in_flight >= self.pipeline.lq_entries
-                {
-                    break;
-                }
-                if matches!(inst.class(), InstClass::Store | InstClass::Atomic)
-                    && self.stores_in_flight >= self.pipeline.sq_entries
-                {
-                    break;
-                }
+            if self.queues_full_for(inst) {
+                break;
             }
 
             // Instruction-cache timing, charged once per new line.
@@ -1721,7 +1852,7 @@ impl std::fmt::Debug for OooCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memmodel::FixedLatencyMemory;
+    use crate::memmodel::{DomainSwitch, FixedLatencyMemory};
     use uarch_isa::interp::Interpreter;
     use uarch_isa::prog::{Program, ProgramBuilder};
     use uarch_isa::reg::Reg;
@@ -2134,7 +2265,7 @@ mod tests {
 
     /// One tick followed by the full wakeup-state check (which debug builds
     /// also run inside `tick`; this keeps it on under `--release` too).
-    fn tick_checked(core: &mut OooCore, now: Cycle, mem: &mut FixedLatencyMemory) {
+    fn tick_checked(core: &mut OooCore, now: Cycle, mem: &mut dyn MemoryModel) {
         let mut events = Vec::new();
         core.tick(now, mem, &mut events);
         core.check_wakeup_state();
@@ -2368,6 +2499,260 @@ mod tests {
         };
         assert!(l3 < l2 && l2 < l1, "loads must park out of dispatch order");
         assert_matches_interpreter(&p, &[Reg::X15, Reg::X16]);
+    }
+
+    // --- parked accesses and head-only atomics ---------------------------
+
+    /// A memory model that logs every `load` call and answers it from a
+    /// script: a scripted address is refused for its first `refusals` polls
+    /// and then takes its `latency`; any other data access takes one cycle,
+    /// and each instruction-cache line `fetch_latency` cycles.
+    struct ScriptedMemory {
+        /// `(address, refusals left, latency once accepted)`.
+        script: Vec<(u64, u32, u64)>,
+        fetch_latency: u64,
+        /// `(address, when)` of every load call, in call order.
+        loads: Vec<(u64, Cycle)>,
+    }
+
+    impl ScriptedMemory {
+        fn new(script: &[(u64, u32, u64)]) -> Self {
+            ScriptedMemory {
+                script: script.to_vec(),
+                fetch_latency: 1,
+                loads: Vec::new(),
+            }
+        }
+
+        /// The cycles at which `addr` was loaded, in call order.
+        fn calls_to(&self, addr: u64) -> Vec<u64> {
+            let calls = self.loads.iter().filter(|(a, _)| *a == addr);
+            calls.map(|(_, when)| when.raw()).collect()
+        }
+    }
+
+    impl MemoryModel for ScriptedMemory {
+        fn name(&self) -> &str {
+            "scripted"
+        }
+
+        fn fetch_instruction(&mut self, _ctx: &MemAccessCtx) -> MemOutcome {
+            MemOutcome::Done {
+                latency: self.fetch_latency,
+            }
+        }
+
+        fn load(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
+            let addr = ctx.vaddr.raw();
+            self.loads.push((addr, ctx.when));
+            match self.script.iter_mut().find(|(a, _, _)| *a == addr) {
+                Some((_, refusals, _)) if *refusals > 0 => {
+                    *refusals -= 1;
+                    MemOutcome::RetryWhenNonSpeculative
+                }
+                Some(&mut (_, _, latency)) => MemOutcome::Done { latency },
+                None => MemOutcome::Done { latency: 1 },
+            }
+        }
+
+        fn store_address_ready(&mut self, _ctx: &MemAccessCtx) {}
+
+        fn commit_access(&mut self, _ctx: &MemAccessCtx) -> u64 {
+            0
+        }
+
+        fn on_squash(&mut self, _core: usize, _when: Cycle) {}
+
+        fn on_domain_switch(&mut self, _core: usize, _kind: DomainSwitch, _when: Cycle) {}
+
+        fn stats(&self) -> StatSet {
+            StatSet::new()
+        }
+    }
+
+    /// What ticking a program to its halt under a [`ScriptedMemory`] saw.
+    /// The per-pc cycles are the first at whose end the entry fetched from
+    /// that pc was in the ROB, had left `Waiting`, was `Done`, headed the ROB.
+    struct ScriptedRun {
+        mem: ScriptedMemory,
+        stats: CoreStats,
+        dispatched_at: Vec<Option<u64>>,
+        issued_at: Vec<Option<u64>>,
+        done_at: Vec<Option<u64>>,
+        head_at: Vec<Option<u64>>,
+    }
+
+    fn run_scripted(p: &Program, mut mem: ScriptedMemory) -> ScriptedRun {
+        let mut core = OooCore::new(0, &SystemConfig::paper_default());
+        core.swap_thread(Some(ThreadContext::new(p.clone(), 0)));
+        let mut at = vec![vec![None; p.len()]; 4];
+        let mut now = Cycle::ZERO;
+        while !core.is_halted() && now.raw() < 10_000 {
+            tick_checked(&mut core, now, &mut mem);
+            for (idx, e) in core.rob.iter().enumerate() {
+                let seen = [
+                    true,
+                    !matches!(e.status, Status::Waiting),
+                    e.is_done(),
+                    idx == 0,
+                ];
+                for (cycles, seen) in at.iter_mut().zip(seen) {
+                    if seen {
+                        cycles[e.pc].get_or_insert(now.raw());
+                    }
+                }
+            }
+            now += 1;
+        }
+        assert!(core.is_halted(), "program should halt");
+        let finished = core.swap_thread(None).expect("thread present");
+        let golden = Interpreter::new(p)
+            .run(1_000_000)
+            .expect("interpreter halts");
+        assert_eq!(finished.regs.snapshot(), golden.regs.snapshot());
+        let [dispatched_at, issued_at, done_at, head_at] = <[_; 4]>::try_from(at).unwrap();
+        ScriptedRun {
+            mem,
+            stats: core.stats().clone(),
+            dispatched_at,
+            issued_at,
+            done_at,
+            head_at,
+        }
+    }
+
+    /// Consecutive cycles starting at `first`.
+    fn streak(first: u64, len: usize) -> Vec<u64> {
+        (first..first + len as u64).collect()
+    }
+
+    #[test]
+    fn a_parked_load_is_polled_once_per_cycle_until_accepted() {
+        // A slow load holds the head so the load behind it stays
+        // speculative; the model refuses that one 6 times.
+        let mut b = ProgramBuilder::new("parked-load");
+        b.data_u64(VirtAddr::new(0x8000), &[3, 4, 5, 6, 7, 8, 9, 10, 11]);
+        b.li(Reg::X1, 0x8000); // 0
+        b.load(Reg::X9, Reg::X1, 64); // 1: slow head
+        b.load(Reg::X2, Reg::X1, 0); // 2: refused 6 times
+        b.add(Reg::X3, Reg::X2, Reg::X9); // 3
+        b.halt();
+        let p = b.build().unwrap();
+        let run = run_scripted(&p, ScriptedMemory::new(&[(0x8040, 0, 40), (0x8000, 6, 5)]));
+        let calls = run.mem.calls_to(0x8000);
+        assert_eq!(calls, streak(calls[0], 7), "one poll per cycle");
+        assert_eq!(run.stats.mem_retries, 6);
+        let accepted = calls[6];
+        assert_eq!(
+            run.done_at[2],
+            Some(accepted + 5),
+            "done at acceptance + latency"
+        );
+        assert!(
+            accepted < run.done_at[1].unwrap(),
+            "accepted while speculative"
+        );
+    }
+
+    #[test]
+    fn two_parked_loads_are_polled_in_sequence_order() {
+        let mut b = ProgramBuilder::new("two-parked");
+        b.data_u64(VirtAddr::new(0x8000), &[3, 4, 5, 6, 7, 8, 9, 10, 11]);
+        b.li(Reg::X1, 0x8000); // 0
+        b.load(Reg::X9, Reg::X1, 64); // 1: slow head
+        b.load(Reg::X2, Reg::X1, 8); // 2: refused 3 times
+        b.load(Reg::X4, Reg::X1, 0); // 3: refused 5 times
+        b.add(Reg::X3, Reg::X2, Reg::X4); // 4
+        b.halt();
+        let p = b.build().unwrap();
+        let run = run_scripted(
+            &p,
+            ScriptedMemory::new(&[(0x8040, 0, 40), (0x8008, 3, 2), (0x8000, 5, 2)]),
+        );
+        let (older, younger) = (run.mem.calls_to(0x8008), run.mem.calls_to(0x8000));
+        assert_eq!(older, streak(older[0], 4));
+        assert_eq!(younger, streak(older[0], 6));
+        assert_eq!(run.stats.mem_retries, 8);
+        // While both are parked, each cycle polls the older one first.
+        let order: Vec<u64> = run.mem.loads.iter().map(|&(a, _)| a).collect();
+        let first = order.iter().position(|&a| a == 0x8008).unwrap();
+        assert_eq!(
+            order[first..first + 8],
+            [0x8008, 0x8000].repeat(4),
+            "polls out of sequence order"
+        );
+    }
+
+    #[test]
+    fn a_completion_mid_streak_keeps_the_poll_once_per_cycle() {
+        // The slow head finishes while the load behind it is still refused:
+        // the poll goes on once per cycle, through the cycles the head
+        // completes and commits, and then non-speculatively.
+        let mut b = ProgramBuilder::new("streak-completion");
+        b.data_u64(VirtAddr::new(0x8000), &[3, 4, 5, 6, 7, 8, 9, 10, 11]);
+        b.li(Reg::X1, 0x8000); // 0
+        b.load(Reg::X9, Reg::X1, 64); // 1: slow head
+        b.load(Reg::X2, Reg::X1, 0); // 2: refused 30 times
+        b.add(Reg::X3, Reg::X2, Reg::X9); // 3
+        b.halt();
+        let p = b.build().unwrap();
+        let run = run_scripted(&p, ScriptedMemory::new(&[(0x8040, 0, 12), (0x8000, 30, 3)]));
+        let calls = run.mem.calls_to(0x8000);
+        assert_eq!(calls, streak(calls[0], 31));
+        assert_eq!(run.stats.mem_retries, 30);
+        let head_done = run.done_at[1].expect("the head completes");
+        assert!(calls[0] < head_done && head_done < calls[30]);
+        assert_eq!(run.done_at[2], Some(calls[30] + 3));
+    }
+
+    #[test]
+    fn work_fetched_during_a_poll_streak_issues_on_the_next_cycle() {
+        // Instruction-cache lines take 4 cycles, so the last fetch group
+        // arrives while the load is parked and nothing else is left to
+        // issue: the group issues on the next cycle, alongside the poll,
+        // instead of waiting for the streak to end.
+        let mut b = ProgramBuilder::new("fetch-mid-streak");
+        b.data_u64(VirtAddr::new(0x8000), &[3, 4, 5, 6, 7, 8, 9, 10, 11]);
+        b.li(Reg::X1, 0x8000); // 0
+        b.load(Reg::X9, Reg::X1, 64); // 1: slow head
+        b.load(Reg::X2, Reg::X1, 0); // 2: refused 40 times
+        b.add(Reg::X3, Reg::X2, Reg::X9); // 3
+        for i in 4..38 {
+            b.addi(Reg::X10, Reg::X0, i); // 4..37; the last line starts at 32
+        }
+        b.halt(); // 38
+        let p = b.build().unwrap();
+        let mem = ScriptedMemory {
+            fetch_latency: 4,
+            ..ScriptedMemory::new(&[(0x8040, 0, 60), (0x8000, 40, 2)])
+        };
+        let run = run_scripted(&p, mem);
+        let calls = run.mem.calls_to(0x8000);
+        assert_eq!(calls, streak(calls[0], 41));
+        let last_group = run.dispatched_at[32].unwrap();
+        assert!(calls[0] < last_group && last_group < calls[40]);
+        for pc in 32..38 {
+            assert_eq!(run.issued_at[pc], Some(last_group + 1), "pc {pc}");
+        }
+    }
+
+    #[test]
+    fn an_atomic_makes_its_memory_call_when_it_becomes_the_head() {
+        let mut b = ProgramBuilder::new("atomic-at-head");
+        b.data_u64(VirtAddr::new(0x8000), &[10, 0, 0, 0, 0, 0, 0, 0, 99]);
+        b.li(Reg::X1, 0x8000); // 0
+        b.li(Reg::X5, 2); // 1
+        b.load(Reg::X2, Reg::X1, 64); // 2: slow, holds the head
+        for _ in 0..40 {
+            b.nop(); // 3..43: the atomic is dispatched once its operands are ready
+        }
+        b.amoadd(Reg::X3, Reg::X5, Reg::X1); // 43
+        b.halt();
+        let p = b.build().unwrap();
+        let run = run_scripted(&p, ScriptedMemory::new(&[(0x8040, 0, 30)]));
+        let became_head = run.head_at[43].expect("the atomic reaches the head");
+        assert!(became_head > run.done_at[2].unwrap());
+        assert_eq!(run.mem.calls_to(0x8000), vec![became_head]);
     }
 
     // --- issue window walk ----------------------------------------------

@@ -7,8 +7,12 @@
 //! by the InvisiSpec and STT comparison defenses in the `defenses` crate. The
 //! core tells the model *when* accesses happen, whether they are still
 //! speculative, when they commit, when speculation is squashed, and when the
-//! protection domain changes; the model answers with latencies and may ask for
-//! an access to be retried once it is no longer speculative.
+//! protection domain changes; the model answers with latencies and may refuse
+//! a load for now. The core then parks the access and re-polls the model with
+//! it on every cycle the access lies in the issue window, with fresh
+//! speculation, branch and taint state, until the model accepts it. Defenses
+//! whose condition lapses early (Fence, SafeBet, STT) rely on those polls;
+//! the poll at the ROB head is non-speculative and must be accepted.
 
 use simkit::addr::VirtAddr;
 use simkit::cycles::Cycle;
@@ -89,8 +93,10 @@ pub enum MemOutcome {
     /// The access may not be performed while speculative (for example it
     /// would downgrade another core's private cache line under MuonTrap's
     /// reduced coherence speculation, or the defense blocks speculative
-    /// execution of this load entirely). The core must retry once the
-    /// instruction is no longer speculative (oldest in the ROB).
+    /// execution of this load entirely). The core parks the access and polls
+    /// again on every cycle it lies in the issue window — not only once it is
+    /// non-speculative — so a condition that lapses early lets it go early.
+    /// The poll at the ROB head is non-speculative and must not be refused.
     RetryWhenNonSpeculative,
 }
 
@@ -108,8 +114,9 @@ impl MemOutcome {
 ///
 /// Implementations hold the shared [`memsys::Platform`] (the hierarchy plus
 /// one MMU per core) plus whatever per-core protection structures their
-/// policy needs (filter caches, speculative buffers, access windows). All methods take `&mut self` — the simulation is
-/// single-threaded and cores are ticked round-robin within a cycle.
+/// policy needs (filter caches, speculative buffers, access windows). All
+/// methods take `&mut self` — the simulation is single-threaded and cores are
+/// ticked round-robin within a cycle.
 pub trait MemoryModel {
     /// A short human-readable name ("unprotected", "muontrap", ...).
     fn name(&self) -> &str;
@@ -160,15 +167,19 @@ pub trait MemoryModel {
     fn on_domain_switch(&mut self, core: usize, kind: DomainSwitch, when: Cycle);
 
     /// Advances any background work the model does (draining queues,
-    /// asynchronous upgrades). Called once per core per cycle.
+    /// asynchronous upgrades). Called once per core tick. The system loop
+    /// skips the cycles a core sleeps through, and they are never ticked:
+    /// a model with pending work keeps its core awake through
+    /// [`is_idle`](Self::is_idle) and [`next_event`](Self::next_event).
     fn tick(&mut self, _core: usize, _now: Cycle) {}
 
     /// Whether [`tick`](Self::tick) would be a no-op for `core` right now —
     /// no queued background work (pending filter-cache invalidations,
     /// draining buffers) that per-cycle ticking would advance. The system
-    /// loop only fast-forwards over idle cycles when every running core's
-    /// model is idle, so a model doing genuine per-cycle work must return
-    /// `false` here to stay bit-identical under the event-skipping loop.
+    /// loop lets a core sleep only while the model is idle for that core
+    /// (the check is per core), so a model doing genuine per-cycle work must
+    /// return `false` here to stay bit-identical under the event-skipping
+    /// loop.
     /// The default (`true`) is correct for models whose state changes only
     /// in response to accesses and commit/squash/domain notifications.
     fn is_idle(&self, _core: usize) -> bool {

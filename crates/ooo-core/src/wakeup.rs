@@ -8,9 +8,9 @@
 //! of allocation-free structures track which slots can make progress:
 //!
 //! * [`SlotBits`] — one bit per slot (Waiting entries, operand-ready entries,
-//!   parked memory retries, serialising instructions). The issue stage reads
-//!   them a machine word at a time, so one 64-slot chunk of the window costs
-//!   a few word operations (see `OooCore::issue_stage`).
+//!   parked memory retries, serialising instructions, atomics). The issue
+//!   stage reads them a machine word at a time, so one 64-slot chunk of the
+//!   window costs a few word operations (see `OooCore::issue_stage`).
 //! * [`WaitLists`] — intrusive, doubly-linked lists threaded through arrays
 //!   sized once at construction. A list belongs to a producer (or a store);
 //!   a node belongs to a consumer (or a load) and sits in at most one list.
@@ -19,6 +19,23 @@
 
 /// Sentinel for "no node" / "no list".
 const NIL: u32 = u32::MAX;
+
+/// Bit index of the `k`-th (0-based) set bit of `word`, which must have more
+/// than `k` set bits: a binary search over popcounts of halves, so finding
+/// the issue window's cutoff costs six steps however deep it lies.
+pub(crate) fn select(mut word: u64, mut k: u32) -> u32 {
+    debug_assert!(k < word.count_ones(), "select past the last set bit");
+    let mut base = 0;
+    for half in [32, 16, 8, 4, 2, 1] {
+        let low = (word & ((1 << half) - 1)).count_ones();
+        if k >= low {
+            k -= low;
+            word >>= half;
+            base += half;
+        }
+    }
+    base
+}
 
 /// A fixed-size bitset with one bit per reorder-buffer slot.
 #[derive(Debug, Clone)]
@@ -48,6 +65,10 @@ impl SlotBits {
 
     pub(crate) fn clear_all(&mut self) {
         self.words.fill(0);
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
     }
 
     /// Number of set bits.
@@ -197,6 +218,17 @@ mod tests {
         l.unlink(1);
         l.unlink(7);
         assert!(l.is_empty(0));
+    }
+
+    #[test]
+    fn select_finds_the_kth_set_bit() {
+        for word in [1u64, u64::MAX, 0x8000_0000_0000_0001, 0xdead_beef_0bad_f00d] {
+            let mut rest = word;
+            for k in 0..word.count_ones() {
+                assert_eq!(select(word, k), rest.trailing_zeros(), "{word:#x} k={k}");
+                rest &= rest - 1;
+            }
+        }
     }
 
     #[test]

@@ -230,13 +230,13 @@ impl System {
 
     /// Runs the machine until every thread halts or `max_cycles` elapse.
     ///
-    /// The loop is event-driven per core: a core that reports itself
-    /// quiescent (no pipeline work at all this cycle) with an idle memory
-    /// model sleeps until its earliest completion ticket — while the other
-    /// cores keep running — and the global clock jumps straight to the
-    /// earliest wake among the cores and the scheduler's own events
-    /// (quantum expiries, pending dispatches). Skipped cycles are credited
-    /// lazily at each core's next tick. The resulting report is
+    /// The loop is event-driven per core: a core whose next tick provably
+    /// does nothing (see [`OooCore::next_tick`]) with an idle memory model
+    /// sleeps from its last active tick until its earliest completion ticket
+    /// — while the other cores keep running — and the global clock jumps
+    /// straight to the earliest wake among the cores and the scheduler's own
+    /// events (quantum expiries, pending dispatches). Skipped cycles are
+    /// credited lazily at each core's next tick. The resulting report is
     /// bit-identical to calling [`tick`](Self::tick) every cycle
     /// (`tests/hotpath_golden.rs` checks it live and against
     /// pre-optimization recordings); only the wall clock shrinks.
@@ -337,13 +337,10 @@ impl System {
             if self.running[core_idx].is_none() {
                 continue; // halted on this tick
             }
+            // The core sleeps from this tick when the next one would do
+            // nothing and its memory model has no background work.
             self.core_wake[core_idx] =
-                if self.cores[core_idx].quiescent() && self.memory_model.is_idle(core_idx) {
-                    // `next_wake` takes the cycle of the *next* tick.
-                    self.cores[core_idx].next_wake(now + 1)
-                } else {
-                    now + 1
-                };
+                self.cores[core_idx].next_tick(now + 1, self.memory_model.as_ref());
         }
         self.event_scratch = events;
     }
