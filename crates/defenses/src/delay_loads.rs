@@ -27,6 +27,21 @@ use ooo_core::memmodel::{DomainSwitch, MemAccessCtx, MemOutcome, MemoryModel};
 
 use crate::deferred::DeferredFetches;
 
+simkit::counters! {
+    /// The delay-loads model's events, reported as `delay_loads.*` once non-zero.
+    struct DelayLoadsCounts {
+        invisible_ifetches: u64,
+        nonspec_loads: u64,
+        spec_loads: u64,
+        /// Speculative loads refused because a remote core owns the line: one
+        /// per poll.
+        delayed_remote_owned: u64,
+        committed_stores: u64,
+        committed_loads: u64,
+        committed_ifetch_installs: u64,
+    }
+}
+
 /// The no-speculative-fills memory model.
 ///
 /// # Examples
@@ -56,7 +71,7 @@ pub struct DelayLoads {
     platform: Platform,
     /// Fetches made under an unresolved branch, installed if they commit.
     deferred: DeferredFetches,
-    stats: StatSet,
+    counts: DelayLoadsCounts,
 }
 
 impl DelayLoads {
@@ -65,7 +80,7 @@ impl DelayLoads {
         DelayLoads {
             platform: Platform::new(config),
             deferred: DeferredFetches::new(config.cores),
-            stats: StatSet::new(),
+            counts: DelayLoadsCounts::default(),
         }
     }
 
@@ -84,7 +99,7 @@ impl MemoryModel for DelayLoads {
     fn fetch_instruction(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
         let (line, xlat) = self.platform.inst_line(ctx.core, ctx.vaddr);
         let latency = if ctx.under_unresolved_branch {
-            self.stats.bump("delay_loads.invisible_ifetches");
+            self.counts.invisible_ifetches += 1;
             self.deferred
                 .fetch(&mut self.platform, ctx.core, line, ctx.when)
         } else {
@@ -101,7 +116,7 @@ impl MemoryModel for DelayLoads {
         // Non-speculative accesses (atomics at the head of the ROB, retried
         // loads) behave exactly as on the unprotected hierarchy.
         if !ctx.speculative {
-            self.stats.bump("delay_loads.nonspec_loads");
+            self.counts.nonspec_loads += 1;
             let resp = self
                 .platform
                 .load_line(ctx.core, line, ctx.pc, ctx.is_store, ctx.when);
@@ -113,7 +128,7 @@ impl MemoryModel for DelayLoads {
         // The defining restriction: a speculative load may read the data but
         // fills nothing, trains nothing and downgrades no remote owner. There
         // is no speculative buffer, so a repeat access starts from scratch.
-        self.stats.bump("delay_loads.spec_loads");
+        self.counts.spec_loads += 1;
         let req = AccessRequest::new(ctx.core, line, AccessKind::Load, ctx.when)
             .with_pc(ctx.pc.raw())
             .with_fill(FillLevel::None)
@@ -123,7 +138,7 @@ impl MemoryModel for DelayLoads {
         if resp.coherence_delayed {
             // Exclusively owned elsewhere: even an invisible read would be
             // observable through the owner's timing, so wait until safe.
-            self.stats.bump("delay_loads.delayed_remote_owned");
+            self.counts.delayed_remote_owned += 1;
             return MemOutcome::RetryWhenNonSpeculative;
         }
         MemOutcome::Done {
@@ -138,13 +153,13 @@ impl MemoryModel for DelayLoads {
     fn commit_access(&mut self, ctx: &MemAccessCtx) -> u64 {
         let (line, _) = self.platform.data_line(ctx.core, ctx.vaddr);
         if ctx.is_store {
-            self.stats.bump("delay_loads.committed_stores");
+            self.counts.committed_stores += 1;
         } else {
             // The deferred fill: an ordinary access at commit installs the
             // line and gives the prefetcher its only (committed-stream)
             // training. The fill is asynchronous — the data itself was
             // already delivered at execute — so commit is not stalled.
-            self.stats.bump("delay_loads.committed_loads");
+            self.counts.committed_loads += 1;
         }
         let _ = self
             .platform
@@ -158,7 +173,7 @@ impl MemoryModel for DelayLoads {
             .deferred
             .commit(&mut self.platform, ctx.core, line, ctx.when)
         {
-            self.stats.bump("delay_loads.committed_ifetch_installs");
+            self.counts.committed_ifetch_installs += 1;
         }
     }
 
@@ -175,7 +190,9 @@ impl MemoryModel for DelayLoads {
     }
 
     fn stats(&self) -> StatSet {
-        self.platform.stats(&self.stats)
+        let mut stats = self.platform.stats();
+        self.counts.export_nonzero(&mut stats, "delay_loads");
+        stats
     }
 }
 
@@ -241,6 +258,7 @@ mod tests {
             m.load(&ctx(0, 0x9000, true, false)),
             MemOutcome::RetryWhenNonSpeculative
         );
+        assert_eq!(m.stats().counter("delay_loads.delayed_remote_owned"), 1);
     }
 
     #[test]

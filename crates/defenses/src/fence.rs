@@ -33,6 +33,19 @@ use ooo_core::memmodel::{DomainSwitch, MemAccessCtx, MemOutcome, MemoryModel};
 
 use crate::deferred::DeferredFetches;
 
+simkit::counters! {
+    /// The fence model's events, reported as `fence.*` once non-zero.
+    struct FenceCounts {
+        invisible_ifetches: u64,
+        /// Speculative loads refused under an unresolved branch: one per
+        /// poll.
+        delayed_loads: u64,
+        loads: u64,
+        stores: u64,
+        committed_ifetch_installs: u64,
+    }
+}
+
 /// The fence-at-every-branch memory model.
 ///
 /// # Examples
@@ -64,7 +77,7 @@ pub struct Fence {
     platform: Platform,
     /// Fetches made under an unresolved branch, installed if they commit.
     deferred: DeferredFetches,
-    stats: StatSet,
+    counts: FenceCounts,
 }
 
 impl Fence {
@@ -73,7 +86,7 @@ impl Fence {
         Fence {
             platform: Platform::new(config),
             deferred: DeferredFetches::new(config.cores),
-            stats: StatSet::new(),
+            counts: FenceCounts::default(),
         }
     }
 
@@ -95,7 +108,7 @@ impl MemoryModel for Fence {
             // A fenced machine would not have fetched past the branch yet;
             // service the fetch without perturbing any cache and install the
             // line at commit instead (when the fetch is known correct-path).
-            self.stats.bump("fence.invisible_ifetches");
+            self.counts.invisible_ifetches += 1;
             self.deferred
                 .fetch(&mut self.platform, ctx.core, line, ctx.when)
         } else {
@@ -113,10 +126,10 @@ impl MemoryModel for Fence {
         // the guarding branch resolves. Checked before translation so the
         // repeated polls do not touch the TLB.
         if ctx.speculative && ctx.under_unresolved_branch {
-            self.stats.bump("fence.delayed_loads");
+            self.counts.delayed_loads += 1;
             return MemOutcome::RetryWhenNonSpeculative;
         }
-        self.stats.bump("fence.loads");
+        self.counts.loads += 1;
         MemOutcome::Done {
             latency: self
                 .platform
@@ -131,7 +144,7 @@ impl MemoryModel for Fence {
     fn commit_access(&mut self, ctx: &MemAccessCtx) -> u64 {
         let (line, _) = self.platform.data_line(ctx.core, ctx.vaddr);
         if ctx.is_store {
-            self.stats.bump("fence.stores");
+            self.counts.stores += 1;
             self.platform.commit_store(ctx.core, line, ctx.pc, ctx.when);
         }
         0
@@ -145,7 +158,7 @@ impl MemoryModel for Fence {
             .deferred
             .commit(&mut self.platform, ctx.core, line, ctx.when)
         {
-            self.stats.bump("fence.committed_ifetch_installs");
+            self.counts.committed_ifetch_installs += 1;
         }
     }
 
@@ -162,7 +175,9 @@ impl MemoryModel for Fence {
     }
 
     fn stats(&self) -> StatSet {
-        self.platform.stats(&self.stats)
+        let mut stats = self.platform.stats();
+        self.counts.export_nonzero(&mut stats, "fence");
+        stats
     }
 }
 

@@ -58,13 +58,30 @@ struct CoreBuffer {
     lines: HashMap<LineAddr, Cycle>,
 }
 
+simkit::counters! {
+    /// InvisiSpec's events, reported as `invisispec.*` once non-zero.
+    struct InvisiSpecCounts {
+        /// Every load, speculative or not.
+        spec_loads: u64,
+        spec_buffer_hits: u64,
+        /// Speculative loads refused because a remote core owns the line: one
+        /// per poll.
+        delayed_remote_owned: u64,
+        committed_stores: u64,
+        committed_loads: u64,
+        exposures: u64,
+        exposure_misses: u64,
+        squash_buffer_clears: u64,
+    }
+}
+
 /// The InvisiSpec memory model.
 #[derive(Debug)]
 pub struct InvisiSpec {
     platform: Platform,
     variant: InvisiSpecVariant,
     buffers: Vec<CoreBuffer>,
-    stats: StatSet,
+    counts: InvisiSpecCounts,
 }
 
 impl InvisiSpec {
@@ -74,7 +91,7 @@ impl InvisiSpec {
             platform: Platform::new(config),
             variant,
             buffers: (0..config.cores).map(|_| CoreBuffer::default()).collect(),
-            stats: StatSet::new(),
+            counts: InvisiSpecCounts::default(),
         }
     }
 
@@ -113,7 +130,7 @@ impl MemoryModel for InvisiSpec {
 
     fn load(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
         let (line, xlat) = self.platform.data_line(ctx.core, ctx.vaddr);
-        self.stats.bump("invisispec.spec_loads");
+        self.counts.spec_loads += 1;
 
         // Non-speculative accesses (atomics at the head of the ROB, retried
         // loads) behave exactly as on the unprotected hierarchy.
@@ -130,7 +147,7 @@ impl MemoryModel for InvisiSpec {
         // Repeat speculative access to a buffered line: served from the
         // speculative buffer at L1 speed once the fill has arrived.
         if let Some(ready_at) = self.buffers[ctx.core].lines.get(&line).copied() {
-            self.stats.bump("invisispec.spec_buffer_hits");
+            self.counts.spec_buffer_hits += 1;
             let wait = ready_at.since(ctx.when);
             return MemOutcome::Done {
                 latency: self.platform.config().l1d.hit_latency.max(wait) + xlat,
@@ -151,7 +168,7 @@ impl MemoryModel for InvisiSpec {
             // The data is exclusively owned elsewhere; an invisible read of it
             // could be observed through that owner's timing, so InvisiSpec
             // waits until the load is safe and re-issues it then.
-            self.stats.bump("invisispec.delayed_remote_owned");
+            self.counts.delayed_remote_owned += 1;
             return MemOutcome::RetryWhenNonSpeculative;
         }
         let latency = resp.latency + xlat;
@@ -170,12 +187,12 @@ impl MemoryModel for InvisiSpec {
         let was_buffered = self.buffers[ctx.core].lines.remove(&line).is_some();
 
         if ctx.is_store {
-            self.stats.bump("invisispec.committed_stores");
+            self.counts.committed_stores += 1;
             self.platform.commit_store(ctx.core, line, ctx.pc, ctx.when);
             return 0;
         }
 
-        self.stats.bump("invisispec.committed_loads");
+        self.counts.committed_loads += 1;
         // Exposure: the real access that installs the line in the cache
         // hierarchy and participates in coherence. The prefetcher was already
         // trained by the original speculative access, so it is not trained
@@ -193,7 +210,7 @@ impl MemoryModel for InvisiSpec {
             // non-speculatively); no exposure cost beyond the access itself.
             return 0;
         }
-        self.stats.bump("invisispec.exposures");
+        self.counts.exposures += 1;
         match self.variant {
             InvisiSpecVariant::Spectre => {
                 // Exposure overlapped with the window between the visibility
@@ -202,7 +219,7 @@ impl MemoryModel for InvisiSpec {
                 if nearby_before {
                     VALIDATION_LATENCY
                 } else {
-                    self.stats.bump("invisispec.exposure_misses");
+                    self.counts.exposure_misses += 1;
                     resp.latency.min(self.platform.config().l2.hit_latency)
                 }
             }
@@ -212,7 +229,7 @@ impl MemoryModel for InvisiSpec {
                 if nearby_before {
                     VALIDATION_LATENCY
                 } else {
-                    self.stats.bump("invisispec.exposure_misses");
+                    self.counts.exposure_misses += 1;
                     resp.latency
                 }
             }
@@ -227,7 +244,7 @@ impl MemoryModel for InvisiSpec {
         // Squashed loads' buffer entries are simply dropped; they were never
         // visible to anyone else.
         self.buffers[core].lines.clear();
-        self.stats.bump("invisispec.squash_buffer_clears");
+        self.counts.squash_buffer_clears += 1;
     }
 
     fn on_domain_switch(&mut self, core: usize, _kind: DomainSwitch, _when: Cycle) {
@@ -235,7 +252,9 @@ impl MemoryModel for InvisiSpec {
     }
 
     fn stats(&self) -> StatSet {
-        self.platform.stats(&self.stats)
+        let mut stats = self.platform.stats();
+        self.counts.export_nonzero(&mut stats, "invisispec");
+        stats
     }
 }
 

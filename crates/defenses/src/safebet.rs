@@ -80,6 +80,18 @@ impl Saw {
     }
 }
 
+simkit::counters! {
+    /// SafeBet's events, reported as `safebet.*` once non-zero.
+    struct SafeBetCounts {
+        invisible_ifetches: u64,
+        /// Out-of-window speculative loads refused: one per poll.
+        delayed_loads: u64,
+        window_hits: u64,
+        committed_stores: u64,
+        committed_ifetch_installs: u64,
+    }
+}
+
 /// The SafeBet-style memory model.
 ///
 /// # Examples
@@ -117,7 +129,7 @@ pub struct SafeBet {
     /// Out-of-window fetches made under an unresolved branch, installed if
     /// they commit.
     deferred: DeferredFetches,
-    stats: StatSet,
+    counts: SafeBetCounts,
 }
 
 impl SafeBet {
@@ -128,7 +140,7 @@ impl SafeBet {
             data_windows: (0..config.cores).map(|_| Saw::default()).collect(),
             inst_windows: (0..config.cores).map(|_| Saw::default()).collect(),
             deferred: DeferredFetches::new(config.cores),
-            stats: StatSet::new(),
+            counts: SafeBetCounts::default(),
         }
     }
 
@@ -160,7 +172,7 @@ impl MemoryModel for SafeBet {
         } else if !self.inst_windows[ctx.core].contains(region(t.paddr)) {
             // Out-of-window fetch on a speculative path: serviced invisibly,
             // installed at commit if it turns out to be correct-path.
-            self.stats.bump("safebet.invisible_ifetches");
+            self.counts.invisible_ifetches += 1;
             self.deferred
                 .fetch(&mut self.platform, ctx.core, line, ctx.when)
         } else {
@@ -180,11 +192,11 @@ impl MemoryModel for SafeBet {
                 // revealed safely, so touching it now would transmit. The core
                 // re-polls every cycle; the delay lapses when the guarding
                 // branch resolves and the access lands in the safe arm below.
-                self.stats.bump("safebet.delayed_loads");
+                self.counts.delayed_loads += 1;
                 return MemOutcome::RetryWhenNonSpeculative;
             }
             // In-window speculation is deemed unobservable: full-speed access.
-            self.stats.bump("safebet.window_hits");
+            self.counts.window_hits += 1;
         } else {
             // Safe (no unresolved older branch): the access itself extends
             // the window.
@@ -207,7 +219,7 @@ impl MemoryModel for SafeBet {
         let t = self.platform.mmu(ctx.core).translate_data(ctx.vaddr);
         self.data_windows[ctx.core].record(region(t.paddr));
         if ctx.is_store {
-            self.stats.bump("safebet.committed_stores");
+            self.counts.committed_stores += 1;
             let line = self.platform.line(t.paddr);
             self.platform.commit_store(ctx.core, line, ctx.pc, ctx.when);
         }
@@ -222,7 +234,7 @@ impl MemoryModel for SafeBet {
             .deferred
             .commit(&mut self.platform, ctx.core, line, ctx.when)
         {
-            self.stats.bump("safebet.committed_ifetch_installs");
+            self.counts.committed_ifetch_installs += 1;
         }
     }
 
@@ -245,7 +257,9 @@ impl MemoryModel for SafeBet {
     }
 
     fn stats(&self) -> StatSet {
-        self.platform.stats(&self.stats)
+        let mut stats = self.platform.stats();
+        self.counts.export_nonzero(&mut stats, "safebet");
+        stats
     }
 }
 

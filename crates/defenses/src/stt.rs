@@ -38,12 +38,22 @@ pub enum SttVariant {
     Future,
 }
 
+simkit::counters! {
+    /// STT's events, reported as `stt.*` once non-zero.
+    struct SttCounts {
+        /// Loads refused because their address is tainted: one per poll.
+        blocked_transmits: u64,
+        loads: u64,
+        stores: u64,
+    }
+}
+
 /// The speculative-taint-tracking memory model.
 #[derive(Debug)]
 pub struct Stt {
     platform: Platform,
     variant: SttVariant,
-    stats: StatSet,
+    counts: SttCounts,
 }
 
 impl Stt {
@@ -52,7 +62,7 @@ impl Stt {
         Stt {
             platform: Platform::new(config),
             variant,
-            stats: StatSet::new(),
+            counts: SttCounts::default(),
         }
     }
 
@@ -103,10 +113,10 @@ impl MemoryModel for Stt {
             // state, so STT stalls it until the source becomes safe (the core
             // retries and the taint flag clears, or the load reaches the head
             // of the ROB and is non-speculative).
-            self.stats.bump("stt.blocked_transmits");
+            self.counts.blocked_transmits += 1;
             return MemOutcome::RetryWhenNonSpeculative;
         }
-        self.stats.bump("stt.loads");
+        self.counts.loads += 1;
         MemOutcome::Done {
             latency: self
                 .platform
@@ -119,7 +129,7 @@ impl MemoryModel for Stt {
     fn commit_access(&mut self, ctx: &MemAccessCtx) -> u64 {
         let (line, _) = self.platform.data_line(ctx.core, ctx.vaddr);
         if ctx.is_store {
-            self.stats.bump("stt.stores");
+            self.counts.stores += 1;
             self.platform.commit_store(ctx.core, line, ctx.pc, ctx.when);
         }
         0
@@ -134,7 +144,9 @@ impl MemoryModel for Stt {
     fn on_domain_switch(&mut self, _core: usize, _kind: DomainSwitch, _when: Cycle) {}
 
     fn stats(&self) -> StatSet {
-        self.platform.stats(&self.stats)
+        let mut stats = self.platform.stats();
+        self.counts.export_nonzero(&mut stats, "stt");
+        stats
     }
 }
 

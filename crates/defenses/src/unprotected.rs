@@ -15,11 +15,19 @@ use memsys::Platform;
 
 use ooo_core::memmodel::{DomainSwitch, MemAccessCtx, MemOutcome, MemoryModel};
 
+simkit::counters! {
+    /// The unprotected baseline's events, reported as `unprotected.*` once non-zero.
+    struct UnprotectedCounts {
+        loads: u64,
+        stores: u64,
+    }
+}
+
 /// The insecure baseline memory model.
 #[derive(Debug)]
 pub struct Unprotected {
     platform: Platform,
-    stats: StatSet,
+    counts: UnprotectedCounts,
 }
 
 impl Unprotected {
@@ -27,7 +35,7 @@ impl Unprotected {
     pub fn new(config: &SystemConfig) -> Self {
         Unprotected {
             platform: Platform::new(config),
-            stats: StatSet::new(),
+            counts: UnprotectedCounts::default(),
         }
     }
 
@@ -50,7 +58,7 @@ impl MemoryModel for Unprotected {
     }
 
     fn load(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
-        self.stats.bump("unprotected.loads");
+        self.counts.loads += 1;
         MemOutcome::Done {
             latency: self
                 .platform
@@ -63,7 +71,7 @@ impl MemoryModel for Unprotected {
     fn commit_access(&mut self, ctx: &MemAccessCtx) -> u64 {
         let (line, _) = self.platform.data_line(ctx.core, ctx.vaddr);
         if ctx.is_store {
-            self.stats.bump("unprotected.stores");
+            self.counts.stores += 1;
             self.platform.commit_store(ctx.core, line, ctx.pc, ctx.when);
         }
         0
@@ -81,7 +89,9 @@ impl MemoryModel for Unprotected {
     fn on_domain_switch(&mut self, _core: usize, _kind: DomainSwitch, _when: Cycle) {}
 
     fn stats(&self) -> StatSet {
-        self.platform.stats(&self.stats)
+        let mut stats = self.platform.stats();
+        self.counts.export_nonzero(&mut stats, "unprotected");
+        stats
     }
 }
 
@@ -147,5 +157,12 @@ mod tests {
         let _ = u.load(&ctx(0, 0x8000, true, false));
         assert!(u.stats().counter("hierarchy.data_accesses") > 0);
         assert_eq!(u.stats().counter("unprotected.loads"), 1);
+        let has = |u: &Unprotected, name| u.stats().iter_counters().any(|(n, _)| n == name);
+        assert!(
+            !has(&u, "unprotected.stores"),
+            "absent until a store commits"
+        );
+        let _ = u.commit_access(&ctx(0, 0x9000, false, true));
+        assert_eq!(u.stats().counter("unprotected.stores"), 1);
     }
 }

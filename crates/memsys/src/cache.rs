@@ -56,8 +56,6 @@ pub struct CacheArray<M> {
     /// Number of currently valid (readable) lines.
     valid: usize,
     tick: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl<M: Default + Clone> CacheArray<M> {
@@ -84,8 +82,6 @@ impl<M: Default + Clone> CacheArray<M> {
             ways,
             valid: 0,
             tick: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -120,16 +116,6 @@ impl<M: Default + Clone> CacheArray<M> {
         self.valid
     }
 
-    /// Hits recorded by [`CacheArray::lookup`].
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses recorded by [`CacheArray::lookup`].
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     fn set_index(&self, addr: LineAddr) -> usize {
         addr.set_index(self.num_sets)
     }
@@ -139,26 +125,20 @@ impl<M: Default + Clone> CacheArray<M> {
         start..start + self.ways
     }
 
-    /// Looks up `addr`, updating LRU and hit/miss counters. Returns a mutable
-    /// reference to the line if present and readable.
+    /// Looks up `addr`, updating LRU. Returns a mutable reference to the line
+    /// if present and readable.
     pub fn lookup(&mut self, addr: LineAddr) -> Option<&mut CacheLine<M>> {
         self.tick += 1;
         let tick = self.tick;
         let range = self.set_range(addr);
-        if let Some(line) = self.lines[range]
+        let line = self.lines[range]
             .iter_mut()
-            .find(|l| l.addr == addr && l.state.can_read())
-        {
-            line.lru = tick;
-            self.hits += 1;
-            Some(line)
-        } else {
-            self.misses += 1;
-            None
-        }
+            .find(|l| l.addr == addr && l.state.can_read())?;
+        line.lru = tick;
+        Some(line)
     }
 
-    /// Returns the line for `addr` without updating LRU or counters.
+    /// Returns the line for `addr` without updating LRU.
     pub fn peek(&self, addr: LineAddr) -> Option<&CacheLine<M>> {
         let range = self.set_range(addr);
         self.lines[range]
@@ -166,7 +146,7 @@ impl<M: Default + Clone> CacheArray<M> {
             .find(|l| l.addr == addr && l.state.can_read())
     }
 
-    /// Returns a mutable reference without updating LRU or counters.
+    /// Returns a mutable reference without updating LRU.
     pub fn peek_mut(&mut self, addr: LineAddr) -> Option<&mut CacheLine<M>> {
         let range = self.set_range(addr);
         self.lines[range]
@@ -300,8 +280,6 @@ mod tests {
         c.insert(LineAddr::new(12), MesiState::Shared, ());
         assert!(c.lookup(LineAddr::new(12)).is_some());
         assert!(c.lookup(LineAddr::new(13)).is_none());
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
     }
 
     #[test]
@@ -357,12 +335,10 @@ mod tests {
         let mut c = small_cache();
         c.insert(LineAddr::new(0), MesiState::Shared, ());
         c.insert(LineAddr::new(4), MesiState::Shared, ());
-        let hits_before = c.hits();
         // Peek line 0 (would make it MRU if it updated LRU), then insert a
         // conflicting line; the victim must still be line 0 because peek must
         // not have refreshed it.
         assert!(c.peek(LineAddr::new(0)).is_some());
-        assert_eq!(c.hits(), hits_before);
         let ev = c.insert(LineAddr::new(8), MesiState::Shared, ());
         assert_eq!(ev.victim.unwrap().addr, LineAddr::new(0));
     }

@@ -36,8 +36,6 @@ pub struct Dram {
     config: DramConfig,
     banks: Vec<Bank>,
     line_bytes: u64,
-    accesses: u64,
-    row_hits: u64,
 }
 
 impl Dram {
@@ -51,25 +49,12 @@ impl Dram {
             banks: vec![bank; config.banks.max(1)],
             config,
             line_bytes,
-            accesses: 0,
-            row_hits: 0,
         }
-    }
-
-    /// Total accesses served.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Row-buffer hits among those accesses.
-    pub fn row_hits(&self) -> u64 {
-        self.row_hits
     }
 
     /// Performs an access for `line` at cycle `now`, returning its latency and
     /// updating bank state.
     pub fn access(&mut self, line: LineAddr, now: Cycle) -> DramAccess {
-        self.accesses += 1;
         let addr_bytes = line.raw() * self.line_bytes;
         let row = addr_bytes / self.config.row_bytes;
         let bank_idx = (row as usize) % self.banks.len();
@@ -81,9 +66,6 @@ impl Dram {
         } else {
             self.config.row_miss_latency
         };
-        if row_hit {
-            self.row_hits += 1;
-        }
         bank.open_row = Some(row);
         let start = now.max_of(bank.busy_until);
         bank.busy_until = start.saturating_add(service);
@@ -177,14 +159,5 @@ mod tests {
         let idle_at = Cycle::new(5 + cfg.row_miss_latency + cfg.row_hit_latency);
         let third = d.access(LineAddr::new(2), idle_at);
         assert_eq!(third.latency, cfg.row_hit_latency);
-    }
-
-    #[test]
-    fn statistics_accumulate() {
-        let mut d = dram();
-        let _ = d.access(LineAddr::new(0), Cycle::ZERO);
-        let _ = d.access(LineAddr::new(1), Cycle::new(500));
-        assert_eq!(d.accesses(), 2);
-        assert_eq!(d.row_hits(), 1);
     }
 }

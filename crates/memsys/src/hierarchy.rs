@@ -45,31 +45,31 @@ struct CoreCaches {
     l1i_mshrs: MshrFile,
 }
 
-/// Counts of the L1 lookups every access makes, kept as plain fields: a
-/// named [`StatSet`] bump is a string-keyed map lookup, which every
-/// instruction fetch and data access would pay.
-/// [`stats`](MemoryHierarchy::stats) reports each count that is not zero
-/// under its `hierarchy.` name, exactly as a bump would have.
-#[derive(Debug, Default)]
-struct AccessCounts {
-    ifetch_accesses: u64,
-    l1i_hits: u64,
-    l1i_misses: u64,
-    data_accesses: u64,
-    l1d_hits: u64,
-    l1d_misses: u64,
-}
-
-impl AccessCounts {
-    fn named(&self) -> [(&'static str, u64); 6] {
-        [
-            ("hierarchy.ifetch_accesses", self.ifetch_accesses),
-            ("hierarchy.l1i_hits", self.l1i_hits),
-            ("hierarchy.l1i_misses", self.l1i_misses),
-            ("hierarchy.data_accesses", self.data_accesses),
-            ("hierarchy.l1d_hits", self.l1d_hits),
-            ("hierarchy.l1d_misses", self.l1d_misses),
-        ]
+simkit::counters! {
+    /// The hierarchy's events, reported by [`stats`](MemoryHierarchy::stats)
+    /// as `hierarchy.*` once non-zero.
+    struct HierarchyCounts {
+        ifetch_accesses: u64,
+        l1i_hits: u64,
+        l1i_misses: u64,
+        data_accesses: u64,
+        l1d_hits: u64,
+        l1d_misses: u64,
+        l2_hits: u64,
+        l2_misses: u64,
+        /// L1 hits that needed write permission and invalidated the other
+        /// copies.
+        upgrades: u64,
+        /// Asynchronous upgrades to exclusive ([`MemoryHierarchy::upgrade_exclusive`]).
+        exclusive_upgrades: u64,
+        /// Accesses refused because a remote L1 owns the line and the request
+        /// may not downgrade it.
+        coherence_delays: u64,
+        remote_forwards: u64,
+        remote_invalidations: u64,
+        prefetch_fills: u64,
+        l1d_writebacks: u64,
+        l2_writebacks: u64,
     }
 }
 
@@ -84,9 +84,7 @@ pub struct MemoryHierarchy {
     /// Lines invalidated by exclusive upgrades, queued per core for external
     /// structures (filter caches) to consume.
     invalidation_queues: Vec<Vec<LineAddr>>,
-    /// Counters of the rarer events; the per-access ones are in `counts`.
-    stats: StatSet,
-    counts: AccessCounts,
+    counts: HierarchyCounts,
     l1d_hit_latency: u64,
     l1i_hit_latency: u64,
     /// Latency of one shared-L2 tag/data lookup (line transfer included).
@@ -111,8 +109,7 @@ impl MemoryHierarchy {
             dram: Dram::new(config.dram, config.line_bytes),
             prefetcher: StridePrefetcher::new(config.prefetch_degree),
             invalidation_queues: vec![Vec::new(); config.cores],
-            stats: StatSet::new(),
-            counts: AccessCounts::default(),
+            counts: HierarchyCounts::default(),
             l1d_hit_latency: config.l1d.hit_latency,
             l1i_hit_latency: config.l1i.hit_latency,
             l2_hit_latency: config.l2.hit_latency,
@@ -121,12 +118,8 @@ impl MemoryHierarchy {
 
     /// The accumulated statistics.
     pub fn stats(&self) -> StatSet {
-        let mut stats = self.stats.clone();
-        for (name, count) in self.counts.named() {
-            if count > 0 {
-                stats.add(name, count);
-            }
-        }
+        let mut stats = StatSet::new();
+        self.counts.export_nonzero(&mut stats, "hierarchy");
         stats
     }
 
@@ -235,7 +228,7 @@ impl MemoryHierarchy {
                 l.state = MesiState::Exclusive;
             }
         }
-        self.stats.bump("hierarchy.exclusive_upgrades");
+        self.counts.exclusive_upgrades += 1;
         invalidated
     }
 
@@ -243,11 +236,11 @@ impl MemoryHierarchy {
     /// to any requester; the benefit shows up as later hits.
     pub fn prefetch_fill_l2(&mut self, line: LineAddr) {
         if !self.l2.contains(line) {
-            self.stats.bump("hierarchy.prefetch_fills");
+            self.counts.prefetch_fills += 1;
             let ev = self.l2.insert(line, MesiState::Shared, ());
             if let Some(victim) = ev.victim {
                 if victim.dirty {
-                    self.stats.bump("hierarchy.l2_writebacks");
+                    self.counts.l2_writebacks += 1;
                 }
             }
         }
@@ -342,12 +335,12 @@ impl MemoryHierarchy {
                 if !req.allow_remote_downgrade
                     && self.remote_private_holds_exclusive(req.core, req.line)
                 {
-                    self.stats.bump("hierarchy.coherence_delays");
+                    self.counts.coherence_delays += 1;
                     return AccessResponse::delayed(latency);
                 }
                 invalidations = self.invalidate_remote_copies(req.core, req.line, true);
                 latency += UPGRADE_LATENCY;
-                self.stats.bump("hierarchy.upgrades");
+                self.counts.upgrades += 1;
             }
             if let Some(l) = self.cores[req.core].l1d.peek_mut(req.line) {
                 if wants_exclusive {
@@ -373,7 +366,7 @@ impl MemoryHierarchy {
         // Check whether another core holds the line privately.
         let remote_exclusive = self.remote_private_holds_exclusive(req.core, req.line);
         if remote_exclusive && !req.allow_remote_downgrade {
-            self.stats.bump("hierarchy.coherence_delays");
+            self.counts.coherence_delays += 1;
             return AccessResponse::delayed(latency);
         }
 
@@ -425,7 +418,7 @@ impl MemoryHierarchy {
                 // Dirty data gets written back into the shared L2 on the way.
                 self.l2.insert(req.line, MesiState::Shared, ());
             }
-            self.stats.bump("hierarchy.remote_forwards");
+            self.counts.remote_forwards += 1;
         } else {
             let (below_latency, level) = self.fetch_from_l2_or_memory(req.line, req.when, req.fill);
             latency += below_latency;
@@ -465,14 +458,14 @@ impl MemoryHierarchy {
                 if victim.state.is_dirty() || victim.dirty {
                     // Dirty victim written back into the L2.
                     writeback = true;
-                    self.stats.bump("hierarchy.l1d_writebacks");
+                    self.counts.l1d_writebacks += 1;
                     let l2ev = self.l2.insert(victim.addr, MesiState::Shared, ());
                     if let Some(l) = self.l2.peek_mut(victim.addr) {
                         l.dirty = true;
                     }
                     if let Some(l2victim) = l2ev.victim {
                         if l2victim.dirty {
-                            self.stats.bump("hierarchy.l2_writebacks");
+                            self.counts.l2_writebacks += 1;
                         }
                     }
                 }
@@ -503,10 +496,10 @@ impl MemoryHierarchy {
     ) -> (u64, ServiceLevel) {
         let mut latency = self.l2_hit_latency;
         if self.l2.lookup(line).is_some() {
-            self.stats.bump("hierarchy.l2_hits");
+            self.counts.l2_hits += 1;
             return (latency, ServiceLevel::L2);
         }
-        self.stats.bump("hierarchy.l2_misses");
+        self.counts.l2_misses += 1;
         let mshr = self.l2_mshrs.check(line, when);
         if mshr.coalesced {
             latency += mshr.fill_ready_at.since(when).max(1);
@@ -523,7 +516,7 @@ impl MemoryHierarchy {
             let ev = self.l2.insert(line, MesiState::Shared, ());
             if let Some(victim) = ev.victim {
                 if victim.dirty {
-                    self.stats.bump("hierarchy.l2_writebacks");
+                    self.counts.l2_writebacks += 1;
                 }
             }
         }
@@ -540,7 +533,7 @@ impl MemoryHierarchy {
             }
             if self.cores[i].l1d.invalidate(line).is_some() {
                 count += 1;
-                self.stats.bump("hierarchy.remote_invalidations");
+                self.counts.remote_invalidations += 1;
             }
             if notify {
                 self.invalidation_queues[i].push(line);
@@ -765,6 +758,15 @@ mod tests {
         }
         assert!(h.stats().counter("hierarchy.l1d_writebacks") > 0);
         assert!(h.l2_contains(LineAddr::new(0)));
+        // Streaming through more lines than the L2 holds evicts the now-dirty
+        // L2 copy too, which writes it back to memory.
+        assert_eq!(h.stats().counter("hierarchy.l2_writebacks"), 0);
+        let l2_lines = cfg.l2.num_lines(cfg.line_bytes) as u64;
+        for i in (l1_lines * 3)..(l2_lines * 3) {
+            let _ = h.access(&load(0, i, 10 + i));
+        }
+        assert!(!h.l2_contains(LineAddr::new(0)));
+        assert!(h.stats().counter("hierarchy.l2_writebacks") > 0);
     }
 
     #[test]

@@ -45,8 +45,6 @@ impl MshrOutcome {
 pub struct MshrFile {
     entries: Vec<MshrEntry>,
     capacity: usize,
-    coalesced_count: u64,
-    structural_stalls: u64,
 }
 
 impl MshrFile {
@@ -55,24 +53,12 @@ impl MshrFile {
         MshrFile {
             entries: Vec::new(),
             capacity: capacity.max(1),
-            coalesced_count: 0,
-            structural_stalls: 0,
         }
     }
 
     /// Number of entries still in flight at `now`.
     pub fn in_flight(&self, now: Cycle) -> usize {
         self.entries.iter().filter(|e| e.ready_at > now).count()
-    }
-
-    /// Total number of coalesced (secondary) misses observed.
-    pub fn coalesced_count(&self) -> u64 {
-        self.coalesced_count
-    }
-
-    /// Total number of structural stalls (no free MSHR) observed.
-    pub fn structural_stalls(&self) -> u64 {
-        self.structural_stalls
     }
 
     /// Consults the MSHR file for a miss to `line` at cycle `now`.
@@ -84,7 +70,6 @@ impl MshrFile {
     pub fn check(&mut self, line: LineAddr, now: Cycle) -> MshrOutcome {
         self.retire_completed(now);
         if let Some(entry) = self.entries.iter().find(|e| e.line == line) {
-            self.coalesced_count += 1;
             return MshrOutcome {
                 retry_at: None,
                 coalesced: true,
@@ -100,7 +85,6 @@ impl MshrFile {
         }
         // All MSHRs busy: push back until the earliest retires.
         let earliest = self.entries.iter().map(|e| e.ready_at).min().unwrap_or(now);
-        self.structural_stalls += 1;
         MshrOutcome {
             retry_at: Some(earliest),
             coalesced: false,
@@ -155,7 +139,6 @@ mod tests {
         let second = m.check(LineAddr::new(7), Cycle::new(10));
         assert!(second.coalesced);
         assert_eq!(second.fill_ready_at, Cycle::new(100));
-        assert_eq!(m.coalesced_count(), 1);
     }
 
     #[test]
@@ -168,7 +151,6 @@ mod tests {
         // Pushes back until line 1 retires at cycle 50.
         assert_eq!(outcome.retry_at, Some(Cycle::new(50)), "file is full");
         assert_eq!(outcome.issue_delay(Cycle::new(10)), 40);
-        assert_eq!(m.structural_stalls(), 1);
     }
 
     #[test]

@@ -159,10 +159,9 @@ impl Platform {
         let _ = self.load_line(core, line, pc, true, when);
     }
 
-    /// A model's own counters followed by the hierarchy's.
-    pub fn stats(&self, own: &StatSet) -> StatSet {
-        let mut stats = own.clone();
-        stats.merge(&self.hierarchy.stats());
-        stats
+    /// The platform's counters (the hierarchy's), to which a model adds its
+    /// own.
+    pub fn stats(&self) -> StatSet {
+        self.hierarchy.stats()
     }
 }

@@ -32,8 +32,6 @@ struct StrideEntry {
 pub struct StridePrefetcher {
     table: Vec<StrideEntry>,
     degree: usize,
-    trained: u64,
-    issued: u64,
 }
 
 impl StridePrefetcher {
@@ -43,19 +41,7 @@ impl StridePrefetcher {
         StridePrefetcher {
             table: vec![StrideEntry::default(); TABLE_ENTRIES],
             degree,
-            trained: 0,
-            issued: 0,
         }
-    }
-
-    /// Number of training observations so far.
-    pub fn trained(&self) -> u64 {
-        self.trained
-    }
-
-    /// Number of prefetch candidates issued so far.
-    pub fn issued(&self) -> u64 {
-        self.issued
     }
 
     /// Whether the prefetcher is enabled.
@@ -74,7 +60,6 @@ impl StridePrefetcher {
         if self.degree == 0 {
             return PrefetchCandidates::empty();
         }
-        self.trained += 1;
         let idx = (pc as usize) % TABLE_ENTRIES;
         let entry = &mut self.table[idx];
 
@@ -99,16 +84,11 @@ impl StridePrefetcher {
         entry.last_line = line.raw();
 
         if entry.confidence >= CONFIDENCE_THRESHOLD && entry.stride != 0 {
-            let candidates = PrefetchCandidates {
+            PrefetchCandidates {
                 next: line.raw() as i64 + entry.stride,
                 stride: entry.stride,
                 remaining: self.degree,
-            };
-            // Count exactly the candidates the iterator will yield (negative
-            // targets are skipped, matching the old collect-and-filter).
-            // `PrefetchCandidates` is `Copy`, so counting consumes a copy.
-            self.issued += candidates.count() as u64;
-            candidates
+            }
         } else {
             PrefetchCandidates::empty()
         }
@@ -181,7 +161,6 @@ mod tests {
             total,
             vec![LineAddr::new(10 + 5 * 3 + 3), LineAddr::new(10 + 5 * 3 + 6)]
         );
-        assert!(p.issued() > 0);
     }
 
     #[test]
@@ -217,7 +196,6 @@ mod tests {
         for i in 0..10u64 {
             assert!(p.train(0x1, LineAddr::new(i)).is_empty());
         }
-        assert_eq!(p.trained(), 0);
     }
 
     #[test]

@@ -102,8 +102,6 @@ pub struct Tlb {
     entries: Vec<(u64, u64, u64)>, // (vpn, ppn, lru)
     capacity: usize,
     tick: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl Tlb {
@@ -113,19 +111,7 @@ impl Tlb {
             entries: Vec::new(),
             capacity: capacity.max(1),
             tick: 0,
-            hits: 0,
-            misses: 0,
         }
-    }
-
-    /// Number of hits observed.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of misses observed.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     /// Number of cached translations.
@@ -133,7 +119,7 @@ impl Tlb {
         self.entries.len()
     }
 
-    /// Looks up `vpn` without filling on a miss and without statistics.
+    /// Looks up `vpn` without filling on a miss or updating LRU.
     pub fn peek(&self, vpn: u64) -> Option<u64> {
         self.entries
             .iter()
@@ -147,13 +133,11 @@ impl Tlb {
         let tick = self.tick;
         if let Some(entry) = self.entries.iter_mut().find(|(v, _, _)| *v == vpn) {
             entry.2 = tick;
-            self.hits += 1;
             return TlbAccess {
                 ppn: entry.1,
                 hit: true,
             };
         }
-        self.misses += 1;
         let ppn = page_table.translate_page(vpn);
         self.fill(vpn, ppn);
         TlbAccess { ppn, hit: false }
@@ -358,8 +342,6 @@ mod tests {
         let second = tlb.access(7, &table);
         assert!(second.hit);
         assert_eq!(first.ppn, second.ppn);
-        assert_eq!(tlb.hits(), 1);
-        assert_eq!(tlb.misses(), 1);
     }
 
     #[test]

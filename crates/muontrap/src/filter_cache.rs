@@ -15,7 +15,6 @@
 use simkit::addr::{LineAddr, VirtAddr};
 use simkit::config::CacheConfig;
 use simkit::cycles::Cycle;
-use simkit::stats::StatSet;
 
 use memsys::cache::CacheArray;
 use memsys::mesi::MesiState;
@@ -55,6 +54,25 @@ impl Default for FilterLineMeta {
     }
 }
 
+simkit::counters! {
+    /// The events of one filter cache, exported as
+    /// `muontrap.coreN.l0d.*` / `muontrap.coreN.l0i.*`.
+    pub struct FilterCounts {
+        /// Lookups that found their line.
+        pub hits: u64,
+        /// Lookups that did not.
+        pub misses: u64,
+        /// Flushes (protection-domain switches, §4.3).
+        pub flushes: u64,
+        /// Valid lines dropped by those flushes.
+        pub lines_flushed: u64,
+        /// Uncommitted lines evicted by capacity or conflict pressure.
+        pub uncommitted_evictions: u64,
+        /// Lines removed by another core's exclusive upgrade.
+        pub external_invalidations: u64,
+    }
+}
+
 /// A speculative filter cache: a physically-tagged, virtually-indexable
 /// set-associative cache whose lines are all held in Shared state and carry
 /// committed bits.
@@ -62,12 +80,7 @@ impl Default for FilterLineMeta {
 pub struct FilterCache {
     array: CacheArray<FilterLineMeta>,
     line_bytes: u64,
-    flushes: u64,
-    lines_flushed: u64,
-    uncommitted_evictions: u64,
-    external_invalidations: u64,
-    hits: u64,
-    misses: u64,
+    counts: FilterCounts,
 }
 
 impl FilterCache {
@@ -76,12 +89,7 @@ impl FilterCache {
         FilterCache {
             array: CacheArray::new(config, line_bytes),
             line_bytes,
-            flushes: 0,
-            lines_flushed: 0,
-            uncommitted_evictions: 0,
-            external_invalidations: 0,
-            hits: 0,
-            misses: 0,
+            counts: FilterCounts::default(),
         }
     }
 
@@ -112,11 +120,11 @@ impl FilterCache {
     pub fn lookup(&mut self, line: LineAddr) -> Option<FilterLineMeta> {
         match self.array.lookup(line) {
             Some(entry) => {
-                self.hits += 1;
+                self.counts.hits += 1;
                 Some(entry.meta)
             }
             None => {
-                self.misses += 1;
+                self.counts.misses += 1;
                 None
             }
         }
@@ -145,7 +153,7 @@ impl FilterCache {
         let eviction = self.array.insert(line, MesiState::Shared, meta);
         match eviction.victim {
             Some(victim) if !victim.meta.committed => {
-                self.uncommitted_evictions += 1;
+                self.counts.uncommitted_evictions += 1;
                 Some(victim.addr)
             }
             _ => None,
@@ -180,7 +188,7 @@ impl FilterCache {
     pub fn external_invalidate(&mut self, line: LineAddr) -> bool {
         let removed = self.array.invalidate(line).is_some();
         if removed {
-            self.external_invalidations += 1;
+            self.counts.external_invalidations += 1;
         }
         removed
     }
@@ -189,35 +197,14 @@ impl FilterCache {
     /// protection-domain switches (§4.3). Returns the number of lines dropped.
     pub fn flush(&mut self) -> usize {
         let dropped = self.array.invalidate_all();
-        self.flushes += 1;
-        self.lines_flushed += dropped as u64;
+        self.counts.flushes += 1;
+        self.counts.lines_flushed += dropped as u64;
         dropped
     }
 
-    /// Number of flushes performed.
-    pub fn flushes(&self) -> u64 {
-        self.flushes
-    }
-
-    /// Number of uncommitted lines evicted by capacity/conflict pressure.
-    pub fn uncommitted_evictions(&self) -> u64 {
-        self.uncommitted_evictions
-    }
-
-    /// Accumulates this cache's counters into `stats` under `prefix`.
-    pub fn accumulate_stats(&self, stats: &mut StatSet, prefix: &str) {
-        stats.add(&format!("{prefix}.hits"), self.hits);
-        stats.add(&format!("{prefix}.misses"), self.misses);
-        stats.add(&format!("{prefix}.flushes"), self.flushes);
-        stats.add(&format!("{prefix}.lines_flushed"), self.lines_flushed);
-        stats.add(
-            &format!("{prefix}.uncommitted_evictions"),
-            self.uncommitted_evictions,
-        );
-        stats.add(
-            &format!("{prefix}.external_invalidations"),
-            self.external_invalidations,
-        );
+    /// The events counted so far.
+    pub fn counts(&self) -> &FilterCounts {
+        &self.counts
     }
 }
 
@@ -294,7 +281,7 @@ mod tests {
         assert_eq!(c.occupancy(), 10);
         assert_eq!(c.flush(), 10);
         assert_eq!(c.occupancy(), 0);
-        assert_eq!(c.flushes(), 1);
+        assert_eq!(c.counts().flushes, 1);
         for i in 0..10 {
             assert!(!c.contains(LineAddr::new(i)));
         }
@@ -321,7 +308,7 @@ mod tests {
             Cycle::ZERO,
         );
         assert_eq!(victim, Some(LineAddr::new(0)));
-        assert_eq!(c.uncommitted_evictions(), 1);
+        assert_eq!(c.counts().uncommitted_evictions, 1);
     }
 
     #[test]
@@ -383,11 +370,15 @@ mod tests {
         let _ = c.lookup(LineAddr::new(1));
         let _ = c.lookup(LineAddr::new(2));
         c.flush();
-        let mut stats = StatSet::new();
-        c.accumulate_stats(&mut stats, "l0d");
+        let mut stats = simkit::StatSet::new();
+        c.counts().export(&mut stats, "l0d");
         assert_eq!(stats.counter("l0d.hits"), 1);
         assert_eq!(stats.counter("l0d.misses"), 1);
         assert_eq!(stats.counter("l0d.flushes"), 1);
         assert_eq!(stats.counter("l0d.lines_flushed"), 1);
+        let zeros = ["l0d.uncommitted_evictions", "l0d.external_invalidations"];
+        for name in zeros {
+            assert!(stats.iter_counters().any(|(n, v)| n == name && v == 0));
+        }
     }
 }

@@ -13,9 +13,6 @@ pub struct FilterTlb {
     entries: Vec<(u64, u64, u64)>, // (vpn, ppn, lru)
     capacity: usize,
     tick: u64,
-    hits: u64,
-    misses: u64,
-    flushes: u64,
 }
 
 impl FilterTlb {
@@ -25,9 +22,6 @@ impl FilterTlb {
             entries: Vec::new(),
             capacity: capacity.max(1),
             tick: 0,
-            hits: 0,
-            misses: 0,
-            flushes: 0,
         }
     }
 
@@ -36,33 +30,13 @@ impl FilterTlb {
         self.entries.len()
     }
 
-    /// Hits observed.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses observed.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Flushes performed.
-    pub fn flushes(&self) -> u64 {
-        self.flushes
-    }
-
     /// Looks up a speculative translation for `vpn`.
     pub fn lookup(&mut self, vpn: u64) -> Option<u64> {
         self.tick += 1;
         let tick = self.tick;
-        if let Some(e) = self.entries.iter_mut().find(|(v, _, _)| *v == vpn) {
-            e.2 = tick;
-            self.hits += 1;
-            Some(e.1)
-        } else {
-            self.misses += 1;
-            None
-        }
+        let e = self.entries.iter_mut().find(|(v, _, _)| *v == vpn)?;
+        e.2 = tick;
+        Some(e.1)
     }
 
     /// Records a speculative translation.
@@ -98,7 +72,6 @@ impl FilterTlb {
     pub fn flush(&mut self) -> usize {
         let dropped = self.entries.len();
         self.entries.clear();
-        self.flushes += 1;
         dropped
     }
 }
@@ -113,8 +86,6 @@ mod tests {
         assert_eq!(t.lookup(7), None);
         t.fill(7, 1007);
         assert_eq!(t.lookup(7), Some(1007));
-        assert_eq!(t.hits(), 1);
-        assert_eq!(t.misses(), 1);
     }
 
     #[test]
@@ -146,7 +117,7 @@ mod tests {
         }
         assert_eq!(t.flush(), 5);
         assert_eq!(t.occupancy(), 0);
-        assert_eq!(t.flushes(), 1);
+        assert_eq!(t.lookup(3), None);
     }
 
     #[test]

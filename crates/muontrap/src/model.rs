@@ -29,35 +29,44 @@ struct CoreState {
     filter_tlb: FilterTlb,
 }
 
-/// Counts of the events on MuonTrap's per-access paths, kept as plain
-/// fields: a named [`StatSet`] bump is a string-keyed map lookup, and a
-/// refused speculative load (most loads of a contended Parsec kernel) would
-/// pay two of them. [`stats`](MemoryModel::stats) reports each count that is
-/// not zero under its `muontrap.` name, exactly as a bump would have.
-#[derive(Debug, Default)]
-struct AccessCounts {
-    l0d_hits: u64,
-    l0d_misses: u64,
-    coherence_nacks: u64,
-    l0i_hits: u64,
-    committed_loads: u64,
-    committed_stores: u64,
-    filter_tlb_promotions: u64,
-    commit_writethroughs: u64,
+simkit::counters! {
+    /// MuonTrap's own events, reported as `muontrap.*` once non-zero. What a
+    /// filter cache sees (hits, misses, invalidations, flushes) it counts
+    /// itself; [`FilterTotals`] sums those over the cores.
+    struct MuonTrapCounts {
+        /// Speculative loads refused because a remote core owns the line: one
+        /// per poll.
+        coherence_nacks: u64,
+        committed_loads: u64,
+        committed_stores: u64,
+        filter_tlb_promotions: u64,
+        commit_writethroughs: u64,
+        /// Uncommitted lines a speculative load evicted from the data filter
+        /// cache (a store prefetch's evictions are not counted here).
+        l0d_uncommitted_evictions: u64,
+        store_prefetches: u64,
+        /// Committed stores whose upgrade had to invalidate other copies
+        /// (figure 7).
+        store_upgrade_broadcasts: u64,
+        se_upgrades: u64,
+        l0i_commit_writethroughs: u64,
+        misspeculation_flushes: u64,
+        context_switch_flushes: u64,
+        syscall_flushes: u64,
+        sandbox_flushes: u64,
+    }
 }
 
-impl AccessCounts {
-    fn named(&self) -> [(&'static str, u64); 8] {
-        [
-            ("muontrap.l0d_hits", self.l0d_hits),
-            ("muontrap.l0d_misses", self.l0d_misses),
-            ("muontrap.coherence_nacks", self.coherence_nacks),
-            ("muontrap.l0i_hits", self.l0i_hits),
-            ("muontrap.committed_loads", self.committed_loads),
-            ("muontrap.committed_stores", self.committed_stores),
-            ("muontrap.filter_tlb_promotions", self.filter_tlb_promotions),
-            ("muontrap.commit_writethroughs", self.commit_writethroughs),
-        ]
+simkit::counters! {
+    /// The per-core filter-cache counts summed over every core, reported as
+    /// `muontrap.*` once non-zero.
+    struct FilterTotals {
+        l0d_hits: u64,
+        l0d_misses: u64,
+        l0i_hits: u64,
+        l0i_misses: u64,
+        filter_invalidations_received: u64,
+        filter_flushes: u64,
     }
 }
 
@@ -67,9 +76,7 @@ pub struct MuonTrap {
     platform: Platform,
     protection: ProtectionConfig,
     cores: Vec<CoreState>,
-    /// Counters of the rarer events; the per-access ones are in `counts`.
-    stats: StatSet,
-    counts: AccessCounts,
+    counts: MuonTrapCounts,
     /// Reusable buffer for draining the hierarchy's invalidation queues, so
     /// the per-access/per-tick drain never allocates.
     inval_scratch: Vec<LineAddr>,
@@ -90,8 +97,7 @@ impl MuonTrap {
             platform: Platform::new(config),
             protection: config.protection,
             cores,
-            stats: StatSet::new(),
-            counts: AccessCounts::default(),
+            counts: MuonTrapCounts::default(),
             inval_scratch: Vec::new(),
         }
     }
@@ -133,7 +139,6 @@ impl MuonTrap {
         state.data_filter.flush();
         state.inst_filter.flush();
         state.filter_tlb.flush();
-        self.stats.bump("muontrap.filter_flushes");
     }
 
     /// Applies pending invalidations broadcast by other cores' exclusive
@@ -150,9 +155,7 @@ impl MuonTrap {
         hierarchy.drain_invalidations_into(core, &mut lines);
         for &line in &lines {
             let state = &mut self.cores[core];
-            if state.data_filter.external_invalidate(line) {
-                self.stats.bump("muontrap.filter_invalidations_received");
-            }
+            state.data_filter.external_invalidate(line);
             state.inst_filter.external_invalidate(line);
         }
         lines.clear();
@@ -220,13 +223,11 @@ impl MuonTrap {
         // line in is still in flight, in which case this access rides along
         // with it like an MSHR-coalesced secondary miss.
         if let Some(meta) = self.cores[core].data_filter.lookup(line) {
-            self.counts.l0d_hits += 1;
             let wait = meta.fill_ready_at.since(ctx.when);
             return MemOutcome::Done {
                 latency: self.platform.config().data_filter.hit_latency.max(wait) + xlat_latency,
             };
         }
-        self.counts.l0d_misses += 1;
 
         // Reduced coherence speculation: a speculative access may not force a
         // remote private line out of M/E (§4.5). It is nacked and retried once
@@ -283,7 +284,7 @@ impl MuonTrap {
             ctx.when + latency,
         );
         if evicted.is_some() {
-            self.stats.bump("muontrap.l0d_uncommitted_evictions");
+            self.counts.l0d_uncommitted_evictions += 1;
         }
 
         MemOutcome::Done { latency }
@@ -321,13 +322,11 @@ impl MemoryModel for MuonTrap {
 
         if self.protection.instruction_filter_cache && self.protection.secure_filter {
             if let Some(meta) = self.cores[core].inst_filter.lookup(line) {
-                self.counts.l0i_hits += 1;
                 let wait = meta.fill_ready_at.since(ctx.when);
                 return MemOutcome::Done {
                     latency: self.platform.config().inst_filter.hit_latency.max(wait) + xlat,
                 };
             }
-            self.stats.bump("muontrap.l0i_misses");
             let fill = if ctx.speculative {
                 FillLevel::None
             } else {
@@ -389,7 +388,7 @@ impl MemoryModel for MuonTrap {
             .without_remote_downgrade();
         let resp = hierarchy.access(&req);
         if !resp.coherence_delayed {
-            self.stats.bump("muontrap.store_prefetches");
+            self.counts.store_prefetches += 1;
             self.cores[ctx.core].data_filter.insert_speculative(
                 line,
                 ctx.vaddr,
@@ -468,12 +467,12 @@ impl MemoryModel for MuonTrap {
             // how often that broadcast happens).
             if !already_exclusive {
                 let _ = hierarchy.upgrade_exclusive(core, line, ctx.when);
-                self.stats.bump("muontrap.store_upgrade_broadcasts");
+                self.counts.store_upgrade_broadcasts += 1;
             }
         } else if exclusive_eligible {
             // SE pseudo-state: launch the asynchronous upgrade to Exclusive.
             let _ = hierarchy.upgrade_exclusive(core, line, ctx.when);
-            self.stats.bump("muontrap.se_upgrades");
+            self.counts.se_upgrades += 1;
         }
 
         // Prefetcher training from the committed stream only (§4.6).
@@ -498,7 +497,7 @@ impl MemoryModel for MuonTrap {
             let req = AccessRequest::new(core, line, AccessKind::InstFetch, ctx.when)
                 .without_prefetch_training();
             let _ = self.platform.hierarchy.access(&req);
-            self.stats.bump("muontrap.l0i_commit_writethroughs");
+            self.counts.l0i_commit_writethroughs += 1;
         }
     }
 
@@ -509,7 +508,7 @@ impl MemoryModel for MuonTrap {
     fn on_squash(&mut self, core: usize, _when: Cycle) {
         if self.protection.clear_on_misspeculate && self.protection.secure_filter {
             self.flush_core_filters(core);
-            self.stats.bump("muontrap.misspeculation_flushes");
+            self.counts.misspeculation_flushes += 1;
         }
     }
 
@@ -518,10 +517,11 @@ impl MemoryModel for MuonTrap {
             return;
         }
         self.flush_core_filters(core);
+        let counts = &mut self.counts;
         match kind {
-            DomainSwitch::ContextSwitch => self.stats.bump("muontrap.context_switch_flushes"),
-            DomainSwitch::Syscall => self.stats.bump("muontrap.syscall_flushes"),
-            DomainSwitch::SandboxBoundary => self.stats.bump("muontrap.sandbox_flushes"),
+            DomainSwitch::ContextSwitch => counts.context_switch_flushes += 1,
+            DomainSwitch::Syscall => counts.syscall_flushes += 1,
+            DomainSwitch::SandboxBoundary => counts.sandbox_flushes += 1,
         }
     }
 
@@ -537,18 +537,21 @@ impl MemoryModel for MuonTrap {
     }
 
     fn stats(&self) -> StatSet {
-        let mut out = self.platform.stats(&self.stats);
-        for (name, count) in self.counts.named() {
-            if count > 0 {
-                out.add(name, count);
-            }
-        }
+        let mut out = self.platform.stats();
+        self.counts.export_nonzero(&mut out, "muontrap");
+        let mut totals = FilterTotals::default();
         for (i, c) in self.cores.iter().enumerate() {
-            c.data_filter
-                .accumulate_stats(&mut out, &format!("muontrap.core{i}.l0d"));
-            c.inst_filter
-                .accumulate_stats(&mut out, &format!("muontrap.core{i}.l0i"));
+            let (l0d, l0i) = (c.data_filter.counts(), c.inst_filter.counts());
+            l0d.export(&mut out, &format!("muontrap.core{i}.l0d"));
+            l0i.export(&mut out, &format!("muontrap.core{i}.l0i"));
+            totals.l0d_hits += l0d.hits;
+            totals.l0d_misses += l0d.misses;
+            totals.l0i_hits += l0i.hits;
+            totals.l0i_misses += l0i.misses;
+            totals.filter_invalidations_received += l0d.external_invalidations;
+            totals.filter_flushes += l0d.flushes;
         }
+        totals.export_nonzero(&mut out, "muontrap");
         out
     }
 }
@@ -848,6 +851,53 @@ mod tests {
         assert!(!mt.platform().hierarchy.own_l1_exclusive(0, line));
         assert!(!mt.platform().hierarchy.own_l1_contains(0, line));
         assert_eq!(mt.stats().counter("muontrap.store_prefetches"), 1);
+    }
+
+    #[test]
+    fn filter_totals_are_the_per_core_sums() {
+        let cfg = SystemConfig::paper_default();
+        let mut mt = MuonTrap::new(&cfg);
+        mt.set_page_table(0, PageTable::new(cfg.tlb.page_bytes, 0));
+        mt.set_page_table(1, PageTable::new(cfg.tlb.page_bytes, 0));
+        for core in 0..2 {
+            for vaddr in [0xb000, 0xb000, 0xc000 + core as u64 * 0x40] {
+                let mut c = ctx(core, vaddr, true, false);
+                c.when = Cycle::new(1_000);
+                let _ = mt.load(&c);
+            }
+            let _ = mt.fetch_instruction(&ctx(core, 0x40_0000, true, false));
+        }
+        let _ = mt.fetch_instruction(&ctx(1, 0x40_0000, true, false));
+        // Core 0's store upgrade invalidates core 1's filter copy of 0xb000.
+        let _ = mt.commit_access(&ctx(0, 0xb000, false, true));
+        mt.tick(1, Cycle::new(2_000));
+        mt.on_domain_switch(0, DomainSwitch::Syscall, Cycle::ZERO);
+
+        let s = mt.stats();
+        let per_core = |field: &str| -> u64 {
+            (0..2)
+                .map(|i| s.counter(&format!("muontrap.core{i}.{field}")))
+                .sum()
+        };
+        let derived = [
+            ("muontrap.l0d_hits", per_core("l0d.hits")),
+            ("muontrap.l0d_misses", per_core("l0d.misses")),
+            ("muontrap.l0i_hits", per_core("l0i.hits")),
+            ("muontrap.l0i_misses", per_core("l0i.misses")),
+            (
+                "muontrap.filter_invalidations_received",
+                per_core("l0d.external_invalidations"),
+            ),
+            ("muontrap.filter_flushes", per_core("l0d.flushes")),
+        ];
+        for (name, sum) in derived {
+            assert!(sum > 0, "{name}: the scenario must exercise it");
+            assert_eq!(s.counter(name), sum, "{name}");
+        }
+        assert_eq!(s.counter("muontrap.l0d_hits"), 2);
+        assert_eq!(s.counter("muontrap.l0i_hits"), 1);
+        assert_eq!(s.counter("muontrap.filter_invalidations_received"), 1);
+        assert_eq!(s.counter("muontrap.filter_flushes"), 1);
     }
 
     #[test]

@@ -66,8 +66,6 @@ pub struct BranchPredictor {
     btb: Vec<Option<(u64, usize)>>,
     ras: Vec<usize>,
     ras_capacity: usize,
-    lookups: u64,
-    mispredictions: u64,
 }
 
 impl BranchPredictor {
@@ -82,19 +80,7 @@ impl BranchPredictor {
             btb: vec![None; config.btb_entries.max(1)],
             ras: Vec::new(),
             ras_capacity: config.ras_entries.max(1),
-            lookups: 0,
-            mispredictions: 0,
         }
-    }
-
-    /// Number of direction lookups performed.
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Number of mispredictions reported via [`BranchPredictor::update`].
-    pub fn mispredictions(&self) -> u64 {
-        self.mispredictions
     }
 
     fn local_index(&self, pc: VirtAddr) -> usize {
@@ -114,8 +100,7 @@ impl BranchPredictor {
     }
 
     /// Predicts the direction of the conditional branch at `pc`.
-    pub fn predict_direction(&mut self, pc: VirtAddr) -> bool {
-        self.lookups += 1;
+    pub fn predict_direction(&self, pc: VirtAddr) -> bool {
         let local_idx = self.local_index(pc);
         let history = self.local_history[local_idx] as usize % self.local.len();
         let local_pred = self.local[history].taken();
@@ -150,13 +135,8 @@ impl BranchPredictor {
         self.ras.pop()
     }
 
-    /// Trains the predictor with the resolved outcome of a branch and records
-    /// whether the earlier prediction (`predicted_taken`, `predicted_target`)
-    /// was wrong.
-    pub fn update(&mut self, update: &BranchUpdate, mispredicted: bool) {
-        if mispredicted {
-            self.mispredictions += 1;
-        }
+    /// Trains the predictor with the resolved outcome of a branch.
+    pub fn update(&mut self, update: &BranchUpdate) {
         if update.conditional {
             let local_idx = self.local_index(update.pc);
             let history_idx = self.local_history[local_idx] as usize % self.local.len();
@@ -227,8 +207,7 @@ mod tests {
         // Enough iterations for the local history register to saturate so the
         // same pattern-table entry is trained repeatedly.
         for _ in 0..48 {
-            let predicted = p.predict_direction(pc);
-            p.update(&update(0x400, true, 10), !predicted);
+            p.update(&update(0x400, true, 10));
         }
         assert!(
             p.predict_direction(pc),
@@ -242,8 +221,7 @@ mod tests {
         let pc = VirtAddr::new(0x800);
         // Train strongly not-taken.
         for _ in 0..16 {
-            let predicted = p.predict_direction(pc);
-            p.update(&update(0x800, false, 5), predicted);
+            p.update(&update(0x800, false, 5));
         }
         assert!(!p.predict_direction(pc));
         // The Spectre-style "flip": the next taken execution is mispredicted.
@@ -252,7 +230,7 @@ mod tests {
             !predicted,
             "the trained direction must be predicted, enabling the attack window"
         );
-        p.update(&update(0x800, true, 5), true);
+        p.update(&update(0x800, true, 5));
     }
 
     #[test]
@@ -260,15 +238,12 @@ mod tests {
         let mut p = predictor();
         let pc = VirtAddr::new(0x1234);
         assert_eq!(p.predict_indirect_target(pc), None);
-        p.update(
-            &BranchUpdate {
-                pc,
-                taken: true,
-                target: 77,
-                conditional: false,
-            },
-            true,
-        );
+        p.update(&BranchUpdate {
+            pc,
+            taken: true,
+            target: 77,
+            conditional: false,
+        });
         assert_eq!(p.predict_indirect_target(pc), Some(77));
         p.flush_btb();
         assert_eq!(p.predict_indirect_target(pc), None);
@@ -302,24 +277,13 @@ mod tests {
     }
 
     #[test]
-    fn misprediction_counter_tracks_updates() {
-        let mut p = predictor();
-        p.update(&update(0x10, true, 3), true);
-        p.update(&update(0x10, true, 3), false);
-        assert_eq!(p.mispredictions(), 1);
-        assert!(p.lookups() == 0, "updates alone do not count as lookups");
-    }
-
-    #[test]
     fn distinct_pcs_learn_independent_directions() {
         let mut p = predictor();
         let a = VirtAddr::new(0x1000);
         let b = VirtAddr::new(0x2000);
         for _ in 0..12 {
-            let pa = p.predict_direction(a);
-            p.update(&update(0x1000, true, 1), !pa);
-            let pb = p.predict_direction(b);
-            p.update(&update(0x2000, false, 2), pb);
+            p.update(&update(0x1000, true, 1));
+            p.update(&update(0x2000, false, 2));
         }
         assert!(p.predict_direction(a));
         assert!(!p.predict_direction(b));

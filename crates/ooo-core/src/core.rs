@@ -61,7 +61,6 @@ use std::collections::VecDeque;
 use simkit::addr::VirtAddr;
 use simkit::config::{PipelineConfig, SystemConfig};
 use simkit::cycles::Cycle;
-use simkit::stats::StatSet;
 use simkit::timeq::EventQueue;
 
 use uarch_isa::inst::{eval_alu, eval_branch, eval_fpu, InstClass, Instruction, MemWidth};
@@ -138,32 +137,33 @@ impl RobEntry {
     }
 }
 
-/// Statistics accumulated by one core.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CoreStats {
-    /// Cycles this core has been ticked (idle cycles skipped by the
-    /// fast-forward loop are credited here, so the count is identical to the
-    /// naive loop's).
-    pub cycles: u64,
-    /// Instructions committed.
-    pub committed: u64,
-    /// Committed loads.
-    pub loads: u64,
-    /// Committed stores.
-    pub stores: u64,
-    /// Committed branches (conditional only).
-    pub branches: u64,
-    /// Mispredicted branches (of any kind) that caused a squash.
-    pub mispredictions: u64,
-    /// Instructions squashed from the ROB.
-    pub squashed: u64,
-    /// Loads that were issued speculatively and later squashed.
-    pub squashed_loads: u64,
-    /// Refused memory-model polls: one per load or atomic access the model
-    /// answered [`MemOutcome::RetryWhenNonSpeculative`], counting every
-    /// re-poll of a parked access (each cycle it lies in the issue window),
-    /// not distinct accesses.
-    pub mem_retries: u64,
+simkit::counters! {
+    /// Statistics accumulated by one core, exported as `coreN.*`.
+    pub struct CoreStats {
+        /// Cycles this core has been ticked (idle cycles skipped by the
+        /// fast-forward loop are credited here, so the count is identical to
+        /// the naive loop's).
+        pub cycles: u64,
+        /// Instructions committed.
+        pub committed: u64,
+        /// Committed loads.
+        pub loads: u64,
+        /// Committed stores.
+        pub stores: u64,
+        /// Committed branches (conditional only).
+        pub branches: u64,
+        /// Mispredicted branches (of any kind) that caused a squash.
+        pub mispredictions: u64,
+        /// Instructions squashed from the ROB.
+        pub squashed: u64,
+        /// Loads that were issued speculatively and later squashed.
+        pub squashed_loads: u64,
+        /// Refused memory-model polls: one per load or atomic access the
+        /// model answered [`MemOutcome::RetryWhenNonSpeculative`], counting
+        /// every re-poll of a parked access (each cycle it lies in the issue
+        /// window), not distinct accesses.
+        pub mem_retries: u64,
+    }
 }
 
 impl CoreStats {
@@ -174,22 +174,6 @@ impl CoreStats {
         } else {
             self.committed as f64 / self.cycles as f64
         }
-    }
-
-    /// Converts the statistics into a generic [`StatSet`].
-    pub fn to_stat_set(&self, prefix: &str) -> StatSet {
-        let mut s = StatSet::new();
-        s.add(&format!("{prefix}.cycles"), self.cycles);
-        s.add(&format!("{prefix}.committed"), self.committed);
-        s.add(&format!("{prefix}.loads"), self.loads);
-        s.add(&format!("{prefix}.stores"), self.stores);
-        s.add(&format!("{prefix}.branches"), self.branches);
-        s.add(&format!("{prefix}.mispredictions"), self.mispredictions);
-        s.add(&format!("{prefix}.squashed"), self.squashed);
-        s.add(&format!("{prefix}.squashed_loads"), self.squashed_loads);
-        s.add(&format!("{prefix}.mem_retries"), self.mem_retries);
-        s.set_scalar(&format!("{prefix}.ipc"), self.ipc());
-        s
     }
 }
 
@@ -790,7 +774,7 @@ impl OooCore {
             target: actual_next,
             conditional,
         };
-        self.predictor.update(&update, mispredicted);
+        self.predictor.update(&update);
         if mispredicted {
             self.stats.mispredictions += 1;
         }
@@ -1853,6 +1837,7 @@ impl std::fmt::Debug for OooCore {
 mod tests {
     use super::*;
     use crate::memmodel::{DomainSwitch, FixedLatencyMemory};
+    use simkit::stats::StatSet;
     use uarch_isa::interp::Interpreter;
     use uarch_isa::prog::{Program, ProgramBuilder};
     use uarch_isa::reg::Reg;
@@ -2848,8 +2833,14 @@ mod tests {
         b.halt();
         let p = b.build().unwrap();
         let (core, _, _) = run_program(&p);
-        let set = core.stats().to_stat_set("core0");
+        let mut set = StatSet::new();
+        core.stats().export(&mut set, "core0");
         assert!(set.counter("core0.committed") >= 2);
-        assert!(set.scalar("core0.ipc").is_some());
+        assert_eq!(set.counter("core0.mem_retries"), 0);
+        assert_eq!(
+            set.iter_counters().count(),
+            9,
+            "every counter is exported, zeros included"
+        );
     }
 }

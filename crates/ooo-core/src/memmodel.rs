@@ -218,11 +218,18 @@ pub struct FixedLatencyMemory {
     pub data_latency: u64,
     /// Latency charged to every instruction fetch.
     pub fetch_latency: u64,
-    loads: u64,
-    stores: u64,
-    commits: u64,
-    squashes: u64,
-    domain_switches: u64,
+    counts: FixedCounts,
+}
+
+simkit::counters! {
+    /// The calls a [`FixedLatencyMemory`] saw, exported as `fixed.*`.
+    struct FixedCounts {
+        loads: u64,
+        stores: u64,
+        commits: u64,
+        squashes: u64,
+        domain_switches: u64,
+    }
 }
 
 impl FixedLatencyMemory {
@@ -231,22 +238,8 @@ impl FixedLatencyMemory {
         FixedLatencyMemory {
             data_latency,
             fetch_latency,
-            loads: 0,
-            stores: 0,
-            commits: 0,
-            squashes: 0,
-            domain_switches: 0,
+            counts: FixedCounts::default(),
         }
-    }
-
-    /// Number of loads observed.
-    pub fn loads(&self) -> u64 {
-        self.loads
-    }
-
-    /// Number of squash notifications observed.
-    pub fn squashes(&self) -> u64 {
-        self.squashes
     }
 }
 
@@ -268,36 +261,32 @@ impl MemoryModel for FixedLatencyMemory {
     }
 
     fn load(&mut self, _ctx: &MemAccessCtx) -> MemOutcome {
-        self.loads += 1;
+        self.counts.loads += 1;
         MemOutcome::Done {
             latency: self.data_latency,
         }
     }
 
     fn store_address_ready(&mut self, _ctx: &MemAccessCtx) {
-        self.stores += 1;
+        self.counts.stores += 1;
     }
 
     fn commit_access(&mut self, _ctx: &MemAccessCtx) -> u64 {
-        self.commits += 1;
+        self.counts.commits += 1;
         0
     }
 
     fn on_squash(&mut self, _core: usize, _when: Cycle) {
-        self.squashes += 1;
+        self.counts.squashes += 1;
     }
 
     fn on_domain_switch(&mut self, _core: usize, _kind: DomainSwitch, _when: Cycle) {
-        self.domain_switches += 1;
+        self.counts.domain_switches += 1;
     }
 
     fn stats(&self) -> StatSet {
         let mut s = StatSet::new();
-        s.add("fixed.loads", self.loads);
-        s.add("fixed.stores", self.stores);
-        s.add("fixed.commits", self.commits);
-        s.add("fixed.squashes", self.squashes);
-        s.add("fixed.domain_switches", self.domain_switches);
+        self.counts.export(&mut s, "fixed");
         s
     }
 }

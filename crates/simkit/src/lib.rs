@@ -4,7 +4,8 @@
 //!
 //! * [`addr`] — physical/virtual address newtypes and cache-line arithmetic,
 //! * [`config`] — the system configuration mirroring Table 1 of the paper,
-//! * [`stats`] — counters, histograms and derived statistics,
+//! * [`stats`] — typed event counters, named counter sets and derived
+//!   statistics,
 //! * [`json`] — a dependency-free JSON tree, parser and writer used by the
 //!   experiment session's machine-readable reports (serde is unavailable in
 //!   this offline build),
@@ -44,4 +45,4 @@ pub use cycles::Cycle;
 pub use fingerprint::Fingerprint;
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use rng::SimRng;
-pub use stats::{Histogram, StatSet};
+pub use stats::StatSet;

@@ -1,8 +1,11 @@
-//! Counters, histograms and derived statistics.
+//! Counters and derived statistics.
 //!
-//! Every simulated component registers its counters in a [`StatSet`]. The
-//! experiment harnesses then read named counters (cycle counts, hit rates,
-//! invalidate-broadcast counts, ...) to build the paper's figures.
+//! A simulated component counts its events in a struct of plain `u64`
+//! fields declared with [`counters!`](crate::counters): counting an event is
+//! one field increment, never a map lookup. When a run ends, each component
+//! exports its struct into the run's [`StatSet`] under `prefix.field` names,
+//! and the experiment harnesses read those named counters (cycle counts, hit
+//! rates, invalidate-broadcast counts, ...) to build the paper's figures.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -34,11 +37,6 @@ impl StatSet {
                 self.counters.insert(name.to_owned(), delta);
             }
         }
-    }
-
-    /// Increments the counter `name` by one.
-    pub fn bump(&mut self, name: &str) {
-        self.add(name, 1);
     }
 
     /// Returns the value of counter `name`, or zero if it was never touched.
@@ -87,12 +85,6 @@ impl StatSet {
             self.scalars.insert(k.clone(), *v);
         }
     }
-
-    /// Removes all counters and scalars.
-    pub fn clear(&mut self) {
-        self.counters.clear();
-        self.scalars.clear();
-    }
 }
 
 impl fmt::Display for StatSet {
@@ -107,76 +99,60 @@ impl fmt::Display for StatSet {
     }
 }
 
-/// A fixed-bucket histogram of integer samples, used for latency distributions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    bucket_width: u64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `num_buckets` buckets of `bucket_width` each.
-    ///
-    /// # Panics
-    /// Panics if `bucket_width` or `num_buckets` is zero.
-    pub fn new(bucket_width: u64, num_buckets: usize) -> Self {
-        assert!(bucket_width > 0, "bucket width must be positive");
-        assert!(num_buckets > 0, "need at least one bucket");
-        Histogram {
-            bucket_width,
-            buckets: vec![0; num_buckets],
-            overflow: 0,
-            count: 0,
-            sum: 0,
-            max: 0,
+/// Declares a struct of plain `u64` event counters that exports itself into
+/// a [`StatSet`].
+///
+/// Attributes (docs included) and the visibility of the struct and of each
+/// field pass through; every field must be a `u64`. The struct derives
+/// `Debug`, `Clone`, `Default`, `PartialEq` and `Eq`, and gains two methods
+/// that add each field to a [`StatSet`] as `prefix.field`, the name taken
+/// from the field's identifier:
+///
+/// * `export` adds every field, zeros included;
+/// * `export_nonzero` skips a zero field, so a counter that never moved
+///   stays absent from the set.
+///
+/// A field rename therefore renames its report key.
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident {
+            $(
+                $(#[$field_attr:meta])*
+                $field_vis:vis $field:ident: u64
+            ),* $(,)?
         }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let idx = (value / self.bucket_width) as usize;
-        if idx < self.buckets.len() {
-            self.buckets[idx] += 1;
-        } else {
-            self.overflow += 1;
+    ) => {
+        $(#[$attr])*
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        $vis struct $name {
+            $(
+                $(#[$field_attr])*
+                $field_vis $field: u64,
+            )*
         }
-        self.count += 1;
-        self.sum += value;
-        self.max = self.max.max(value);
-    }
 
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
+        impl $name {
+            /// Adds every counter to `stats` as `prefix.field`, zeros
+            /// included.
+            #[allow(dead_code)]
+            $vis fn export(&self, stats: &mut $crate::stats::StatSet, prefix: &str) {
+                $(stats.add(&format!("{prefix}.{}", stringify!($field)), self.$field);)*
+            }
 
-    /// Mean of all recorded samples (zero when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
+            /// Adds each non-zero counter to `stats` as `prefix.field`; a
+            /// counter that never moved stays absent.
+            #[allow(dead_code)]
+            $vis fn export_nonzero(&self, stats: &mut $crate::stats::StatSet, prefix: &str) {
+                $(
+                    if self.$field != 0 {
+                        stats.add(&format!("{prefix}.{}", stringify!($field)), self.$field);
+                    }
+                )*
+            }
         }
-    }
-
-    /// Largest recorded sample.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Number of samples that fell past the last bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Count in bucket `idx` (zero if out of range).
-    pub fn bucket(&self, idx: usize) -> u64 {
-        self.buckets.get(idx).copied().unwrap_or(0)
-    }
+    };
 }
 
 /// Computes the geometric mean of a slice of positive values.
@@ -203,10 +179,37 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut s = StatSet::new();
-        s.bump("loads");
+        s.add("loads", 1);
         s.add("loads", 4);
         assert_eq!(s.counter("loads"), 5);
         assert_eq!(s.counter("missing"), 0);
+    }
+
+    crate::counters! {
+        /// Two counters, to pin the names and the zero rule.
+        struct Pair {
+            /// A field doc passes through.
+            hits: u64,
+            pub misses: u64,
+        }
+    }
+
+    #[test]
+    fn counters_export_under_prefix_and_field_name() {
+        let counts = Pair { hits: 3, misses: 0 };
+        let mut all = StatSet::new();
+        counts.export(&mut all, "core7.l0d");
+        let names: Vec<_> = all.iter_counters().collect();
+        assert_eq!(names, [("core7.l0d.hits", 3), ("core7.l0d.misses", 0)]);
+
+        let mut nonzero = StatSet::new();
+        counts.export_nonzero(&mut nonzero, "muontrap");
+        let names: Vec<_> = nonzero.iter_counters().collect();
+        assert_eq!(names, [("muontrap.hits", 3)], "a zero counter stays absent");
+
+        // Exporting into a set that already holds a key adds to it.
+        counts.export(&mut all, "core7.l0d");
+        assert_eq!(all.counter("core7.l0d.hits"), 6);
     }
 
     #[test]
@@ -233,20 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_statistics() {
-        let mut h = Histogram::new(10, 4);
-        for v in [1, 5, 15, 25, 35, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.bucket(0), 2);
-        assert_eq!(h.bucket(1), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.max(), 1000);
-        assert!(h.mean() > 0.0);
-    }
-
-    #[test]
     fn geometric_mean_of_known_values() {
         let g = geometric_mean(&[1.0, 4.0]);
         assert!((g - 2.0).abs() < 1e-12);
@@ -264,15 +253,5 @@ mod tests {
         let text = format!("{s}");
         assert!(text.contains("cycles: 100"));
         assert!(text.contains("ipc"));
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut s = StatSet::new();
-        s.add("cycles", 100);
-        s.set_scalar("ipc", 2.0);
-        s.clear();
-        assert_eq!(s.counter("cycles"), 0);
-        assert_eq!(s.scalar("ipc"), None);
     }
 }

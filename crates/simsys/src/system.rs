@@ -254,7 +254,9 @@ impl System {
         let committed = self.cores.iter().map(|c| c.stats().committed).sum();
         let mut stats = StatSet::new();
         for core in &self.cores {
-            stats.merge(&core.stats().to_stat_set(&format!("core{}", core.id())));
+            let prefix = format!("core{}", core.id());
+            core.stats().export(&mut stats, &prefix);
+            stats.set_scalar(&format!("{prefix}.ipc"), core.stats().ipc());
         }
         stats.merge(&self.memory_model.stats());
         stats.add("system.context_switches", self.context_switches);

@@ -14,7 +14,7 @@ use simkit::addr::{LineAddr, VirtAddr};
 use simkit::config::CacheConfig;
 use simkit::cycles::Cycle;
 use simkit::rng::SimRng;
-use simkit::stats::{geometric_mean, Histogram, StatSet};
+use simkit::stats::{geometric_mean, StatSet};
 use simkit::timeq::EventQueue;
 use uarch_isa::inst::{eval_alu, AluOp, MemWidth};
 use uarch_isa::mem::SparseMemory;
@@ -68,21 +68,6 @@ fn geometric_mean_lies_between_min_and_max() {
             g >= min * 0.999 && g <= max * 1.001,
             "geomean {g} outside [{min}, {max}]"
         );
-    });
-}
-
-#[test]
-fn histogram_counts_every_sample() {
-    for_each_case(32, |rng| {
-        let len = rng.below(200) as usize;
-        let samples: Vec<u64> = (0..len).map(|_| rng.below(10_000)).collect();
-        let mut h = Histogram::new(64, 32);
-        for s in &samples {
-            h.record(*s);
-        }
-        assert_eq!(h.count(), samples.len() as u64);
-        let bucketed: u64 = (0..32).map(|i| h.bucket(i)).sum::<u64>() + h.overflow();
-        assert_eq!(bucketed, samples.len() as u64);
     });
 }
 
