@@ -25,7 +25,10 @@
 //!   hierarchy,
 //! * [`context`] — an architectural thread context (program, registers,
 //!   functional memory),
-//! * [`core`] — the pipeline itself,
+//! * [`core`] — the pipeline itself: [`OooCore`] and its tick in `core`'s
+//!   root module, one private module per stage (`fetch`, `dispatch`,
+//!   `issue`, `complete`, `commit`), the `sleep` rule that lets the driving
+//!   loop skip idle ticks, and the debug-build `oracle` checks,
 //! * `wakeup` (private) — the slot bitsets and wakeup lists behind the
 //!   issue stage's wakeup/select,
 //! * [`events`] — events the core reports to the system layer (syscalls,

@@ -4,8 +4,8 @@
 //! event loop: the out-of-order core keys completion tickets by
 //! sequence number, and `System::run` sleeps each core until the earliest
 //! entry. Entries may go stale (a squash removes the instruction a ticket
-//! names); consumers validate on pop, which keeps the queue write paths
-//! O(log n) with no removal support needed.
+//! names); consumers validate on pop and pop stale entries off the top,
+//! which keeps the queue write paths O(log n) with no removal support needed.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -17,9 +17,8 @@ use crate::cycles::Cycle;
 /// oldest-instruction-first within a cycle).
 ///
 /// There is no removal: consumers push freely and validate on pop, treating
-/// entries whose payload no longer names live work as stale. [`peek`] may
-/// therefore report an earlier wake than the true next event — waking early
-/// is harmless (the consumer pops the stale entry and goes back to sleep).
+/// entries whose payload no longer names live work as stale. A consumer that
+/// wants [`peek`] to name live work pops the stale entries off the top.
 ///
 /// [`peek`]: EventQueue::peek
 #[derive(Debug, Clone, Default)]
@@ -41,11 +40,11 @@ impl<T: Ord + Copy> EventQueue<T> {
         self.heap.push(Reverse((at, payload)));
     }
 
-    /// The earliest scheduled cycle, or `Cycle::NEVER` when empty. May be
-    /// stale (see the type docs) — never later than the true next event.
+    /// The earliest event (the one [`pop_due`](Self::pop_due) pops next),
+    /// or `None` when empty. It may be stale (see the type docs).
     #[inline]
-    pub fn peek(&self) -> Cycle {
-        self.heap.peek().map_or(Cycle::NEVER, |Reverse((t, _))| *t)
+    pub fn peek(&self) -> Option<(Cycle, T)> {
+        self.heap.peek().map(|Reverse(entry)| *entry)
     }
 
     /// Pops the earliest event if it is due at or before `now`.
@@ -86,12 +85,12 @@ mod tests {
         q.push(Cycle::new(9), 2);
         q.push(Cycle::new(3), 7);
         q.push(Cycle::new(9), 1);
-        assert_eq!(q.peek(), Cycle::new(3));
+        assert_eq!(q.peek(), Some((Cycle::new(3), 7)));
         assert_eq!(q.pop_due(Cycle::new(10)), Some((Cycle::new(3), 7)));
         assert_eq!(q.pop_due(Cycle::new(10)), Some((Cycle::new(9), 1)));
         assert_eq!(q.pop_due(Cycle::new(10)), Some((Cycle::new(9), 2)));
         assert_eq!(q.pop_due(Cycle::new(10)), None);
-        assert_eq!(q.peek(), Cycle::NEVER);
+        assert_eq!(q.peek(), None);
     }
 
     #[test]
