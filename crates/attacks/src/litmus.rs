@@ -27,16 +27,11 @@ fn shared_address_space_model(kind: DefenseKind, config: &SystemConfig) -> Box<d
 }
 
 fn ctx(core: usize, vaddr: u64, speculative: bool, is_store: bool, when: u64) -> MemAccessCtx {
+    let pc = VirtAddr::new(0x40_0000);
     MemAccessCtx {
-        core,
-        vaddr: VirtAddr::new(vaddr),
-        pc: VirtAddr::new(0x40_0000),
-        when: Cycle::new(when),
         speculative,
-        is_store,
         under_unresolved_branch: speculative,
-        addr_tainted_spectre: false,
-        addr_tainted_future: false,
+        ..MemAccessCtx::simple(core, VirtAddr::new(vaddr), pc, Cycle::new(when), is_store)
     }
 }
 

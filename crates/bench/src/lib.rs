@@ -410,18 +410,10 @@ pub fn table1_json() -> Json {
 /// The cumulative protection configurations of figures 8 and 9, in the order
 /// the paper stacks them.
 pub fn cumulative_protection_kinds(include_parallel_l1: bool) -> Vec<(String, DefenseKind)> {
-    let mut insecure = ProtectionConfig::insecure_l0();
-    insecure.prefetch_at_commit = false;
-
+    let insecure = ProtectionConfig::insecure_l0();
     let fcache_only = ProtectionConfig {
-        data_filter_cache: true,
         secure_filter: true,
-        coherence_protection: false,
-        instruction_filter_cache: false,
-        prefetch_at_commit: false,
-        clear_on_misspeculate: false,
-        parallel_l1_access: false,
-        filter_tlb: true,
+        ..insecure
     };
     let coherency = ProtectionConfig {
         coherence_protection: true,

@@ -8,12 +8,12 @@
 //! not participate in coherence — may need to validate or reload the data,
 //! which can delay the end of the pipeline.
 //!
-//! Fidelity note (also recorded in DESIGN.md): the original design exposes
-//! loads as soon as their visibility condition holds (for the Spectre variant,
-//! once no older unresolved branch remains; for the Future variant, once the
-//! load cannot be squashed). Our core notifies memory models of safety only at
-//! commit, so both variants expose at commit and the variants differ in how
-//! much of the exposure latency stalls commit:
+//! Fidelity note: the original design exposes loads as soon as their
+//! visibility condition holds (for the Spectre variant, once no older
+//! unresolved branch remains; for the Future variant, once the load cannot be
+//! squashed). Our core notifies memory models of safety only at commit, so
+//! both variants expose at commit and the variants differ in how much of the
+//! exposure latency stalls commit:
 //!
 //! * **Spectre** — exposure is assumed to have overlapped with the time
 //!   between the visibility point and commit; commit only pays a short
@@ -264,16 +264,11 @@ mod tests {
     use simkit::addr::VirtAddr;
 
     fn ctx(core: usize, vaddr: u64, speculative: bool, is_store: bool) -> MemAccessCtx {
+        let pc = VirtAddr::new(0x40_0000);
         MemAccessCtx {
-            core,
-            vaddr: VirtAddr::new(vaddr),
-            pc: VirtAddr::new(0x40_0000),
-            when: Cycle::ZERO,
             speculative,
-            is_store,
             under_unresolved_branch: speculative,
-            addr_tainted_spectre: false,
-            addr_tainted_future: false,
+            ..MemAccessCtx::simple(core, VirtAddr::new(vaddr), pc, Cycle::ZERO, is_store)
         }
     }
 

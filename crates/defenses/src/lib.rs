@@ -13,7 +13,8 @@
 //! * [`Unprotected`] — the insecure baseline all figures are normalised to,
 //! * [`InvisiSpec`] — speculative loads go to an invisible per-core buffer and
 //!   the cache is only updated by an exposure/validation access once the load
-//!   is safe (modelled at commit; see DESIGN.md for the fidelity discussion),
+//!   is safe (modelled at commit; the [`invisispec`] module note discusses
+//!   the fidelity trade-off),
 //! * [`Stt`] — speculative loads may execute, but *transmitters* (loads whose
 //!   address depends on an unsafe speculative load's value) are blocked until
 //!   the source becomes safe,

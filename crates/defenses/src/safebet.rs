@@ -269,16 +269,11 @@ mod tests {
     use simkit::addr::VirtAddr;
 
     fn ctx(core: usize, vaddr: u64, speculative: bool, is_store: bool) -> MemAccessCtx {
+        let pc = VirtAddr::new(0x40_0000);
         MemAccessCtx {
-            core,
-            vaddr: VirtAddr::new(vaddr),
-            pc: VirtAddr::new(0x40_0000),
-            when: Cycle::ZERO,
             speculative,
-            is_store,
             under_unresolved_branch: speculative,
-            addr_tainted_spectre: false,
-            addr_tainted_future: false,
+            ..MemAccessCtx::simple(core, VirtAddr::new(vaddr), pc, Cycle::ZERO, is_store)
         }
     }
 

@@ -156,16 +156,12 @@ mod tests {
     use simkit::addr::VirtAddr;
 
     fn ctx(vaddr: u64, tainted_spectre: bool, tainted_future: bool) -> MemAccessCtx {
+        let pc = VirtAddr::new(0x40_0000);
         MemAccessCtx {
-            core: 0,
-            vaddr: VirtAddr::new(vaddr),
-            pc: VirtAddr::new(0x40_0000),
-            when: Cycle::ZERO,
-            speculative: true,
-            is_store: false,
             under_unresolved_branch: true,
             addr_tainted_spectre: tainted_spectre,
             addr_tainted_future: tainted_future,
+            ..MemAccessCtx::simple(0, VirtAddr::new(vaddr), pc, Cycle::ZERO, false)
         }
     }
 

@@ -234,19 +234,6 @@ impl<M: Default + Clone> CacheArray<M> {
         self.valid = 0;
         count
     }
-
-    /// Iterates over every valid line, set-major. Allocation-free; the basis
-    /// of every stat helper on this type.
-    pub fn iter_valid(&self) -> impl Iterator<Item = &CacheLine<M>> {
-        self.lines.iter().filter(|l| l.state.can_read())
-    }
-
-    /// The addresses of all valid lines, in set-major storage order.
-    /// Allocation-free; collect and sort when a canonical order is needed
-    /// (tests do).
-    pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.iter_valid().map(|l| l.addr)
-    }
 }
 
 #[cfg(test)]
@@ -378,16 +365,5 @@ mod tests {
         assert_eq!(c.occupancy(), 2);
         c.invalidate_all();
         assert_eq!(c.occupancy(), 0);
-    }
-
-    #[test]
-    fn resident_lines_iterates_without_allocating_per_line() {
-        let mut c = small_cache();
-        c.insert(LineAddr::new(9), MesiState::Shared, ());
-        c.insert(LineAddr::new(2), MesiState::Shared, ());
-        let mut lines: Vec<LineAddr> = c.resident_lines().collect();
-        lines.sort_unstable();
-        assert_eq!(lines, vec![LineAddr::new(2), LineAddr::new(9)]);
-        assert_eq!(c.iter_valid().count(), 2);
     }
 }

@@ -14,8 +14,9 @@
 //!   observe exclusive upgrades performed by other cores.
 //!
 //! The model mutates cache state immediately at access time and returns a
-//! latency, rather than exchanging timed coherence messages. DESIGN.md §3
-//! discusses this fidelity trade-off.
+//! latency, rather than exchanging timed coherence messages. ARCHITECTURE.md
+//! ("The event queue and the memory timing") gives the timing rules that
+//! latency comes from.
 
 use simkit::addr::LineAddr;
 use simkit::config::SystemConfig;
@@ -123,20 +124,14 @@ impl MemoryHierarchy {
         stats
     }
 
-    /// Drains the pending filter-cache invalidation notifications for `core`.
+    /// Drains the pending filter-cache invalidation notifications for `core`
+    /// into `buf` (cleared first).
     ///
     /// Exclusive upgrades by *other* cores append the upgraded line here; the
     /// defense layer applies them to its filter structures when it next runs.
-    pub fn take_invalidations(&mut self, core: usize) -> Vec<LineAddr> {
-        std::mem::take(&mut self.invalidation_queues[core])
-    }
-
-    /// Drains `core`'s pending invalidations into `buf` (cleared first) by
-    /// swapping buffers, so the per-cycle drain in the defense layers'
+    /// The buffers are swapped, so the per-cycle drain in the defense layers'
     /// `tick` never allocates: the queue keeps `buf`'s capacity and `buf`
-    /// receives the queued lines. Equivalent to
-    /// [`take_invalidations`](Self::take_invalidations) minus the `Vec`
-    /// churn.
+    /// receives the queued lines.
     pub fn drain_invalidations_into(&mut self, core: usize, buf: &mut Vec<LineAddr>) {
         buf.clear();
         std::mem::swap(&mut self.invalidation_queues[core], buf);
@@ -208,28 +203,26 @@ impl MemoryHierarchy {
     }
 
     /// Installs `line` into `core`'s L1 data cache with at least shared
-    /// permission, fetching it from below if absent, and returns the fill
-    /// latency. Used by defenses for commit-time write-through (§4.2).
-    pub fn commit_fill_l1(&mut self, core: usize, line: LineAddr, when: Cycle) -> AccessResponse {
-        let req = AccessRequest::new(core, line, AccessKind::Load, when)
-            .with_fill(FillLevel::Normal)
-            .without_prefetch_training();
-        self.access(&req)
+    /// permission, fetching it from below if absent. Used by defenses for
+    /// commit-time write-through (§4.2), which is asynchronous: no requester
+    /// waits for the fill.
+    pub fn commit_fill_l1(&mut self, core: usize, line: LineAddr, when: Cycle) {
+        let req =
+            AccessRequest::new(core, line, AccessKind::Load, when).without_prefetch_training();
+        self.access(&req);
     }
 
     /// Performs an asynchronous upgrade of `line` to exclusive ownership for
     /// `core` (the commit-time `SE` upgrade of §4.5). Invalidates all other
-    /// copies and notifies other cores' filter structures. Returns the number
-    /// of remote copies invalidated.
-    pub fn upgrade_exclusive(&mut self, core: usize, line: LineAddr, _when: Cycle) -> u32 {
-        let invalidated = self.invalidate_remote_copies(core, line, true);
+    /// copies and notifies other cores' filter structures.
+    pub fn upgrade_exclusive(&mut self, core: usize, line: LineAddr) {
+        self.invalidate_remote_copies(core, line);
         if let Some(l) = self.cores[core].l1d.peek_mut(line) {
             if !l.state.can_write() {
                 l.state = MesiState::Exclusive;
             }
         }
         self.counts.exclusive_upgrades += 1;
-        invalidated
     }
 
     /// Fills `line` into the shared L2 (prefetch fill). No latency is charged
@@ -256,13 +249,6 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Invalidates `line` from `core`'s own L1 data cache (used by defenses
-    /// that must undo speculative installs, e.g. CleanupSpec-style rollback in
-    /// tests). Returns whether a line was removed.
-    pub fn invalidate_own_l1(&mut self, core: usize, line: LineAddr) -> bool {
-        self.cores[core].l1d.invalidate(line).is_some()
-    }
-
     // ------------------------------------------------------------------
     // internal paths
     // ------------------------------------------------------------------
@@ -276,8 +262,6 @@ impl MemoryHierarchy {
                 latency,
                 served_by: ServiceLevel::L1,
                 coherence_delayed: false,
-                invalidations: 0,
-                writeback: false,
             };
         }
         self.counts.l1i_misses += 1;
@@ -296,8 +280,6 @@ impl MemoryHierarchy {
                 latency,
                 served_by: ServiceLevel::L2,
                 coherence_delayed: false,
-                invalidations: 0,
-                writeback: false,
             };
         }
         latency += mshr.issue_delay(req.when);
@@ -315,8 +297,6 @@ impl MemoryHierarchy {
             latency,
             served_by,
             coherence_delayed: false,
-            invalidations: 0,
-            writeback: false,
         }
     }
 
@@ -324,7 +304,6 @@ impl MemoryHierarchy {
         self.counts.data_accesses += 1;
         let wants_exclusive = req.kind.wants_exclusive();
         let mut latency = self.l1d_hit_latency;
-        let mut invalidations = 0u32;
 
         // L1 hit path.
         let hit_state = self.cores[req.core].l1d.lookup(req.line).map(|l| l.state);
@@ -338,7 +317,7 @@ impl MemoryHierarchy {
                     self.counts.coherence_delays += 1;
                     return AccessResponse::delayed(latency);
                 }
-                invalidations = self.invalidate_remote_copies(req.core, req.line, true);
+                self.invalidate_remote_copies(req.core, req.line);
                 latency += UPGRADE_LATENCY;
                 self.counts.upgrades += 1;
             }
@@ -348,15 +327,13 @@ impl MemoryHierarchy {
                     l.dirty = true;
                 }
             }
-            if req.train_prefetcher && req.kind != AccessKind::Prefetch {
+            if req.train_prefetcher {
                 self.train_prefetcher(req.pc, req.line);
             }
             return AccessResponse {
                 latency,
                 served_by: ServiceLevel::L1,
                 coherence_delayed: false,
-                invalidations,
-                writeback: false,
             };
         }
 
@@ -376,9 +353,8 @@ impl MemoryHierarchy {
             // The returning data also satisfies this request, so it is still
             // installed according to this request's fill policy.
             latency += mshr.fill_ready_at.since(req.when).max(1);
-            let mut invalidations = 0;
             if wants_exclusive {
-                invalidations = self.invalidate_remote_copies(req.core, req.line, true);
+                self.invalidate_remote_copies(req.core, req.line);
             }
             if req.fill == FillLevel::Normal {
                 let state = if wants_exclusive {
@@ -397,24 +373,18 @@ impl MemoryHierarchy {
                 latency,
                 served_by: ServiceLevel::L2,
                 coherence_delayed: false,
-                invalidations,
-                writeback: false,
             };
         }
         latency += mshr.issue_delay(req.when);
 
         let served_by;
-        let mut writeback = false;
-
         if remote_exclusive {
             // Dirty/exclusive data forwarded from a remote L1; downgrade it.
             // The forward rides through the L2 lookup (which discovered the
             // remote owner) plus the core-to-core transfer.
             served_by = ServiceLevel::RemoteL1;
             latency += self.l2_hit_latency + REMOTE_FORWARD_LATENCY;
-            let was_dirty = self.downgrade_remote_copies(req.core, req.line, wants_exclusive);
-            writeback = was_dirty;
-            if was_dirty {
+            if self.downgrade_remote_copies(req.core, req.line, wants_exclusive) {
                 // Dirty data gets written back into the shared L2 on the way.
                 self.l2.insert(req.line, MesiState::Shared, ());
             }
@@ -426,7 +396,7 @@ impl MemoryHierarchy {
         }
 
         if wants_exclusive {
-            invalidations = self.invalidate_remote_copies(req.core, req.line, true);
+            self.invalidate_remote_copies(req.core, req.line);
         }
 
         self.cores[req.core]
@@ -435,15 +405,9 @@ impl MemoryHierarchy {
 
         // Install into the L1 according to the fill policy.
         if req.fill == FillLevel::Normal {
-            let no_other_copy = !self.any_other_copy(req.core, req.line)
-                && !self
-                    .cores
-                    .iter()
-                    .enumerate()
-                    .any(|(i, c)| i != req.core && c.l1d.contains(req.line));
             let new_state = if wants_exclusive {
                 MesiState::Modified
-            } else if no_other_copy {
+            } else if !self.any_other_copy(req.core, req.line) {
                 MesiState::Exclusive
             } else {
                 MesiState::Shared
@@ -457,7 +421,6 @@ impl MemoryHierarchy {
             if let Some(victim) = ev.victim {
                 if victim.state.is_dirty() || victim.dirty {
                     // Dirty victim written back into the L2.
-                    writeback = true;
                     self.counts.l1d_writebacks += 1;
                     let l2ev = self.l2.insert(victim.addr, MesiState::Shared, ());
                     if let Some(l) = self.l2.peek_mut(victim.addr) {
@@ -472,7 +435,7 @@ impl MemoryHierarchy {
             }
         }
 
-        if req.train_prefetcher && req.kind != AccessKind::Prefetch {
+        if req.train_prefetcher {
             self.train_prefetcher(req.pc, req.line);
         }
 
@@ -480,8 +443,6 @@ impl MemoryHierarchy {
             latency,
             served_by,
             coherence_delayed: false,
-            invalidations,
-            writeback,
         }
     }
 
@@ -523,23 +484,18 @@ impl MemoryHierarchy {
         (latency, ServiceLevel::Dram)
     }
 
-    /// Invalidates every remote L1 copy of `line`; returns how many were
-    /// invalidated, and queues notifications for external filter structures.
-    fn invalidate_remote_copies(&mut self, core: usize, line: LineAddr, notify: bool) -> u32 {
-        let mut count = 0;
+    /// Invalidates every remote L1 copy of `line` and queues a notification
+    /// for every other core's filter structures.
+    fn invalidate_remote_copies(&mut self, core: usize, line: LineAddr) {
         for i in 0..self.cores.len() {
             if i == core {
                 continue;
             }
             if self.cores[i].l1d.invalidate(line).is_some() {
-                count += 1;
                 self.counts.remote_invalidations += 1;
             }
-            if notify {
-                self.invalidation_queues[i].push(line);
-            }
+            self.invalidation_queues[i].push(line);
         }
-        count
     }
 
     /// Downgrades remote private copies of `line` to shared (read) or invalid
@@ -616,15 +572,16 @@ mod tests {
         let mut h = hierarchy();
         let _ = h.access(&load(0, 9, 0));
         let _ = h.access(&load(1, 9, 500)); // both cores share the line
-        let r = h.access(&store(0, 9, 1000));
+        let _ = h.access(&store(0, 9, 1000));
+        assert!(h.own_l1_exclusive(0, LineAddr::new(9)));
         assert!(
-            r.invalidations >= 1,
+            !h.own_l1_contains(1, LineAddr::new(9)),
             "the sharer in core 1 must be invalidated"
         );
-        assert!(h.own_l1_exclusive(0, LineAddr::new(9)));
-        assert!(!h.own_l1_contains(1, LineAddr::new(9)));
+        assert_eq!(h.stats().counter("hierarchy.remote_invalidations"), 1);
         // Core 1's filter-cache notification queue sees the invalidation.
-        let invs = h.take_invalidations(1);
+        let mut invs = Vec::new();
+        h.drain_invalidations_into(1, &mut invs);
         assert!(invs.contains(&LineAddr::new(9)));
     }
 
@@ -635,8 +592,11 @@ mod tests {
         assert!(h.own_l1_exclusive(0, LineAddr::new(11)));
         let r = h.access(&load(1, 11, 500));
         assert_eq!(r.served_by, ServiceLevel::RemoteL1);
-        assert!(r.writeback, "dirty data must be written back");
-        // Core 0 must no longer have exclusive permission.
+        // Core 0 keeps a clean Shared copy: its dirty data went to the L2.
+        let owner = h.cores[0].l1d.peek(LineAddr::new(11)).expect("still held");
+        assert_eq!(owner.state, MesiState::Shared);
+        assert!(!owner.dirty, "dirty data must be written back");
+        assert!(h.l2_contains(LineAddr::new(11)));
         assert!(!h.own_l1_exclusive(0, LineAddr::new(11)));
     }
 
@@ -666,13 +626,39 @@ mod tests {
     fn exclusive_upgrade_notifies_other_cores() {
         let mut h = hierarchy();
         let _ = h.access(&load(1, 30, 0));
-        let invalidated = h.upgrade_exclusive(0, LineAddr::new(30), Cycle::new(100));
-        assert_eq!(invalidated, 1);
-        assert!(h.take_invalidations(1).contains(&LineAddr::new(30)));
-        assert!(
-            h.take_invalidations(1).is_empty(),
-            "queue drains once taken"
-        );
+        h.upgrade_exclusive(0, LineAddr::new(30));
+        assert!(!h.own_l1_contains(1, LineAddr::new(30)));
+        assert_eq!(h.stats().counter("hierarchy.remote_invalidations"), 1);
+        let mut invs = Vec::new();
+        h.drain_invalidations_into(1, &mut invs);
+        assert!(invs.contains(&LineAddr::new(30)));
+        h.drain_invalidations_into(1, &mut invs);
+        assert!(invs.is_empty(), "queue drains once taken");
+    }
+
+    /// The state a load installs in its L1: Exclusive only when no other
+    /// cache, the L2 included, holds the line. The decision runs after the
+    /// fill has put the line in the L2, so a line that no cache held before
+    /// the load installs Shared as well.
+    #[test]
+    fn load_install_state_depends_on_the_other_copies() {
+        let mut h = hierarchy();
+        let installed = |h: &MemoryHierarchy, core: usize, line: u64| {
+            h.cores[core].l1d.peek(LineAddr::new(line)).map(|l| l.state)
+        };
+        // Held nowhere before the load.
+        let _ = h.access(&load(0, 40, 0));
+        assert_eq!(installed(&h, 0, 40), Some(MesiState::Shared));
+        // Held by another core's L1 (and the L2).
+        let _ = h.access(&load(1, 40, 500));
+        assert_eq!(installed(&h, 1, 40), Some(MesiState::Shared));
+        // Held by the L2 only.
+        h.prefetch_fill_l2(LineAddr::new(41));
+        let _ = h.access(&load(2, 41, 1000));
+        assert_eq!(installed(&h, 2, 41), Some(MesiState::Shared));
+        // A store installs Modified whoever else held the line.
+        let _ = h.access(&store(3, 41, 1500));
+        assert_eq!(installed(&h, 3, 41), Some(MesiState::Modified));
     }
 
     #[test]
@@ -705,7 +691,7 @@ mod tests {
     fn commit_fill_installs_into_l1() {
         let mut h = hierarchy();
         assert!(!h.own_l1_contains(0, LineAddr::new(55)));
-        let _ = h.commit_fill_l1(0, LineAddr::new(55), Cycle::new(10));
+        h.commit_fill_l1(0, LineAddr::new(55), Cycle::new(10));
         assert!(h.own_l1_contains(0, LineAddr::new(55)));
     }
 
@@ -734,15 +720,6 @@ mod tests {
         assert!(!h.remote_private_holds_exclusive(2, LineAddr::new(77)));
         assert!(h.any_other_copy(0, LineAddr::new(77)));
         assert_eq!(h.stats(), before);
-    }
-
-    #[test]
-    fn own_l1_invalidate_removes_line() {
-        let mut h = hierarchy();
-        let _ = h.access(&load(0, 88, 0));
-        assert!(h.invalidate_own_l1(0, LineAddr::new(88)));
-        assert!(!h.own_l1_contains(0, LineAddr::new(88)));
-        assert!(!h.invalidate_own_l1(0, LineAddr::new(88)));
     }
 
     #[test]

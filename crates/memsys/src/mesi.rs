@@ -57,13 +57,6 @@ impl MesiState {
             _ => MesiState::Shared,
         }
     }
-
-    /// The state a remote cache's copy moves to when this core performs a
-    /// write (a `GetX`/upgrade snoop): everything is invalidated.
-    #[inline]
-    pub const fn after_remote_write(self) -> MesiState {
-        MesiState::Invalid
-    }
 }
 
 impl fmt::Display for MesiState {
@@ -106,14 +99,6 @@ mod tests {
         assert_eq!(MesiState::Exclusive.after_remote_read(), MesiState::Shared);
         assert_eq!(MesiState::Shared.after_remote_read(), MesiState::Shared);
         assert_eq!(MesiState::Invalid.after_remote_read(), MesiState::Invalid);
-        for s in [
-            MesiState::Modified,
-            MesiState::Exclusive,
-            MesiState::Shared,
-            MesiState::Invalid,
-        ] {
-            assert_eq!(s.after_remote_write(), MesiState::Invalid);
-        }
     }
 
     #[test]

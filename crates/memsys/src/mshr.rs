@@ -56,11 +56,6 @@ impl MshrFile {
         }
     }
 
-    /// Number of entries still in flight at `now`.
-    pub fn in_flight(&self, now: Cycle) -> usize {
-        self.entries.iter().filter(|e| e.ready_at > now).count()
-    }
-
     /// Consults the MSHR file for a miss to `line` at cycle `now`.
     ///
     /// If the line is already being fetched, the miss coalesces. Otherwise, if
@@ -119,11 +114,6 @@ impl MshrFile {
     pub fn retire_completed(&mut self, now: Cycle) {
         self.entries.retain(|e| e.ready_at > now);
     }
-
-    /// Clears every entry (used on context switches in some configurations).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 #[cfg(test)]
@@ -160,7 +150,8 @@ mod tests {
         // At cycle 30 the entry has completed, so a new miss issues freely.
         let outcome = m.check(LineAddr::new(2), Cycle::new(30));
         assert_eq!(outcome.retry_at, None);
-        assert_eq!(m.in_flight(Cycle::new(30)), 0);
+        // The retired entry no longer coalesces a miss to its line.
+        assert!(!m.check(LineAddr::new(1), Cycle::new(30)).coalesced);
     }
 
     #[test]
@@ -177,13 +168,5 @@ mod tests {
         m.allocate(LineAddr::new(5), Cycle::new(90));
         let outcome = m.check(LineAddr::new(5), Cycle::new(0));
         assert_eq!(outcome.fill_ready_at, Cycle::new(40));
-    }
-
-    #[test]
-    fn clear_empties_the_file() {
-        let mut m = MshrFile::new(2);
-        m.allocate(LineAddr::new(5), Cycle::new(40));
-        m.clear();
-        assert_eq!(m.in_flight(Cycle::new(0)), 0);
     }
 }

@@ -44,11 +44,6 @@ impl StridePrefetcher {
         }
     }
 
-    /// Whether the prefetcher is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.degree > 0
-    }
-
     /// Trains the prefetcher with an access by instruction `pc` to `line` and
     /// returns the prefetch candidates it wants fetched (empty when cold, when
     /// the stride is unstable, or when disabled).
@@ -192,7 +187,6 @@ mod tests {
     #[test]
     fn zero_degree_disables_prefetching() {
         let mut p = StridePrefetcher::new(0);
-        assert!(!p.is_enabled());
         for i in 0..10u64 {
             assert!(p.train(0x1, LineAddr::new(i)).is_empty());
         }

@@ -77,14 +77,6 @@ impl PageTable {
             .copied()
             .unwrap_or(vpn + self.phys_offset / self.page_bytes)
     }
-
-    /// A synthetic physical address representing the page-table entry for
-    /// `vpn`, used so hardware walks touch the cache hierarchy.
-    pub fn pte_phys_addr(&self, vpn: u64) -> PhysAddr {
-        // Page tables live in a dedicated physical region above 1 TiB so they
-        // never collide with data.
-        PhysAddr::new((1 << 40) + self.phys_offset + vpn * 8)
-    }
 }
 
 /// Outcome of a TLB access.
@@ -365,13 +357,6 @@ mod tests {
         tlb.flush();
         assert_eq!(tlb.occupancy(), 0);
         assert!(!tlb.access(1, &table).hit);
-    }
-
-    #[test]
-    fn pte_addresses_are_distinct_per_page() {
-        let table = pt();
-        assert_ne!(table.pte_phys_addr(1), table.pte_phys_addr(2));
-        assert!(table.pte_phys_addr(1).raw() >= 1 << 40);
     }
 
     #[test]

@@ -12,19 +12,12 @@ pub enum AccessKind {
     Load,
     /// Data store (or the write half of an atomic).
     Store,
-    /// Prefetch generated by the hardware prefetcher.
-    Prefetch,
 }
 
 impl AccessKind {
     /// Whether this access needs exclusive (writable) coherence permission.
     pub const fn wants_exclusive(self) -> bool {
         matches!(self, AccessKind::Store)
-    }
-
-    /// Whether this access goes through the instruction side.
-    pub const fn is_instruction(self) -> bool {
-        matches!(self, AccessKind::InstFetch)
     }
 }
 
@@ -38,8 +31,6 @@ pub enum FillLevel {
     /// Install in the L1 (and L2 on the way) as a conventional cache would.
     #[default]
     Normal,
-    /// Install in the L2 only, leaving the requesting core's L1 untouched.
-    L2Only,
     /// Do not install anywhere: the requester keeps the data privately.
     None,
 }
@@ -134,11 +125,6 @@ pub struct AccessResponse {
     /// was not allowed to (`allow_remote_downgrade == false`). The data has
     /// *not* been obtained; the requester must retry once non-speculative.
     pub coherence_delayed: bool,
-    /// Number of remote L1 copies invalidated by this access (exclusive
-    /// requests only).
-    pub invalidations: u32,
-    /// Whether a dirty victim had to be written back on the fill path.
-    pub writeback: bool,
 }
 
 impl AccessResponse {
@@ -149,8 +135,6 @@ impl AccessResponse {
             latency,
             served_by: ServiceLevel::L2,
             coherence_delayed: true,
-            invalidations: 0,
-            writeback: false,
         }
     }
 }
@@ -163,8 +147,7 @@ mod tests {
     fn access_kind_properties() {
         assert!(AccessKind::Store.wants_exclusive());
         assert!(!AccessKind::Load.wants_exclusive());
-        assert!(AccessKind::InstFetch.is_instruction());
-        assert!(!AccessKind::Prefetch.is_instruction());
+        assert!(!AccessKind::InstFetch.wants_exclusive());
     }
 
     #[test]
@@ -185,7 +168,6 @@ mod tests {
     fn delayed_response_has_no_side_effect_markers() {
         let r = AccessResponse::delayed(3);
         assert!(r.coherence_delayed);
-        assert_eq!(r.invalidations, 0);
-        assert!(!r.writeback);
+        assert_eq!(r.latency, 3);
     }
 }

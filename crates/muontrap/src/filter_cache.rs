@@ -12,46 +12,27 @@
 //! the `SE` bookkeeping bit that requests an asynchronous upgrade to Exclusive
 //! at commit.
 
-use simkit::addr::{LineAddr, VirtAddr};
+use simkit::addr::LineAddr;
 use simkit::config::CacheConfig;
 use simkit::cycles::Cycle;
 
 use memsys::cache::CacheArray;
 use memsys::mesi::MesiState;
-use memsys::types::ServiceLevel;
 
 /// Per-line metadata carried by a filter cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FilterLineMeta {
     /// Whether an instruction using this line has committed (and the line has
     /// therefore been written through to the L1).
     pub committed: bool,
-    /// Which level of the non-speculative hierarchy the line was filled from;
-    /// used to direct the commit-time prefetch notification (§4.6).
-    pub filled_from: ServiceLevel,
     /// The `SE` pseudo-state: the line would have been Exclusive in an
     /// unprotected system, so an asynchronous exclusive upgrade should be
     /// launched when it commits (§4.5).
     pub exclusive_eligible: bool,
-    /// Virtual tag of the line (the filter cache is virtually indexed from the
-    /// CPU side, §4.4). Stored for completeness and aliasing checks.
-    pub virtual_tag: u64,
     /// The cycle at which the fill that brought this line in completes.
     /// Accesses before this behave like MSHR-coalesced secondary misses and
     /// must wait for the data to actually arrive.
     pub fill_ready_at: Cycle,
-}
-
-impl Default for FilterLineMeta {
-    fn default() -> Self {
-        FilterLineMeta {
-            committed: false,
-            filled_from: ServiceLevel::Dram,
-            exclusive_eligible: false,
-            virtual_tag: 0,
-            fill_ready_at: Cycle::ZERO,
-        }
-    }
 }
 
 simkit::counters! {
@@ -79,7 +60,6 @@ simkit::counters! {
 #[derive(Debug, Clone)]
 pub struct FilterCache {
     array: CacheArray<FilterLineMeta>,
-    line_bytes: u64,
     counts: FilterCounts,
 }
 
@@ -88,7 +68,6 @@ impl FilterCache {
     pub fn new(config: &CacheConfig, line_bytes: u64) -> Self {
         FilterCache {
             array: CacheArray::new(config, line_bytes),
-            line_bytes,
             counts: FilterCounts::default(),
         }
     }
@@ -138,16 +117,12 @@ impl FilterCache {
     pub fn insert_speculative(
         &mut self,
         line: LineAddr,
-        vaddr: VirtAddr,
-        filled_from: ServiceLevel,
         exclusive_eligible: bool,
         fill_ready_at: Cycle,
     ) -> Option<LineAddr> {
         let meta = FilterLineMeta {
             committed: false,
-            filled_from,
             exclusive_eligible,
-            virtual_tag: vaddr.raw() / self.line_bytes,
             fill_ready_at,
         };
         let eviction = self.array.insert(line, MesiState::Shared, meta);
@@ -162,13 +137,10 @@ impl FilterCache {
 
     /// Inserts a line brought in by a non-speculative access (already visible
     /// to the rest of the system): its committed bit starts set.
-    pub fn insert_committed(&mut self, line: LineAddr, vaddr: VirtAddr, filled_from: ServiceLevel) {
+    pub fn insert_committed(&mut self, line: LineAddr) {
         let meta = FilterLineMeta {
             committed: true,
-            filled_from,
-            exclusive_eligible: false,
-            virtual_tag: vaddr.raw() / self.line_bytes,
-            fill_ready_at: Cycle::ZERO,
+            ..FilterLineMeta::default()
         };
         let _ = self.array.insert(line, MesiState::Shared, meta);
     }
@@ -226,13 +198,7 @@ mod tests {
     #[test]
     fn speculative_lines_start_uncommitted() {
         let mut c = cache();
-        c.insert_speculative(
-            LineAddr::new(5),
-            VirtAddr::new(5 * 64),
-            ServiceLevel::Dram,
-            false,
-            Cycle::ZERO,
-        );
+        c.insert_speculative(LineAddr::new(5), false, Cycle::ZERO);
         assert!(c.contains(LineAddr::new(5)));
         assert!(!c.is_committed(LineAddr::new(5)));
         let meta = c.lookup(LineAddr::new(5)).unwrap();
@@ -242,13 +208,7 @@ mod tests {
     #[test]
     fn committing_a_line_sets_the_bit_and_clears_se() {
         let mut c = cache();
-        c.insert_speculative(
-            LineAddr::new(9),
-            VirtAddr::new(9 * 64),
-            ServiceLevel::L2,
-            true,
-            Cycle::ZERO,
-        );
+        c.insert_speculative(LineAddr::new(9), true, Cycle::ZERO);
         let before = c.mark_committed(LineAddr::new(9)).expect("line present");
         assert!(!before.committed);
         assert!(before.exclusive_eligible);
@@ -270,13 +230,7 @@ mod tests {
     fn flush_is_complete_and_counted() {
         let mut c = cache();
         for i in 0..10 {
-            c.insert_speculative(
-                LineAddr::new(i),
-                VirtAddr::new(i * 64),
-                ServiceLevel::Dram,
-                false,
-                Cycle::ZERO,
-            );
+            c.insert_speculative(LineAddr::new(i), false, Cycle::ZERO);
         }
         assert_eq!(c.occupancy(), 10);
         assert_eq!(c.flush(), 10);
@@ -292,21 +246,9 @@ mod tests {
         // A tiny, direct-mapped filter cache: conflicting lines evict each other.
         let mut c = FilterCache::new(&CacheConfig::new(128, 1, 1, 1), 64);
         assert_eq!(c.capacity_lines(), 2);
-        c.insert_speculative(
-            LineAddr::new(0),
-            VirtAddr::new(0),
-            ServiceLevel::Dram,
-            false,
-            Cycle::ZERO,
-        );
+        c.insert_speculative(LineAddr::new(0), false, Cycle::ZERO);
         // Line 2 maps to the same set as line 0 in a 2-set direct-mapped cache.
-        let victim = c.insert_speculative(
-            LineAddr::new(2),
-            VirtAddr::new(2 * 64),
-            ServiceLevel::Dram,
-            false,
-            Cycle::ZERO,
-        );
+        let victim = c.insert_speculative(LineAddr::new(2), false, Cycle::ZERO);
         assert_eq!(victim, Some(LineAddr::new(0)));
         assert_eq!(c.counts().uncommitted_evictions, 1);
     }
@@ -314,21 +256,9 @@ mod tests {
     #[test]
     fn committed_victims_are_not_reported() {
         let mut c = FilterCache::new(&CacheConfig::new(128, 1, 1, 1), 64);
-        c.insert_speculative(
-            LineAddr::new(0),
-            VirtAddr::new(0),
-            ServiceLevel::Dram,
-            false,
-            Cycle::ZERO,
-        );
+        c.insert_speculative(LineAddr::new(0), false, Cycle::ZERO);
         c.mark_committed(LineAddr::new(0));
-        let victim = c.insert_speculative(
-            LineAddr::new(2),
-            VirtAddr::new(128),
-            ServiceLevel::Dram,
-            false,
-            Cycle::ZERO,
-        );
+        let victim = c.insert_speculative(LineAddr::new(2), false, Cycle::ZERO);
         assert_eq!(
             victim, None,
             "already-written-through victims need no action"
@@ -338,13 +268,7 @@ mod tests {
     #[test]
     fn external_invalidation_removes_the_line() {
         let mut c = cache();
-        c.insert_speculative(
-            LineAddr::new(3),
-            VirtAddr::new(192),
-            ServiceLevel::L2,
-            false,
-            Cycle::ZERO,
-        );
+        c.insert_speculative(LineAddr::new(3), false, Cycle::ZERO);
         assert!(c.external_invalidate(LineAddr::new(3)));
         assert!(!c.contains(LineAddr::new(3)));
         assert!(!c.external_invalidate(LineAddr::new(3)));
@@ -353,20 +277,14 @@ mod tests {
     #[test]
     fn non_speculative_inserts_start_committed() {
         let mut c = cache();
-        c.insert_committed(LineAddr::new(7), VirtAddr::new(448), ServiceLevel::L1);
+        c.insert_committed(LineAddr::new(7));
         assert!(c.is_committed(LineAddr::new(7)));
     }
 
     #[test]
     fn stats_accumulate_under_prefix() {
         let mut c = cache();
-        c.insert_speculative(
-            LineAddr::new(1),
-            VirtAddr::new(64),
-            ServiceLevel::Dram,
-            false,
-            Cycle::ZERO,
-        );
+        c.insert_speculative(LineAddr::new(1), false, Cycle::ZERO);
         let _ = c.lookup(LineAddr::new(1));
         let _ = c.lookup(LineAddr::new(2));
         c.flush();

@@ -22,9 +22,9 @@
 //!   from the committed instruction stream (§4.6),
 //! * optional **parallel L0/L1 lookup** trading complexity for latency (§6.5).
 //!
-//! Every mechanism can be toggled through
-//! [`simkit::config::ProtectionConfig`], which is how the cost-breakdown
-//! experiments (figures 8 and 9 of the paper) are produced.
+//! The data filter cache is always present; every other mechanism can be
+//! toggled through [`simkit::config::ProtectionConfig`], which is how the
+//! cost-breakdown experiments (figures 8 and 9 of the paper) are produced.
 //!
 //! # Example
 //!

@@ -2,10 +2,13 @@
 //!
 //! [`MuonTrap`] wires the per-core filter structures in front of the shared
 //! non-speculative hierarchy and implements the [`MemoryModel`] interface the
-//! out-of-order core drives. Every protection mechanism is individually
-//! switchable through [`ProtectionConfig`], which is how the cost-breakdown
-//! experiments (figures 8 and 9) and the "insecure L0" baseline are produced
-//! from this one implementation.
+//! out-of-order core drives. Every MuonTrap has its data filter cache (L0D);
+//! six toggles of [`ProtectionConfig`] choose what guards it:
+//! `secure_filter` (commit-time write-through, filter TLB and domain-switch
+//! flushes), `coherence_protection`, `instruction_filter_cache`,
+//! `prefetch_at_commit`, `clear_on_misspeculate` and `parallel_l1_access`.
+//! That is how the cost-breakdown experiments (figures 8 and 9) and the
+//! "insecure L0" baseline are produced from this one implementation.
 
 use simkit::addr::{LineAddr, PhysAddr, VirtAddr};
 use simkit::config::{ProtectionConfig, SystemConfig};
@@ -13,7 +16,7 @@ use simkit::cycles::Cycle;
 use simkit::stats::StatSet;
 
 use memsys::tlb::PageTable;
-use memsys::types::{AccessKind, AccessRequest, FillLevel, ServiceLevel};
+use memsys::types::{AccessKind, AccessRequest, FillLevel};
 use memsys::Platform;
 
 use ooo_core::memmodel::{DomainSwitch, MemAccessCtx, MemOutcome, MemoryModel};
@@ -102,11 +105,6 @@ impl MuonTrap {
         }
     }
 
-    /// The protection configuration in force.
-    pub fn protection(&self) -> &ProtectionConfig {
-        &self.protection
-    }
-
     /// The platform underneath, whose non-speculative hierarchy shows what
     /// became architecturally visible.
     pub fn platform(&self) -> &Platform {
@@ -132,9 +130,8 @@ impl MuonTrap {
         self.cores[core].data_filter.occupancy()
     }
 
-    /// Flushes every filter structure on `core` (exposed for the dedicated
-    /// flush instruction placed behind sandbox barriers, §4.9).
-    pub fn flush_core_filters(&mut self, core: usize) {
+    /// Flushes every filter structure on `core` (§4.3, §4.9).
+    fn flush_core_filters(&mut self, core: usize) {
         let state = &mut self.cores[core];
         state.data_filter.flush();
         state.inst_filter.flush();
@@ -163,12 +160,11 @@ impl MuonTrap {
     }
 
     /// Translates a data access, routing speculative translations through the
-    /// filter TLB when that protection is enabled. Returns the physical line
-    /// and the translation latency.
+    /// filter TLB when the filter is secure. Returns the physical line and the
+    /// translation latency.
     fn translate_data(&mut self, core: usize, ctx: &MemAccessCtx) -> (LineAddr, u64) {
         let filter_tlb = &mut self.cores[core].filter_tlb;
-        let use_filter_tlb = self.protection.filter_tlb && self.protection.secure_filter;
-        if !(use_filter_tlb && ctx.speculative) {
+        if !(self.protection.secure_filter && ctx.speculative) {
             return self.platform.data_line(core, ctx.vaddr);
         }
         let tlb = &self.platform.config().tlb;
@@ -195,25 +191,61 @@ impl MuonTrap {
             self.platform.config().data_filter.hit_latency
         }
     }
+}
 
-    /// Handles a data access when the data filter cache is enabled.
-    fn filtered_load(
-        &mut self,
-        ctx: &MemAccessCtx,
-        line: LineAddr,
-        xlat_latency: u64,
-    ) -> MemOutcome {
+impl MemoryModel for MuonTrap {
+    fn name(&self) -> &str {
+        if self.protection.secure_filter {
+            "muontrap"
+        } else {
+            "insecure-l0"
+        }
+    }
+
+    fn fetch_instruction(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
+        let core = ctx.core;
+        let (line, xlat) = self.platform.inst_line(core, ctx.vaddr);
+
+        if self.protection.instruction_filter_cache && self.protection.secure_filter {
+            if let Some(meta) = self.cores[core].inst_filter.lookup(line) {
+                let wait = meta.fill_ready_at.since(ctx.when);
+                return MemOutcome::Done {
+                    latency: self.platform.config().inst_filter.hit_latency.max(wait) + xlat,
+                };
+            }
+            let fill = if ctx.speculative {
+                FillLevel::None
+            } else {
+                FillLevel::Normal
+            };
+            let req = AccessRequest::new(core, line, AccessKind::InstFetch, ctx.when)
+                .with_fill(fill)
+                .without_prefetch_training();
+            let resp = self.platform.hierarchy.access(&req);
+            let latency = resp.latency + self.platform.config().inst_filter.hit_latency + xlat;
+            self.cores[core]
+                .inst_filter
+                .insert_speculative(line, false, ctx.when + latency);
+            MemOutcome::Done { latency }
+        } else {
+            MemOutcome::Done {
+                latency: self.platform.fetch_line(core, line, ctx.when) + xlat,
+            }
+        }
+    }
+
+    fn load(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
         let core = ctx.core;
         let secure = self.protection.secure_filter;
+        self.drain_invalidations(core);
+        let (line, xlat_latency) = self.translate_data(core, ctx);
 
         // A non-speculative access that needs write permission (an atomic at
         // the head of the ROB) behaves like a committed store: it may update
         // the non-speculative hierarchy and acquire exclusive ownership.
         if !ctx.speculative && ctx.is_store {
             let resp = self.platform.load_line(core, line, ctx.pc, true, ctx.when);
-            self.cores[core]
-                .data_filter
-                .insert_committed(line, ctx.vaddr, resp.served_by);
+            self.cores[core].data_filter.insert_committed(line);
             return MemOutcome::Done {
                 latency: resp.latency + self.l0_miss_penalty() + xlat_latency,
             };
@@ -251,11 +283,10 @@ impl MuonTrap {
         } else {
             FillLevel::Normal
         };
-        let train = !self.protection.prefetch_at_commit;
         let mut req = AccessRequest::new(core, line, AccessKind::Load, ctx.when)
             .with_pc(ctx.pc.raw())
             .with_fill(fill);
-        if !train {
+        if self.protection.prefetch_at_commit {
             req = req.without_prefetch_training();
         }
         if secure && self.protection.coherence_protection && ctx.speculative {
@@ -278,8 +309,6 @@ impl MuonTrap {
         let latency = resp.latency + self.l0_miss_penalty() + xlat_latency;
         let evicted = self.cores[core].data_filter.insert_speculative(
             line,
-            ctx.vaddr,
-            resp.served_by,
             exclusive_eligible,
             ctx.when + latency,
         );
@@ -290,82 +319,10 @@ impl MuonTrap {
         MemOutcome::Done { latency }
     }
 
-    /// Handles a data access when no filter cache is configured at all
-    /// (should not normally happen for MuonTrap, but keeps the model total).
-    fn unfiltered_load(
-        &mut self,
-        ctx: &MemAccessCtx,
-        line: LineAddr,
-        xlat_latency: u64,
-    ) -> MemOutcome {
-        let req =
-            AccessRequest::new(ctx.core, line, AccessKind::Load, ctx.when).with_pc(ctx.pc.raw());
-        let resp = self.platform.hierarchy.access(&req);
-        MemOutcome::Done {
-            latency: resp.latency + xlat_latency,
-        }
-    }
-}
-
-impl MemoryModel for MuonTrap {
-    fn name(&self) -> &str {
-        if !self.protection.secure_filter && self.protection.data_filter_cache {
-            "insecure-l0"
-        } else {
-            "muontrap"
-        }
-    }
-
-    fn fetch_instruction(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
-        let core = ctx.core;
-        let (line, xlat) = self.platform.inst_line(core, ctx.vaddr);
-
-        if self.protection.instruction_filter_cache && self.protection.secure_filter {
-            if let Some(meta) = self.cores[core].inst_filter.lookup(line) {
-                let wait = meta.fill_ready_at.since(ctx.when);
-                return MemOutcome::Done {
-                    latency: self.platform.config().inst_filter.hit_latency.max(wait) + xlat,
-                };
-            }
-            let fill = if ctx.speculative {
-                FillLevel::None
-            } else {
-                FillLevel::Normal
-            };
-            let req = AccessRequest::new(core, line, AccessKind::InstFetch, ctx.when)
-                .with_fill(fill)
-                .without_prefetch_training();
-            let resp = self.platform.hierarchy.access(&req);
-            let latency = resp.latency + self.platform.config().inst_filter.hit_latency + xlat;
-            self.cores[core].inst_filter.insert_speculative(
-                line,
-                ctx.vaddr,
-                resp.served_by,
-                false,
-                ctx.when + latency,
-            );
-            MemOutcome::Done { latency }
-        } else {
-            MemOutcome::Done {
-                latency: self.platform.fetch_line(core, line, ctx.when) + xlat,
-            }
-        }
-    }
-
-    fn load(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
-        self.drain_invalidations(ctx.core);
-        let (line, xlat_latency) = self.translate_data(ctx.core, ctx);
-        if self.protection.data_filter_cache {
-            self.filtered_load(ctx, line, xlat_latency)
-        } else {
-            self.unfiltered_load(ctx, line, xlat_latency)
-        }
-    }
-
     fn store_address_ready(&mut self, ctx: &MemAccessCtx) {
         // A speculative store may prefetch its line into the filter cache in
         // Shared state (but never exclusively, §4.5).
-        if !self.protection.data_filter_cache || !self.protection.secure_filter {
+        if !self.protection.secure_filter {
             return;
         }
         self.drain_invalidations(ctx.core);
@@ -391,8 +348,6 @@ impl MemoryModel for MuonTrap {
             self.counts.store_prefetches += 1;
             self.cores[ctx.core].data_filter.insert_speculative(
                 line,
-                ctx.vaddr,
-                resp.served_by,
                 false,
                 ctx.when + resp.latency,
             );
@@ -405,10 +360,7 @@ impl MemoryModel for MuonTrap {
         // Commit-time translation uses (and fills) the non-speculative TLB;
         // the speculative entry, if any, is promoted out of the filter TLB.
         let vpn = ctx.vaddr.page_number(self.platform.config().tlb.page_bytes);
-        if self.protection.filter_tlb
-            && self.protection.secure_filter
-            && self.cores[core].filter_tlb.take(vpn).is_some()
-        {
+        if self.protection.secure_filter && self.cores[core].filter_tlb.take(vpn).is_some() {
             self.platform.mmu(core).fill_data_tlb(vpn);
             self.counts.filter_tlb_promotions += 1;
         }
@@ -420,18 +372,12 @@ impl MemoryModel for MuonTrap {
             self.counts.committed_loads += 1;
         }
 
-        if !self.protection.data_filter_cache || !self.protection.secure_filter {
-            // Insecure L0 / no L0: the access already updated the hierarchy at
-            // execute time; a store still needs exclusive permission now.
+        if !self.protection.secure_filter {
+            // Insecure L0: the access already updated the hierarchy at execute
+            // time; a store still needs exclusive permission now.
             if ctx.is_store {
                 self.platform.commit_store(core, line, ctx.pc, ctx.when);
-                if self.protection.data_filter_cache {
-                    self.cores[core].data_filter.insert_committed(
-                        line,
-                        ctx.vaddr,
-                        ServiceLevel::L1,
-                    );
-                }
+                self.cores[core].data_filter.insert_committed(line);
             }
             if self.protection.prefetch_at_commit {
                 self.platform.hierarchy.train_prefetcher(ctx.pc.raw(), line);
@@ -442,9 +388,6 @@ impl MemoryModel for MuonTrap {
         // Secure filter cache: write-through at commit (§4.2).
         let meta_before = self.cores[core].data_filter.mark_committed(line);
         let was_uncommitted = meta_before.map(|m| !m.committed).unwrap_or(true);
-        let filled_from = meta_before
-            .map(|m| m.filled_from)
-            .unwrap_or(ServiceLevel::Dram);
         let exclusive_eligible = meta_before.map(|m| m.exclusive_eligible).unwrap_or(false);
         // Whether our own L1 already held the line exclusively *before* this
         // commit: only then can a store avoid the invalidation broadcast that
@@ -456,7 +399,7 @@ impl MemoryModel for MuonTrap {
             // Install the line into the non-speculative L1 (re-fetching it if
             // it was evicted from the filter cache before commit, §4.2). This
             // is asynchronous and does not stall commit.
-            let _ = hierarchy.commit_fill_l1(core, line, ctx.when);
+            hierarchy.commit_fill_l1(core, line, ctx.when);
             self.counts.commit_writethroughs += 1;
         }
 
@@ -466,19 +409,17 @@ impl MemoryModel for MuonTrap {
             // every other copy including other filter caches (fig. 7 counts
             // how often that broadcast happens).
             if !already_exclusive {
-                let _ = hierarchy.upgrade_exclusive(core, line, ctx.when);
+                hierarchy.upgrade_exclusive(core, line);
                 self.counts.store_upgrade_broadcasts += 1;
             }
         } else if exclusive_eligible {
             // SE pseudo-state: launch the asynchronous upgrade to Exclusive.
-            let _ = hierarchy.upgrade_exclusive(core, line, ctx.when);
+            hierarchy.upgrade_exclusive(core, line);
             self.counts.se_upgrades += 1;
         }
 
         // Prefetcher training from the committed stream only (§4.6).
         if self.protection.prefetch_at_commit {
-            let _ = filled_from; // direction of the notification; the only
-                                 // prefetcher in the system sits at the L2.
             hierarchy.train_prefetcher(ctx.pc.raw(), line);
         }
         0
@@ -513,7 +454,7 @@ impl MemoryModel for MuonTrap {
     }
 
     fn on_domain_switch(&mut self, core: usize, kind: DomainSwitch, _when: Cycle) {
-        if !self.protection.data_filter_cache || !self.protection.secure_filter {
+        if !self.protection.secure_filter {
             return;
         }
         self.flush_core_filters(core);
@@ -561,16 +502,11 @@ mod tests {
     use super::*;
 
     fn ctx(core: usize, vaddr: u64, speculative: bool, is_store: bool) -> MemAccessCtx {
+        let pc = VirtAddr::new(0x40_0000);
         MemAccessCtx {
-            core,
-            vaddr: VirtAddr::new(vaddr),
-            pc: VirtAddr::new(0x40_0000),
-            when: Cycle::ZERO,
             speculative,
-            is_store,
             under_unresolved_branch: speculative,
-            addr_tainted_spectre: false,
-            addr_tainted_future: false,
+            ..MemAccessCtx::simple(core, VirtAddr::new(vaddr), pc, Cycle::ZERO, is_store)
         }
     }
 

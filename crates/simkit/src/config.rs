@@ -117,13 +117,13 @@ pub struct DramConfig {
 }
 
 /// Knobs of the MuonTrap protection mechanisms, used both by the `muontrap`
-/// crate and by the cost-breakdown experiments (figures 8 and 9).
+/// crate and by the cost-breakdown experiments (figures 8 and 9). Every
+/// MuonTrap has its data filter cache (L0D); these choose what guards it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProtectionConfig {
-    /// Add the data filter cache (L0D).
-    pub data_filter_cache: bool,
-    /// Enforce the filter-cache commit/write-through protections. When false
-    /// but `data_filter_cache` is true, the L0 behaves as an insecure L0.
+    /// Enforce the filter-cache commit/write-through protections and keep
+    /// speculative translations in the filter TLB (§4.2, §4.7). When false
+    /// the L0 behaves as an insecure L0.
     pub secure_filter: bool,
     /// Restrict speculative coherence transactions (§4.5).
     pub coherence_protection: bool,
@@ -135,45 +135,32 @@ pub struct ProtectionConfig {
     pub clear_on_misspeculate: bool,
     /// Access the L0 filter cache and L1 in parallel (§6.5).
     pub parallel_l1_access: bool,
-    /// Add the filter TLB (§4.7).
-    pub filter_tlb: bool,
 }
 
 impl ProtectionConfig {
-    /// No protections at all: the unprotected baseline without any L0.
-    pub fn unprotected() -> Self {
+    /// No protections at all: the data filter cache behaves as an insecure L0
+    /// (figure 8/9 "insecure L0" series). The unprotected baseline, which
+    /// builds no filter caches, ignores the protection configuration.
+    pub fn insecure_l0() -> Self {
         ProtectionConfig {
-            data_filter_cache: false,
             secure_filter: false,
             coherence_protection: false,
             instruction_filter_cache: false,
             prefetch_at_commit: false,
             clear_on_misspeculate: false,
             parallel_l1_access: false,
-            filter_tlb: false,
-        }
-    }
-
-    /// An insecure L0 cache with none of MuonTrap's protections (figure 8/9
-    /// "insecure L0" series).
-    pub fn insecure_l0() -> Self {
-        ProtectionConfig {
-            data_filter_cache: true,
-            ..ProtectionConfig::unprotected()
         }
     }
 
     /// The full MuonTrap configuration used for figures 3 and 4.
     pub fn muontrap_default() -> Self {
         ProtectionConfig {
-            data_filter_cache: true,
             secure_filter: true,
             coherence_protection: true,
             instruction_filter_cache: true,
             prefetch_at_commit: true,
             clear_on_misspeculate: false,
             parallel_l1_access: false,
-            filter_tlb: true,
         }
     }
 
@@ -469,7 +456,6 @@ impl ToJson for DramConfig {
 impl ToJson for ProtectionConfig {
     fn to_json(&self) -> Json {
         Json::obj([
-            ("data_filter_cache", Json::Bool(self.data_filter_cache)),
             ("secure_filter", Json::Bool(self.secure_filter)),
             (
                 "coherence_protection",
@@ -485,7 +471,6 @@ impl ToJson for ProtectionConfig {
                 Json::Bool(self.clear_on_misspeculate),
             ),
             ("parallel_l1_access", Json::Bool(self.parallel_l1_access)),
-            ("filter_tlb", Json::Bool(self.filter_tlb)),
         ])
     }
 }
@@ -599,10 +584,9 @@ mod tests {
     #[test]
     fn protection_presets_differ() {
         assert_ne!(
-            ProtectionConfig::unprotected(),
+            ProtectionConfig::insecure_l0(),
             ProtectionConfig::muontrap_default()
         );
-        assert!(ProtectionConfig::insecure_l0().data_filter_cache);
         assert!(!ProtectionConfig::insecure_l0().secure_filter);
         assert!(ProtectionConfig::muontrap_clear_on_misspeculate().clear_on_misspeculate);
         assert!(ProtectionConfig::muontrap_parallel_l1().parallel_l1_access);

@@ -444,7 +444,7 @@ pub fn simulate(workload: &Workload, kind: DefenseKind, config: &SystemConfig) -
 pub fn baseline_machine(config: &SystemConfig) -> SystemConfig {
     let mut cfg = config.clone();
     let canonical = SystemConfig::paper_default();
-    cfg.protection = ProtectionConfig::unprotected();
+    cfg.protection = ProtectionConfig::insecure_l0();
     cfg.data_filter = canonical.data_filter;
     cfg.inst_filter = canonical.inst_filter;
     cfg.filter_tlb_entries = canonical.filter_tlb_entries;

@@ -98,14 +98,8 @@ fn protection_mechanisms_accumulate_without_catastrophic_slowdown() {
 /// test does not depend on the bench crate.
 fn bench_configs() -> Vec<(&'static str, DefenseKind)> {
     let fcache_only = ProtectionConfig {
-        data_filter_cache: true,
         secure_filter: true,
-        coherence_protection: false,
-        instruction_filter_cache: false,
-        prefetch_at_commit: false,
-        clear_on_misspeculate: false,
-        parallel_l1_access: false,
-        filter_tlb: true,
+        ..ProtectionConfig::insecure_l0()
     };
     let full = ProtectionConfig::muontrap_default();
     vec![

@@ -174,13 +174,7 @@ fn filter_cache_flush_is_total_and_committed_bit_is_monotonic() {
         let mut filter = FilterCache::new(&CacheConfig::new(2048, 4, 1, 4), 64);
         for (i, line) in lines.iter().enumerate() {
             let addr = LineAddr::new(*line);
-            filter.insert_speculative(
-                addr,
-                VirtAddr::new(line * 64),
-                memsys::ServiceLevel::Dram,
-                false,
-                Cycle::new(i as u64),
-            );
+            filter.insert_speculative(addr, false, Cycle::new(i as u64));
             // Newly inserted speculative lines are uncommitted.
             assert!(!filter.is_committed(addr));
             if i % 3 == 0 {
