@@ -5,10 +5,9 @@
 //! level or training the prefetcher, and the line is installed by an ordinary
 //! fetch if and when the instruction commits (when it is known correct-path).
 
-use std::collections::HashSet;
-
 use simkit::addr::LineAddr;
 use simkit::cycles::Cycle;
+use simkit::fastmap::FastSet;
 
 use memsys::types::{AccessKind, AccessRequest, FillLevel};
 use memsys::Platform;
@@ -16,13 +15,13 @@ use memsys::Platform;
 /// Per-core lines fetched invisibly and not yet committed.
 #[derive(Debug)]
 pub(crate) struct DeferredFetches {
-    lines: Vec<HashSet<LineAddr>>,
+    lines: Vec<FastSet<LineAddr>>,
 }
 
 impl DeferredFetches {
     pub(crate) fn new(cores: usize) -> Self {
         DeferredFetches {
-            lines: (0..cores).map(|_| HashSet::new()).collect(),
+            lines: (0..cores).map(|_| FastSet::default()).collect(),
         }
     }
 

@@ -22,11 +22,10 @@
 //!   re-access latency is paid at the head of the ROB, matching the
 //!   substantially larger slowdowns the paper reports for this variant.
 
-use std::collections::HashMap;
-
 use simkit::addr::LineAddr;
 use simkit::config::SystemConfig;
 use simkit::cycles::Cycle;
+use simkit::fastmap::FastMap;
 use simkit::stats::StatSet;
 
 use memsys::tlb::PageTable;
@@ -55,7 +54,7 @@ const VALIDATION_LATENCY: u64 = 3;
 /// hitting before the data exists).
 #[derive(Debug, Default)]
 struct CoreBuffer {
-    lines: HashMap<LineAddr, Cycle>,
+    lines: FastMap<LineAddr, Cycle>,
 }
 
 simkit::counters! {

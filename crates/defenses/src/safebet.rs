@@ -25,11 +25,10 @@
 //! attacks probe (coarser regions would let an in-bounds access whitelist the
 //! secret-dependent line next to it).
 
-use std::collections::HashMap;
-
 use simkit::addr::{PhysAddr, VirtAddr};
 use simkit::config::SystemConfig;
 use simkit::cycles::Cycle;
+use simkit::fastmap::FastMap;
 use simkit::stats::StatSet;
 
 use memsys::tlb::PageTable;
@@ -53,7 +52,7 @@ fn region(pa: PhysAddr) -> u64 {
 /// with lazy pruning (amortised O(1) per access).
 #[derive(Debug, Default)]
 struct Saw {
-    last_seen: HashMap<u64, u64>,
+    last_seen: FastMap<u64, u64>,
     seq: u64,
 }
 

@@ -88,13 +88,6 @@ impl StridePrefetcher {
             PrefetchCandidates::empty()
         }
     }
-
-    /// Forgets all training state (e.g. across a full system reset).
-    pub fn reset(&mut self) {
-        for e in &mut self.table {
-            *e = StrideEntry::default();
-        }
-    }
 }
 
 /// The prefetch candidates one [`StridePrefetcher::train`] call produced:
@@ -204,16 +197,6 @@ mod tests {
         }
         assert_eq!(out_a, vec![LineAddr::new(12)]);
         assert_eq!(out_b, vec![LineAddr::new(1030)]);
-    }
-
-    #[test]
-    fn reset_clears_training() {
-        let mut p = StridePrefetcher::new(1);
-        for i in 0..5u64 {
-            p.train(0x10, LineAddr::new(i));
-        }
-        p.reset();
-        assert!(p.train(0x10, LineAddr::new(5)).is_empty());
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl OooCore {
         // An atomic joins the ready set when the head reaches it: with every
         // older entry committed, its operands are ready.
         if let Some(head) = self.rob.front() {
-            let slot = self.slot(head.seq);
+            let slot = self.rob.slot(head.seq);
             if self.atomic_bits.get(slot) && matches!(head.status, Status::Waiting) {
                 debug_assert_eq!(self.pending_srcs[slot], 0);
                 self.ready_bits.set(slot);
@@ -58,7 +58,7 @@ impl OooCore {
         // A finished entry was woken by every producer, woke its own waiters
         // when it turned Done (or, for a store, when it got its address) and
         // left every candidate set when it issued.
-        let slot = self.slot(entry.seq);
+        let slot = self.rob.slot(entry.seq);
         debug_assert!(self.operand_waiters.is_empty(slot) && self.store_waiters.is_empty(slot));
         debug_assert!(!self.waiting_bits.get(slot) && !self.retry_bits.get(slot));
         if entry.is_load() {

@@ -27,10 +27,7 @@ impl OooCore {
     /// an entry that is genuinely due; the entry's own ticket then pops as a
     /// harmless duplicate.)
     fn ticket_live(&self, at: Cycle, seq: u64) -> bool {
-        let head = self.head_seq();
-        seq >= head
-            && seq - head < self.rob.len() as u64
-            && self.rob[(seq - head) as usize].status == Status::Executing(at)
+        self.rob.contains(seq) && self.rob[seq].status == Status::Executing(at)
     }
 
     /// Moves finished executions to `Done`, oldest first, resolving branches.
@@ -50,34 +47,35 @@ impl OooCore {
         // the *oldest* mispredicted branch must be the one that squashes.
         due.sort_unstable();
         due.dedup();
-        let head = self.head_seq();
-        let mut squash_after: Option<(usize, usize)> = None; // (rob index, redirect pc)
+        let head = self.rob.head();
+        let mut squash_after: Option<(u64, usize)> = None; // (seq, redirect pc)
         for &seq in due.iter() {
-            let idx = (seq - head) as usize;
-            self.rob[idx].status = Status::Done;
+            self.rob[seq].status = Status::Done;
             self.wake_consumers(seq);
-            if idx == self.done_prefix {
+            if seq == head + self.done_prefix as u64 {
                 // Extend the done prefix over this entry and any previously
                 // finished entries it unblocks.
                 self.done_prefix += 1;
-                while self.done_prefix < self.rob.len() && self.rob[self.done_prefix].is_done() {
+                while self.done_prefix < self.rob.len()
+                    && self.rob[head + self.done_prefix as u64].is_done()
+                {
                     self.done_prefix += 1;
                 }
             }
-            if self.rob[idx].is_branch() {
-                let (mispredicted, redirect) = self.resolve_branch(idx);
+            if self.rob[seq].is_branch() {
+                let (mispredicted, redirect) = self.resolve_branch(seq);
                 if mispredicted {
                     // Younger due entries stay `Executing`; the squash below
                     // removes them.
-                    squash_after = Some((idx, redirect));
+                    squash_after = Some((seq, redirect));
                     break;
                 }
             }
         }
         let transitions = !due.is_empty();
         self.due_scratch = due;
-        if let Some((idx, redirect)) = squash_after {
-            self.squash_younger_than(idx, redirect, now, mem);
+        if let Some((seq, redirect)) = squash_after {
+            self.squash_younger_than(seq, redirect, now, mem);
         }
         while let Some((at, seq)) = self.completion_q.peek() {
             if self.ticket_live(at, seq) {
@@ -95,7 +93,7 @@ impl OooCore {
     /// An atomic is left for the commit stage to wake: its producer is
     /// older and still in the ROB, so the atomic is not the head.
     fn wake_consumers(&mut self, seq: u64) {
-        let slot = self.slot(seq);
+        let slot = self.rob.slot(seq);
         let pending = &mut self.pending_srcs;
         let ready = &mut self.ready_bits;
         let atomic = &self.atomic_bits;
@@ -108,10 +106,10 @@ impl OooCore {
         });
     }
 
-    /// Resolves the control-flow instruction at ROB index `idx`. Returns
-    /// whether it was mispredicted and the correct next instruction index.
-    fn resolve_branch(&mut self, idx: usize) -> (bool, usize) {
-        let entry = &self.rob[idx];
+    /// Resolves the control-flow instruction `seq`. Returns whether it was
+    /// mispredicted and the correct next instruction index.
+    fn resolve_branch(&mut self, seq: u64) -> (bool, usize) {
+        let entry = &self.rob[seq];
         let actual_next = entry.actual_next;
         let mispredicted = actual_next != entry.predicted_next;
         let conditional = matches!(entry.inst.class(), InstClass::Branch);
@@ -132,17 +130,17 @@ impl OooCore {
         (mispredicted, actual_next)
     }
 
-    /// Squashes every ROB entry younger than index `idx` and redirects fetch.
+    /// Squashes every ROB entry younger than `seq` and redirects fetch.
     fn squash_younger_than(
         &mut self,
-        idx: usize,
+        seq: u64,
         redirect: usize,
         now: Cycle,
         mem: &mut dyn MemoryModel,
     ) {
-        let removed = self.rob.len().saturating_sub(idx + 1);
-        if removed > 0 {
-            for e in self.rob.iter().skip(idx + 1) {
+        let end = seq + 1;
+        if end < self.rob.tail() {
+            for e in self.rob.range(end) {
                 self.stats.squashed += 1;
                 if e.is_load() && !matches!(e.status, Status::Waiting) {
                     self.stats.squashed_loads += 1;
@@ -155,7 +153,7 @@ impl OooCore {
                 // eagerly — the slots are reused by the corrected path. A
                 // removed entry's own lists hold only younger (also removed)
                 // waiters, so unlinking every removed node empties them too.
-                let slot = (e.seq & self.slot_mask) as usize;
+                let slot = self.rob.slot(e.seq);
                 match e.status {
                     Status::Waiting => {
                         self.waiting_count -= 1;
@@ -172,22 +170,19 @@ impl OooCore {
                 self.operand_waiters.unlink(2 * slot + 1);
                 self.store_waiters.unlink(slot);
             }
-            self.rob.truncate(idx + 1);
-            self.done_prefix = self.done_prefix.min(idx + 1);
-            let max_kept_seq = self.head_seq() + idx as u64;
-            // Reclaim the squashed sequence numbers so `rob[i].seq ==
-            // head_seq + i` stays true for entries dispatched down the
-            // corrected path (the O(1) producer links depend on it).
-            self.next_seq = max_kept_seq + 1;
-            while self.store_seqs.back().is_some_and(|&s| s > max_kept_seq) {
+            // The corrected path reuses the squashed sequence numbers, so the
+            // ROB stays contiguous in them.
+            self.rob.truncate(end);
+            self.done_prefix = self.done_prefix.min(self.rob.len());
+            while self.store_seqs.back().is_some_and(|&s| s > seq) {
                 self.store_seqs.pop_back();
             }
-            while self.branch_seqs.back().is_some_and(|&s| s > max_kept_seq) {
+            while self.branch_seqs.back().is_some_and(|&s| s > seq) {
                 self.branch_seqs.pop_back();
             }
             // Roll the scoreboard back to the youngest surviving producers.
             self.reg_producer = [NO_PRODUCER; NUM_REGS];
-            for e in &self.rob {
+            for e in self.rob.iter() {
                 if let Some(dest) = e.inst.dest() {
                     self.reg_producer[dest.index()] = e.seq;
                 }

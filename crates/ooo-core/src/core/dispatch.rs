@@ -29,7 +29,7 @@ impl OooCore {
     pub(super) fn dispatch(&mut self, inst: Instruction, pc: usize, predicted_next: usize) {
         // Capture the producer links from the scoreboard, then claim the
         // destination register for this entry.
-        let seq = self.next_seq;
+        let seq = self.rob.tail();
         let (src_regs, num_sources) = inst.source_regs();
         let mut src_producers = [NO_PRODUCER; 2];
         for slot in 0..num_sources {
@@ -62,8 +62,7 @@ impl OooCore {
         if entry.is_branch() {
             self.branch_seqs.push_back(seq);
         }
-        self.next_seq += 1;
-        self.rob.push_back(entry);
+        self.rob.push(entry);
         self.waiting_count += 1;
     }
 
@@ -74,17 +73,15 @@ impl OooCore {
     /// producer in flight); otherwise the commit stage wakes it when the
     /// head reaches it.
     fn dispatch_wakeup(&mut self, seq: u64, inst: &Instruction, src_producers: [u64; 2]) {
-        let slot = self.slot(seq);
+        let slot = self.rob.slot(seq);
         debug_assert!(self.operand_waiters.is_empty(slot) && self.store_waiters.is_empty(slot));
-        let head = self.head_seq();
         let mut pending = 0u8;
         for (src, &producer) in src_producers.iter().enumerate() {
             if producer == NO_PRODUCER {
                 continue;
             }
-            debug_assert!(producer >= head, "scoreboard names a departed producer");
-            if !self.rob[(producer - head) as usize].is_done() {
-                let list = self.slot(producer);
+            if !self.rob[producer].is_done() {
+                let list = self.rob.slot(producer);
                 self.operand_waiters.link(list, 2 * slot + src);
                 pending += 1;
             }

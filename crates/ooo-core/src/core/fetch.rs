@@ -50,7 +50,7 @@ impl OooCore {
             let fetch_addr = thread.program.inst_addr(self.fetch_pc);
             let fetch_line = fetch_addr.raw() / line_bytes;
             if self.last_fetch_line != Some(fetch_line) {
-                let under_unresolved_branch = self.has_older_unresolved_branch(self.rob.len());
+                let under_unresolved_branch = self.has_older_unresolved_branch(self.rob.tail());
                 let ctx = MemAccessCtx {
                     speculative: !self.rob.is_empty(),
                     under_unresolved_branch,

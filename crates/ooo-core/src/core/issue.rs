@@ -20,15 +20,13 @@
 //! it lies in the window, skipping the operand gather and the store-queue
 //! walk.
 
-use std::collections::VecDeque;
-
 use simkit::addr::VirtAddr;
 use simkit::cycles::Cycle;
 
 use uarch_isa::inst::{eval_alu, eval_branch, eval_fpu, InstClass, Instruction, MemWidth};
 use uarch_isa::reg::Reg;
 
-use super::{OooCore, RobEntry, Status, NO_PRODUCER};
+use super::{OooCore, Rob, Status};
 use crate::memmodel::{MemAccessCtx, MemOutcome, MemoryModel};
 use crate::wakeup::select;
 
@@ -54,8 +52,7 @@ impl OooCore {
         }
         #[cfg(any(test, debug_assertions))]
         let expected_end = self.window_end_by_rob_walk();
-        let head = self.head_seq();
-        let tail = head + self.rob.len() as u64;
+        let (head, tail) = (self.rob.head(), self.rob.tail());
         let mut left = self.window_budget();
         let width = self.pipeline.width;
         let mut issued = 0usize;
@@ -92,8 +89,7 @@ impl OooCore {
                 let seq = chunk + u64::from(bit - first_bit);
                 #[cfg(any(test, debug_assertions))]
                 assert!(seq < expected_end, "{seq} is past the issue window");
-                let idx = (seq - head) as usize;
-                let slot = self.slot(seq);
+                let slot = self.rob.slot(seq);
 
                 if self.retry_bits.get(slot) {
                     // A parked memory access: the memory model re-evaluates
@@ -103,12 +99,12 @@ impl OooCore {
                     // quiescent.
                     issued += 1;
                     mem_ports_used += 1;
-                    self.poll(idx, now, mem);
+                    self.poll(seq, now, mem);
                     continue;
                 }
 
                 // Functional unit availability.
-                let class = self.rob[idx].inst.class();
+                let class = self.rob[seq].inst.class();
                 let fu_ok = match class {
                     InstClass::IntAlu
                     | InstClass::Branch
@@ -127,12 +123,12 @@ impl OooCore {
                 if !fu_ok {
                     continue;
                 }
-                if self.try_issue_at(idx, now, mem) {
+                if self.try_issue_at(seq, now, mem) {
                     issued += 1;
                     self.waiting_count -= 1;
                     self.waiting_bits.clear(slot);
                     self.ready_bits.clear(slot);
-                    if self.rob[idx].is_parked() {
+                    if self.rob[seq].is_parked() {
                         // The memory model refused the access: it left
                         // Waiting but remains a candidate.
                         self.retry_bits.set(slot);
@@ -160,9 +156,9 @@ impl OooCore {
     /// bits of `from..to` that lie in it (a run ends at the word's end and at
     /// the ring's wrap) and the length of that run.
     fn word_run(&self, from: u64, to: u64) -> (usize, u64, u64) {
-        let first_slot = self.slot(from);
+        let first_slot = self.rob.slot(from);
         let (w, first_bit) = (first_slot / 64, first_slot % 64);
-        let ring_left = (self.slot_mask + 1) as usize - first_slot;
+        let ring_left = self.rob.slots() - first_slot;
         let run = (64 - first_bit).min(ring_left).min((to - from) as usize);
         (w, (u64::MAX >> (64 - run)) << first_bit, run as u64)
     }
@@ -213,8 +209,7 @@ impl OooCore {
         if self.ready_bits.is_empty() {
             return false;
         }
-        let head = self.head_seq();
-        let tail = head + self.rob.len() as u64;
+        let (head, tail) = (self.rob.head(), self.rob.tail());
         let mut left = self.window_budget();
         let mut chunk = head;
         while chunk < tail {
@@ -238,7 +233,7 @@ impl OooCore {
     /// computed its address. They are tried again — this same cycle, if the
     /// issue stage has not passed them yet.
     fn wake_loads(&mut self, seq: u64) {
-        let slot = self.slot(seq);
+        let slot = self.rob.slot(seq);
         let ready = &mut self.ready_bits;
         self.store_waiters.drain(slot, |load| ready.set(load));
     }
@@ -247,7 +242,7 @@ impl OooCore {
     /// whose address is still unknown: the load leaves the ready set until
     /// the store wakes it.
     fn park_behind_store(&mut self, load_seq: u64, store_seq: u64) {
-        let (load, store) = (self.slot(load_seq), self.slot(store_seq));
+        let (load, store) = (self.rob.slot(load_seq), self.rob.slot(store_seq));
         self.ready_bits.clear(load);
         self.store_waiters.link(store, load);
     }
@@ -260,8 +255,8 @@ impl OooCore {
         if reg.is_zero() {
             return Some(0);
         }
-        if producer_seq != NO_PRODUCER && producer_seq >= self.head_seq() {
-            let producer = &self.rob[(producer_seq - self.head_seq()) as usize];
+        if self.rob.contains(producer_seq) {
+            let producer = &self.rob[producer_seq];
             debug_assert_eq!(producer.inst.dest(), Some(reg));
             // Execute-at-issue: results exist as soon as the producer starts
             // executing, but consumers model the dependency latency by
@@ -276,29 +271,30 @@ impl OooCore {
         Some(thread.regs.read(reg))
     }
 
-    /// Attempts to execute the entry at ROB index `idx`. Returns whether it
-    /// started (or completed) execution this cycle.
-    fn try_issue_at(&mut self, idx: usize, now: Cycle, mem: &mut dyn MemoryModel) -> bool {
-        let inst = self.rob[idx].inst;
+    /// Attempts to execute entry `seq`. Returns whether it started (or
+    /// completed) execution this cycle.
+    fn try_issue_at(&mut self, seq: u64, now: Cycle, mem: &mut dyn MemoryModel) -> bool {
+        let inst = self.rob[seq].inst;
+        let head = self.rob.head();
         let class = inst.class();
 
         // Serialising instructions and atomics execute only at the ROB head:
         // one past the head ends the issue window, and an atomic is ready
         // only at the head.
         debug_assert!(
-            idx == 0 || !(inst.is_serialising() || matches!(class, InstClass::Atomic)),
+            seq == head || !(inst.is_serialising() || matches!(class, InstClass::Atomic)),
             "a head-only instruction visited past the head"
         );
         // A cycle-counter read waits until every older instruction has
         // finished so it observes an accurate time (like lfence; rdtsc). The
         // done-prefix counter answers "are all older entries done?" in O(1).
-        if matches!(inst, Instruction::ReadCycle { .. }) && self.done_prefix < idx {
+        if matches!(inst, Instruction::ReadCycle { .. }) && head + (self.done_prefix as u64) < seq {
             return false;
         }
 
         // Gather operand values through the dispatch-time producer links.
         let (src_regs, num_sources) = inst.source_regs();
-        let links = self.rob[idx].src_producers;
+        let links = self.rob[seq].src_producers;
         let mut operands = [0u64; 2];
         for slot in 0..num_sources {
             match self.operand_value(src_regs[slot], links[slot]) {
@@ -310,25 +306,24 @@ impl OooCore {
 
         match class {
             InstClass::Load | InstClass::Store | InstClass::Atomic => {
-                self.issue_memory(idx, now, mem, operands)
+                self.issue_memory(seq, now, mem, operands)
             }
             _ => {
-                self.issue_non_memory(idx, now, operands);
+                self.issue_non_memory(seq, now, operands);
                 true
             }
         }
     }
 
-    /// Starts entry `idx` executing until `done_at` and queues its
+    /// Starts entry `seq` executing until `done_at` and queues its
     /// completion ticket.
-    fn execute_until(&mut self, idx: usize, done_at: Cycle) {
-        let entry = &mut self.rob[idx];
-        entry.status = Status::Executing(done_at);
-        self.completion_q.push(done_at, entry.seq);
+    fn execute_until(&mut self, seq: u64, done_at: Cycle) {
+        self.rob[seq].status = Status::Executing(done_at);
+        self.completion_q.push(done_at, seq);
     }
 
-    fn issue_non_memory(&mut self, idx: usize, now: Cycle, operands: &[u64]) {
-        let entry = &mut self.rob[idx];
+    fn issue_non_memory(&mut self, seq: u64, now: Cycle, operands: &[u64]) {
+        let entry = &mut self.rob[seq];
         let latency = entry.inst.exec_latency();
         let mut result = None;
         let mut actual_next = entry.pc + 1;
@@ -357,17 +352,17 @@ impl OooCore {
         }
         entry.result = result;
         entry.actual_next = actual_next;
-        self.execute_until(idx, now.saturating_add(latency));
+        self.execute_until(seq, now.saturating_add(latency));
     }
 
     fn issue_memory(
         &mut self,
-        idx: usize,
+        seq: u64,
         now: Cycle,
         mem: &mut dyn MemoryModel,
         operands: &[u64],
     ) -> bool {
-        let inst = self.rob[idx].inst;
+        let inst = self.rob[seq].inst;
         // Compute the effective address and (for stores) the data value.
         let (addr, data) = match inst {
             Instruction::Load { offset, .. } => {
@@ -387,95 +382,96 @@ impl OooCore {
         // whose address is unknown; if an older store to the same address has
         // its data, forward it.
         let mut forwarded_value = None;
-        if self.rob[idx].is_load() {
-            if let Some(store_seq) = self.conflicting_older_store(idx, addr) {
-                let store = &self.rob[(store_seq - self.head_seq()) as usize];
+        if self.rob[seq].is_load() {
+            if let Some(store_seq) = self.conflicting_older_store(seq, addr) {
+                let store = &self.rob[store_seq];
                 if store.mem_addr.is_none() {
                     // Unknown older store address: wait until that store
                     // computes it.
-                    self.park_behind_store(self.rob[idx].seq, store_seq);
+                    self.park_behind_store(seq, store_seq);
                     return false;
                 }
                 forwarded_value = store.store_data;
             }
         }
 
-        if self.rob[idx].is_store() {
+        if self.rob[seq].is_store() {
             // The address is known from here on.
-            self.wake_loads(self.rob[idx].seq);
+            self.wake_loads(seq);
         }
-        let entry = &mut self.rob[idx];
+        let entry = &mut self.rob[seq];
         entry.mem_addr = Some(addr);
         entry.store_data = data;
-        self.access_memory(idx, now, mem, forwarded_value);
+        self.access_memory(seq, now, mem, forwarded_value);
         true
     }
 
-    /// The youngest in-flight store older than entry `idx` that a load from
+    /// The youngest in-flight store older than entry `seq` that a load from
     /// `addr` must respect: one whose address is still unknown (the load
     /// waits for it) or one to `addr` (the load forwards from it). Only the
     /// in-flight stores are walked, youngest first, not every older entry.
-    fn conflicting_older_store(&self, idx: usize, addr: VirtAddr) -> Option<u64> {
-        let head = self.head_seq();
-        let older = self.store_seqs.partition_point(|&s| s < self.rob[idx].seq);
+    fn conflicting_older_store(&self, seq: u64, addr: VirtAddr) -> Option<u64> {
+        let older = self.store_seqs.partition_point(|&s| s < seq);
         self.store_seqs
             .range(..older)
             .rev()
             .copied()
             .find(|&store_seq| {
-                let store = &self.rob[(store_seq - head) as usize];
+                let store = &self.rob[store_seq];
                 debug_assert!(store.is_store());
                 store.mem_addr.is_none_or(|a| a == addr)
             })
     }
 
-    /// Re-polls the memory model for the parked load (or head atomic) at ROB
-    /// index `idx`; an access the model accepts leaves the retry set. A
+    /// Re-polls the memory model for the parked load (or head atomic)
+    /// `seq`; an access the model accepts leaves the retry set. A
     /// parked load passed disambiguation
     /// (every older store had a known, different address) and older stores
     /// can only commit since, so the poll starts from the stored address;
     /// speculation, branch and taint state are recomputed by
     /// [`access_memory`](Self::access_memory).
-    fn poll(&mut self, idx: usize, now: Cycle, mem: &mut dyn MemoryModel) {
-        let addr = self.rob[idx]
+    fn poll(&mut self, seq: u64, now: Cycle, mem: &mut dyn MemoryModel) {
+        let addr = self.rob[seq]
             .mem_addr
             .expect("a parked access has its address");
         debug_assert!(
-            self.conflicting_older_store(idx, addr).is_none(),
+            self.conflicting_older_store(seq, addr).is_none(),
             "a parked access gained an older conflicting store"
         );
-        debug_assert!(idx == 0 || matches!(self.rob[idx].inst.class(), InstClass::Load));
-        self.access_memory(idx, now, mem, None);
-        if !self.rob[idx].is_parked() {
-            let slot = self.slot(self.rob[idx].seq);
+        debug_assert!(
+            seq == self.rob.head() || matches!(self.rob[seq].inst.class(), InstClass::Load)
+        );
+        self.access_memory(seq, now, mem, None);
+        if !self.rob[seq].is_parked() {
+            let slot = self.rob.slot(seq);
             self.retry_bits.clear(slot);
             self.retry_count -= 1;
         }
     }
 
-    /// Issues the memory side of the operation at ROB index `idx`, whose
-    /// address and store data are recorded: a store notifies the memory
+    /// Issues the memory side of the operation `seq`, whose address and
+    /// store data are recorded: a store notifies the memory
     /// model; a load completes from `forwarded` or through the memory model,
     /// which may park it.
     fn access_memory(
         &mut self,
-        idx: usize,
+        seq: u64,
         now: Cycle,
         mem: &mut dyn MemoryModel,
         forwarded: Option<u64>,
     ) {
-        let entry = &self.rob[idx];
+        let entry = &self.rob[seq];
         let (inst, pc) = (entry.inst, entry.pc);
         let addr = entry.mem_addr.expect("memory op has an address");
         let (data, is_store) = (entry.store_data, entry.is_store());
-        let under_unresolved_branch = self.has_older_unresolved_branch(idx);
+        let under_unresolved_branch = self.has_older_unresolved_branch(seq);
         let (addr_tainted_spectre, addr_tainted_future) = if mem.needs_taint_tracking() {
-            self.address_taint(idx)
+            self.address_taint(seq)
         } else {
             (false, false)
         };
         let ctx = MemAccessCtx {
-            speculative: idx != 0,
+            speculative: seq != self.rob.head(),
             under_unresolved_branch,
             addr_tainted_spectre,
             addr_tainted_future,
@@ -486,14 +482,14 @@ impl OooCore {
             // Stores execute (compute address/data) without touching the
             // cache; the write happens at commit. Tell the memory model so it
             // can prefetch the line in shared state if it wants.
-            self.execute_until(idx, now.saturating_add(1));
+            self.execute_until(seq, now.saturating_add(1));
             mem.store_address_ready(&ctx);
             return;
         }
         if let Some(value) = forwarded {
             // Store-to-load forwarding: 1-cycle, no cache access.
-            self.rob[idx].result = Some(value);
-            self.execute_until(idx, now.saturating_add(1));
+            self.rob[seq].result = Some(value);
+            self.execute_until(seq, now.saturating_add(1));
             return;
         }
         match mem.load(&ctx) {
@@ -514,19 +510,19 @@ impl OooCore {
                         _ => unreachable!(),
                     };
                     memory.borrow_mut().write(addr, new_value, MemWidth::Double);
-                    self.rob[idx].store_data = Some(new_value);
+                    self.rob[seq].store_data = Some(new_value);
                 }
-                self.rob[idx].result = Some(loaded);
-                self.execute_until(idx, now.saturating_add(latency.max(1)));
+                self.rob[seq].result = Some(loaded);
+                self.execute_until(seq, now.saturating_add(latency.max(1)));
             }
             MemOutcome::RetryWhenNonSpeculative => {
                 self.stats.mem_retries += 1;
-                self.rob[idx].status = Status::Parked;
+                self.rob[seq].status = Status::Parked;
             }
         }
     }
 
-    /// Computes the taint of entry `idx`'s address operands for speculative
+    /// Computes the taint of entry `seq`'s address operands for speculative
     /// taint tracking (STT): whether any value feeding the address was
     /// produced by an in-flight load that is still "unsafe".
     ///
@@ -541,38 +537,38 @@ impl OooCore {
     ///
     /// The walk follows the dispatch-time producer links, so no register scan
     /// is needed; the work list and visited set are reusable scratch buffers.
-    fn address_taint(&mut self, idx: usize) -> (bool, bool) {
+    fn address_taint(&mut self, seq: u64) -> (bool, bool) {
         let mut spectre = false;
         let mut future = false;
-        let head = self.head_seq();
+        let head = self.rob.head();
         let mut worklist = std::mem::take(&mut self.taint_stack);
         let mut visited = std::mem::take(&mut self.taint_visited);
         worklist.clear();
         visited.clear();
-        visited.resize(idx, false);
+        visited.resize((seq - head) as usize, false);
 
-        let push_links = |rob: &VecDeque<RobEntry>, at: usize, worklist: &mut Vec<usize>| {
+        let push_links = |rob: &Rob, at: u64, worklist: &mut Vec<u64>| {
             let (src_regs, num_sources) = rob[at].inst.source_regs();
             let links = rob[at].src_producers;
             for slot in 0..num_sources {
-                if src_regs[slot].is_zero() || links[slot] == NO_PRODUCER || links[slot] < head {
-                    continue;
+                if !src_regs[slot].is_zero() && rob.contains(links[slot]) {
+                    worklist.push(links[slot]);
                 }
-                worklist.push((links[slot] - head) as usize);
             }
         };
-        push_links(&self.rob, idx, &mut worklist);
+        push_links(&self.rob, seq, &mut worklist);
 
         while let Some(producer) = worklist.pop() {
-            if visited[producer] {
+            let offset = (producer - head) as usize;
+            if visited[offset] {
                 continue;
             }
-            visited[producer] = true;
+            visited[offset] = true;
             if self.rob[producer].is_load() {
                 if self.has_older_unresolved_branch(producer) {
                     spectre = true;
                 }
-                if producer > 0 {
+                if producer != head {
                     future = true;
                 }
             }
@@ -587,25 +583,19 @@ impl OooCore {
         (spectre, future)
     }
 
-    /// Whether any conditional branch older than ROB index `idx` has not yet
-    /// resolved (finished executing). Answered from the ordered queue of
+    /// Whether any control-flow instruction older than sequence number `seq`
+    /// has not yet resolved (finished executing). Answered from the ordered queue of
     /// unresolved control-flow sequence numbers: resolved or departed fronts
     /// are lazily popped, after which the front *is* the oldest unresolved
     /// branch.
-    pub(super) fn has_older_unresolved_branch(&mut self, idx: usize) -> bool {
-        let head = self.head_seq();
-        while let Some(&seq) = self.branch_seqs.front() {
-            if seq < head {
-                // Committed (branches commit only once resolved).
+    pub(super) fn has_older_unresolved_branch(&mut self, seq: u64) -> bool {
+        while let Some(&branch) = self.branch_seqs.front() {
+            // A departed branch committed, so it had resolved.
+            if !self.rob.contains(branch) || self.rob[branch].is_done() {
                 self.branch_seqs.pop_front();
                 continue;
             }
-            let entry = &self.rob[(seq - head) as usize];
-            if entry.is_done() {
-                self.branch_seqs.pop_front();
-                continue;
-            }
-            return seq < head + idx as u64;
+            return branch < seq;
         }
         false
     }

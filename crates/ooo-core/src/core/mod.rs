@@ -17,9 +17,11 @@
 //! `issue`, then `fetch`, which hands each fetched instruction to `dispatch`.
 //! Each module documents the incremental structures its stage keeps so that
 //! it costs O(work done) rather than O(ROB), allocation-free (see
-//! ARCHITECTURE.md § "The hot path"). `sleep` decides when the driving loop
-//! may skip ticks that provably do nothing, and `oracle` (test and debug
-//! builds only) re-derives the issue stage's incremental state from the ROB.
+//! ARCHITECTURE.md § "The hot path"). `rob` holds the reorder buffer on the
+//! slot ring that the wakeup/select state shares. `sleep` decides when the
+//! driving loop may skip ticks that provably do nothing, and `oracle` (test
+//! and debug builds only) re-derives the issue stage's incremental state
+//! from the ROB.
 
 use std::collections::VecDeque;
 
@@ -37,6 +39,7 @@ use crate::context::ThreadContext;
 use crate::events::CoreEvent;
 use crate::memmodel::{MemAccessCtx, MemoryModel};
 use crate::wakeup::{SlotBits, WaitLists};
+use rob::Rob;
 
 mod commit;
 mod complete;
@@ -45,6 +48,7 @@ mod fetch;
 mod issue;
 #[cfg(any(test, debug_assertions))]
 mod oracle;
+mod rob;
 mod sleep;
 #[cfg(test)]
 mod tests;
@@ -67,7 +71,7 @@ enum Status {
 }
 
 /// One reorder-buffer entry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct RobEntry {
     seq: u64,
     pc: usize,
@@ -165,8 +169,8 @@ pub struct OooCore {
     core_id: usize,
     pipeline: PipelineConfig,
     predictor: BranchPredictor,
-    rob: VecDeque<RobEntry>,
-    next_seq: u64,
+    /// The reorder buffer, on the slot ring (see the `rob` module).
+    rob: Rob,
     thread: Option<ThreadContext>,
     /// Speculative fetch program counter (instruction index).
     fetch_pc: usize,
@@ -219,10 +223,6 @@ pub struct OooCore {
     due_scratch: Vec<u64>,
 
     // --- wakeup/select (see the `wakeup` module) ------------------------
-    /// `slots - 1`, where `slots` is the size of the slot ring:
-    /// `rob_entries` rounded up to a power of two. An entry's slot is
-    /// `seq & slot_mask`.
-    slot_mask: u64,
     /// Slots holding a `Status::Waiting` entry.
     waiting_bits: SlotBits,
     /// Waiting slots whose operands are all available, that are not parked
@@ -251,7 +251,7 @@ pub struct OooCore {
     /// load slot. Drained when the store computes its address.
     store_waiters: WaitLists,
     // Reusable scratch for the taint walk (STT support) — allocated once.
-    taint_stack: Vec<usize>,
+    taint_stack: Vec<u64>,
     taint_visited: Vec<bool>,
 }
 
@@ -264,8 +264,7 @@ impl OooCore {
             core_id,
             pipeline: config.pipeline,
             predictor: BranchPredictor::new(&config.branch_predictor),
-            rob: VecDeque::with_capacity(config.pipeline.rob_entries),
-            next_seq: 0,
+            rob: Rob::new(slots),
             thread: None,
             fetch_pc: 0,
             fetch_stalled_until: Cycle::ZERO,
@@ -284,7 +283,6 @@ impl OooCore {
             waiting_count: 0,
             retry_count: 0,
             due_scratch: Vec::new(),
-            slot_mask: slots as u64 - 1,
             waiting_bits: SlotBits::new(slots),
             ready_bits: SlotBits::new(slots),
             retry_bits: SlotBits::new(slots),
@@ -317,19 +315,6 @@ impl OooCore {
     /// context switches when that mitigation is enabled).
     pub fn predictor_mut(&mut self) -> &mut BranchPredictor {
         &mut self.predictor
-    }
-
-    /// The sequence number of the ROB head (or of the next dispatch when the
-    /// ROB is empty). `rob[i].seq == head_seq() + i` always holds: dispatch
-    /// appends consecutive numbers, commit pops the front, squash truncates a
-    /// suffix — the ROB is contiguous in sequence numbers.
-    fn head_seq(&self) -> u64 {
-        self.rob.front().map_or(self.next_seq, |e| e.seq)
-    }
-
-    /// ROB slot of sequence number `seq`.
-    fn slot(&self, seq: u64) -> usize {
-        (seq & self.slot_mask) as usize
     }
 
     fn pc_addr(&self, pc: usize) -> VirtAddr {

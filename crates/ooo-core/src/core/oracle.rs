@@ -7,7 +7,7 @@
 
 use uarch_isa::inst::InstClass;
 
-use super::{OooCore, Status, NO_PRODUCER};
+use super::{OooCore, Status};
 
 impl OooCore {
     /// Where the issue stage must stop, recomputed with a plain ROB walk:
@@ -27,7 +27,7 @@ impl OooCore {
                 waiting += 1;
             }
         }
-        self.head_seq() + self.rob.len() as u64
+        self.rob.tail()
     }
 
     /// Recomputes issue readiness from the ROB and checks the wakeup/select
@@ -41,13 +41,13 @@ impl OooCore {
     /// by population counts), which is what makes a squash followed by
     /// sequence-number reuse safe.
     pub(super) fn check_wakeup_state(&self) {
-        let head = self.head_seq();
+        let head = self.rob.head();
         let mut unknown_store_older = false;
         let (mut waiting, mut ready_count, mut parked) = (0, 0, 0);
         let (mut operand_links, mut store_links) = (0, 0);
         for (idx, e) in self.rob.iter().enumerate() {
             let seq = e.seq;
-            let slot = self.slot(seq);
+            let slot = self.rob.slot(seq);
             let is_waiting = matches!(e.status, Status::Waiting);
             let ready = self.ready_bits.get(slot);
             let is_parked = e.is_parked();
@@ -67,12 +67,9 @@ impl OooCore {
                 let mut unfinished = 0;
                 for (src, &producer) in e.src_producers.iter().enumerate() {
                     let node = 2 * slot + src;
-                    if producer != NO_PRODUCER
-                        && producer >= head
-                        && !self.rob[(producer - head) as usize].is_done()
-                    {
+                    if self.rob.contains(producer) && !self.rob[producer].is_done() {
                         unfinished += 1;
-                        let list = self.slot(producer);
+                        let list = self.rob.slot(producer);
                         assert_eq!(
                             self.operand_waiters.owner(node),
                             Some(list),
@@ -100,9 +97,9 @@ impl OooCore {
                 );
                 if let Some(store_slot) = self.store_waiters.owner(slot) {
                     store_links += 1;
-                    let offset = (store_slot as u64).wrapping_sub(head) & self.slot_mask;
-                    assert!(offset < idx as u64, "{seq} waits behind a younger slot");
-                    let store = &self.rob[offset as usize];
+                    let offset = self.rob.slot((store_slot as u64).wrapping_sub(head));
+                    assert!(offset < idx, "{seq} waits behind a younger slot");
+                    let store = &self.rob[head + offset as u64];
                     assert!(store.is_store() && store.mem_addr.is_none());
                     assert!(!ready, "{seq} both ready and parked behind a store");
                 }

@@ -435,12 +435,11 @@ fn parked_behind(core: &OooCore, pc: usize, store_pc: usize) -> bool {
     let (Some(load), Some(store)) = (entry_at_pc(core, pc), entry_at_pc(core, store_pc)) else {
         return false;
     };
-    core.store_waiters.owner(core.slot(load.seq)) == Some(core.slot(store.seq))
+    core.store_waiters.owner(core.rob.slot(load.seq)) == Some(core.rob.slot(store.seq))
 }
 
 /// (consumer seq, producer seq) for every operand wakeup link.
 fn operand_links(core: &OooCore) -> Vec<(u64, u64)> {
-    let head = core.head_seq();
     let mut links = Vec::new();
     for e in core
         .rob
@@ -448,7 +447,7 @@ fn operand_links(core: &OooCore) -> Vec<(u64, u64)> {
         .filter(|e| matches!(e.status, Status::Waiting))
     {
         for &p in &e.src_producers {
-            if p != NO_PRODUCER && p >= head && !core.rob[(p - head) as usize].is_done() {
+            if core.rob.contains(p) && !core.rob[p].is_done() {
                 links.push((e.seq, p));
             }
         }
@@ -499,11 +498,10 @@ fn squash_mid_dependency_chain_prunes_waiters_before_sequence_reuse() {
         let squashed_before = core.stats().squashed;
         tick_checked(&mut core, now, &mut mem);
         if core.stats().squashed > squashed_before {
-            let tail = core.head_seq() + core.rob.len() as u64;
+            let tail = core.rob.tail();
             for &(consumer, producer) in &links {
-                if consumer >= tail && producer >= core.head_seq() && producer < tail {
-                    // The squash rolled `next_seq` back over the consumer.
-                    assert!(core.next_seq <= consumer);
+                if consumer >= tail && core.rob.contains(producer) {
+                    // The squash rolled the tail back over the consumer.
                     pruned.push(consumer);
                 }
             }
@@ -526,6 +524,73 @@ fn squash_mid_dependency_chain_prunes_waiters_before_sequence_reuse() {
         .run(5_000_000)
         .expect("interpreter halts");
     assert_eq!(finished.regs.read(Reg::X3), golden.regs.read(Reg::X3));
+}
+
+#[test]
+fn a_small_rob_ring_finds_entries_by_sequence_number_across_wraps_and_squashes() {
+    // Six ROB entries on an eight-slot ring: the ring wraps every few
+    // cycles, and mispredicted branches cut the ROB so that the corrected
+    // path re-dispatches squashed sequence numbers across the wrap point.
+    let mut b = ProgramBuilder::new("ring-wrap");
+    let values: Vec<u64> = (0..64).map(|i| i * 5 + 3).collect();
+    b.data_u64(VirtAddr::new(0x1_0000), &values);
+    let top = b.new_label();
+    let skip = b.new_label();
+    b.li(Reg::X1, 0x1_0000);
+    b.li(Reg::X2, 0);
+    b.li(Reg::X3, 0);
+    b.li(Reg::X9, 2_654_435_761);
+    b.bind_label(top);
+    b.shli(Reg::X4, Reg::X2, 3);
+    b.add(Reg::X4, Reg::X1, Reg::X4);
+    b.load(Reg::X5, Reg::X4, 0);
+    b.mul(Reg::X7, Reg::X2, Reg::X9);
+    b.shri(Reg::X7, Reg::X7, 7);
+    b.andi(Reg::X7, Reg::X7, 1);
+    b.beq(Reg::X7, Reg::X0, skip);
+    b.add(Reg::X5, Reg::X5, Reg::X2);
+    b.store(Reg::X5, Reg::X4, 0);
+    b.bind_label(skip);
+    b.add(Reg::X3, Reg::X3, Reg::X5);
+    b.addi(Reg::X2, Reg::X2, 1);
+    b.blt_imm(Reg::X2, 64, top);
+    b.halt();
+    let p = b.build().unwrap();
+
+    let mut cfg = SystemConfig::paper_default();
+    cfg.pipeline.rob_entries = 6;
+    let mut core = OooCore::new(0, &cfg);
+    assert_eq!(core.rob.slots(), 8);
+    core.swap_thread(Some(ThreadContext::new(p.clone(), 0)));
+    let mut mem = FixedLatencyMemory::new(4, 1);
+    let mut reused_across_wrap = 0;
+    let mut now = Cycle::ZERO;
+    while !core.is_halted() && now.raw() < 100_000 {
+        let (tail_before, squashed_before) = (core.rob.tail(), core.stats().squashed);
+        tick_checked(&mut core, now, &mut mem);
+        if core.stats().squashed > squashed_before
+            && (core.rob.tail()..tail_before).any(|seq| core.rob.slot(seq) == 0)
+        {
+            reused_across_wrap += 1;
+        }
+        let (head, tail) = (core.rob.head(), core.rob.tail());
+        assert!(core.rob.len() <= 6);
+        for (seq, e) in (head..tail).zip(core.rob.iter()) {
+            assert_eq!((core.rob[seq].seq, e.seq), (seq, seq));
+        }
+        now += 1;
+    }
+    assert!(core.is_halted(), "program should halt");
+    assert!(core.rob.head() > 50 * 8, "the ring wrapped many times");
+    assert!(
+        reused_across_wrap > 5,
+        "squashes reused numbers across the wrap"
+    );
+    let finished = core.swap_thread(None).expect("thread present");
+    let golden = Interpreter::new(&p)
+        .run(5_000_000)
+        .expect("interpreter halts");
+    assert_eq!(finished.regs.snapshot(), golden.regs.snapshot());
 }
 
 /// Runs `p` tick by tick and returns the tick at which the entry at
@@ -635,7 +700,7 @@ fn out_of_order_store_waiters_are_all_pruned_on_squash() {
             let store = entry_at_pc(&core, 5).expect("the store survives the squash");
             assert!(matches!(store.status, Status::Waiting));
             assert!(
-                core.store_waiters.is_empty(core.slot(store.seq)),
+                core.store_waiters.is_empty(core.rob.slot(store.seq)),
                 "squashed loads left behind in the store's wait list"
             );
         }
@@ -986,10 +1051,10 @@ fn window_ends(p: &Program, rob: usize, iq: usize) -> Vec<(usize, usize, bool)> 
     let mut ends = Vec::new();
     let mut now = Cycle::ZERO;
     while !core.is_halted() && now.raw() < 10_000 {
-        let (head, end) = (core.head_seq(), core.window_end_by_rob_walk());
-        if end < head + core.rob.len() as u64 {
-            let serial = core.rob[(end - head) as usize].inst.is_serialising();
-            let seen = (core.slot(head), core.slot(end), serial);
+        let (head, end) = (core.rob.head(), core.window_end_by_rob_walk());
+        if end < core.rob.tail() {
+            let serial = core.rob[end].inst.is_serialising();
+            let seen = (core.rob.slot(head), core.rob.slot(end), serial);
             if !ends.contains(&seen) {
                 ends.push(seen);
             }

@@ -170,32 +170,39 @@ pub trait MemoryModel {
     /// asynchronous upgrades). Called once per core tick. The system loop
     /// skips the cycles a core sleeps through, and they are never ticked:
     /// a model with pending work keeps its core awake through
-    /// [`is_idle`](Self::is_idle) and [`next_event`](Self::next_event).
+    /// [`is_idle`](Self::is_idle) and wakes it through
+    /// [`next_event`](Self::next_event).
     fn tick(&mut self, _core: usize, _now: Cycle) {}
 
     /// Whether [`tick`](Self::tick) would be a no-op for `core` right now —
     /// no queued background work (pending filter-cache invalidations,
     /// draining buffers) that per-cycle ticking would advance. The system
-    /// loop lets a core sleep only while the model is idle for that core
-    /// (the check is per core), so a model doing genuine per-cycle work must
-    /// return `false` here to stay bit-identical under the event-skipping
-    /// loop.
+    /// loop asks at the end of each of the core's ticks and lets the core
+    /// sleep only while the model is idle for it, so a model doing genuine
+    /// per-cycle work must return `false` here to stay bit-identical under
+    /// the event-skipping loop.
     /// The default (`true`) is correct for models whose state changes only
     /// in response to accesses and commit/squash/domain notifications.
     fn is_idle(&self, _core: usize) -> bool {
         true
     }
 
-    /// The earliest cycle at or after `now` at which the model has scheduled
-    /// work for `core` that per-cycle ticking would advance — queued
-    /// invalidations to drain, a deferred fill to apply. `Cycle::NEVER` when
-    /// nothing is pending. The event-driven system loop keeps a core awake
-    /// through the returned cycle (a sleeping core is woken for it), so a
-    /// model with timed background state must not report a later cycle than
-    /// its work really lands on. The default derives the answer from
-    /// [`is_idle`](Self::is_idle): pending work is serviced on the very next
-    /// tick, which matches every model whose `tick` drains its queues
-    /// immediately.
+    /// Whether `core` has background work that a [`tick`](Self::tick)
+    /// would advance now — queued invalidations to drain — as a cycle: at
+    /// or before `now` when it has, `Cycle::NEVER` when it has not.
+    ///
+    /// The system loop wakes a sleeping core on the first cycle the answer
+    /// is `<= now`, and on no other: it never jumps to a later cycle the
+    /// model names, so a future cycle reads as "no work yet". It also
+    /// re-reads the answer only after a core ticks: once after every
+    /// processed cycle, for the next cycle, and within a cycle, for a
+    /// sleeping core, once an earlier-indexed core has ticked in it. Work
+    /// must therefore appear only through calls a core's tick makes
+    /// (accesses, commits, squashes, its domain switches) — never by the
+    /// passage of time, and never for another core through the scheduler's
+    /// context-switch [`on_domain_switch`](Self::on_domain_switch). The
+    /// default derives the answer from [`is_idle`](Self::is_idle), which
+    /// fits every model whose `tick` drains its queues at once.
     fn next_event(&self, core: usize, now: Cycle) -> Cycle {
         if self.is_idle(core) {
             Cycle::NEVER

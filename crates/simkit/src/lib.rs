@@ -11,6 +11,8 @@
 //!   this offline build),
 //! * [`fingerprint`] — deterministic 128-bit content fingerprints over JSON
 //!   trees and hashable values, the keys of the on-disk result store,
+//! * [`fastmap`] — `FastMap`/`FastSet`, hash maps with a fast
+//!   non-cryptographic hasher for the simulator's integer-keyed state,
 //! * [`rng`] — a small deterministic xorshift RNG used where reproducibility
 //!   matters more than statistical quality,
 //! * [`cycles`] — the `Cycle` newtype and simple clock bookkeeping.
@@ -33,6 +35,7 @@
 pub mod addr;
 pub mod config;
 pub mod cycles;
+pub mod fastmap;
 pub mod fingerprint;
 pub mod json;
 pub mod rng;

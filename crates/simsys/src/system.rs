@@ -273,10 +273,13 @@ impl System {
     /// (no event skipping): the reference the event-driven
     /// [`run`](Self::run) must match. Driving `tick` until every thread
     /// finishes (or the budget runs out) and then calling `run(budget)` for
-    /// the report yields the same report as `run(budget)` alone.
+    /// the report yields the same report as `run(budget)` alone. Like a step
+    /// of `run`, it ends with the background-work post-pass, so `run` may
+    /// take over after any cycle.
     pub fn tick(&mut self) {
         self.process_cycle(true);
         self.now += 1;
+        self.wake_for_background_work();
     }
 
     /// Number of `(core, cycle)` pipeline ticks performed so far.
@@ -308,26 +311,31 @@ impl System {
     ///
     /// Cores are visited in index order either way, so cross-core
     /// interactions through the shared memory model (invalidation queues)
-    /// happen on identical cycles: a sleeping core's
-    /// due-check consults `MemoryModel::next_event` *at its slot in the
-    /// order*, which observes whatever earlier-indexed cores queued this
-    /// cycle; work queued by later-indexed cores is caught by the post-pass
-    /// in [`step`](Self::step) and ticks the core next cycle — just as
-    /// `tick` would.
+    /// happen on identical cycles. The due check of a sleeping core asks
+    /// `MemoryModel::next_event` only once an earlier-indexed core has ticked
+    /// in this cycle, and then *at its slot in the order*, so it observes
+    /// whatever those cores queued. Before that nothing can have queued
+    /// work for it: [`wake_for_background_work`](Self::wake_for_background_work)
+    /// asked after the last processed cycle, and the scheduling decision
+    /// only flushes the dispatched core's own filters. Work queued by
+    /// later-indexed cores is caught by that post-pass and ticks the core
+    /// next cycle — just as `tick` would.
     fn process_cycle(&mut self, force_all: bool) {
         self.schedule();
         let now = self.now;
         let mut events = std::mem::take(&mut self.event_scratch);
+        let mut ticked = false;
         for core_idx in 0..self.cores.len() {
             if self.running[core_idx].is_none() {
                 continue;
             }
             let due = force_all
                 || self.core_wake[core_idx] <= now
-                || self.memory_model.next_event(core_idx, now) <= now;
+                || (ticked && self.memory_model.next_event(core_idx, now) <= now);
             if !due {
                 continue;
             }
+            ticked = true;
             self.credit_skipped(core_idx);
             events.clear();
             self.cores[core_idx].tick(now, self.memory_model.as_mut(), &mut events);
@@ -347,6 +355,21 @@ impl System {
         self.event_scratch = events;
     }
 
+    /// The post-pass of a processed cycle, for cross-core side effects: a
+    /// sleeping core whose memory model picked up work in that cycle — an
+    /// invalidation queued by a later-indexed core — is due at the next
+    /// cycle (`self.now`), to drain it on schedule.
+    fn wake_for_background_work(&mut self) {
+        for core_idx in 0..self.cores.len() {
+            if self.running[core_idx].is_some()
+                && self.core_wake[core_idx] > self.now
+                && self.memory_model.next_event(core_idx, self.now) <= self.now
+            {
+                self.core_wake[core_idx] = self.now;
+            }
+        }
+    }
+
     /// Processes the current cycle, then advances the clock to the next
     /// event: the earliest core wake, a memory-model event for a sleeping
     /// core, a scheduler-quantum expiry (whenever a ready thread is waiting,
@@ -357,6 +380,7 @@ impl System {
     fn step(&mut self, limit: u64) {
         self.process_cycle(false);
         self.now += 1;
+        self.wake_for_background_work();
         let mut target = Cycle::new(limit);
         let ready_waiting = !self.ready.is_empty();
         let mut free_core = false;
@@ -367,15 +391,7 @@ impl System {
                 continue;
             }
             any_running = true;
-            // Post-pass for cross-core side effects: a core (sleeping or
-            // not) whose memory model picked up queued work this cycle —
-            // an invalidation from a later-indexed core — must tick next
-            // cycle to drain it on schedule.
             let mut wake = self.core_wake[core_idx];
-            if wake > self.now && self.memory_model.next_event(core_idx, self.now) <= self.now {
-                wake = self.now;
-                self.core_wake[core_idx] = wake;
-            }
             if ready_waiting {
                 let expiry =
                     self.scheduled_at[core_idx].saturating_add(self.config.scheduler_quantum);
@@ -402,6 +418,9 @@ impl System {
     // ------------------------------------------------------------------
 
     fn schedule(&mut self) {
+        if self.ready.is_empty() {
+            return; // no thread waits: nothing to dispatch or preempt for
+        }
         for core_idx in 0..self.cores.len() {
             match self.running[core_idx] {
                 None => {

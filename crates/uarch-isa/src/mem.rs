@@ -4,9 +4,8 @@
 //! chunks. The memory stores functional values only — timing is the job of the
 //! cache hierarchy in `memsys`. Reads of never-written locations return zero.
 
-use std::collections::HashMap;
-
 use simkit::addr::VirtAddr;
+use simkit::fastmap::FastMap;
 
 use crate::inst::MemWidth;
 
@@ -29,7 +28,7 @@ const CHUNK_BYTES: u64 = 4096;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SparseMemory {
-    chunks: HashMap<u64, Box<[u8; CHUNK_BYTES as usize]>>,
+    chunks: FastMap<u64, Box<[u8; CHUNK_BYTES as usize]>>,
 }
 
 impl SparseMemory {

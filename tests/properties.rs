@@ -9,7 +9,7 @@ use memsys::cache::CacheArray;
 use memsys::MesiState;
 use muontrap::FilterCache;
 use muontrap_repro::prelude::*;
-use ooo_core::memmodel::FixedLatencyMemory;
+use ooo_core::memmodel::{DomainSwitch, FixedLatencyMemory, MemAccessCtx, MemOutcome, MemoryModel};
 use simkit::addr::{LineAddr, VirtAddr};
 use simkit::config::CacheConfig;
 use simkit::cycles::Cycle;
@@ -339,6 +339,102 @@ fn out_of_order_core_matches_interpreter_on_random_programs() {
     });
 }
 
+/// A memory model that reports, next to its own statistics, the ticks that
+/// found background work queued for the ticked core (`drains.ticks`) and the
+/// sum of their `cycle * 64 + core` (`drains.at`): the loop's due checks
+/// decide those cycles, and nothing else in a report would show them, since
+/// a model also drains its queue before a core's next access.
+struct DrainLog {
+    inner: Box<dyn MemoryModel>,
+    ticks: u64,
+    at: u64,
+}
+
+impl MemoryModel for DrainLog {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn needs_taint_tracking(&self) -> bool {
+        self.inner.needs_taint_tracking()
+    }
+    fn fetch_instruction(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
+        self.inner.fetch_instruction(ctx)
+    }
+    fn load(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
+        self.inner.load(ctx)
+    }
+    fn store_address_ready(&mut self, ctx: &MemAccessCtx) {
+        self.inner.store_address_ready(ctx)
+    }
+    fn commit_access(&mut self, ctx: &MemAccessCtx) -> u64 {
+        self.inner.commit_access(ctx)
+    }
+    fn on_squash(&mut self, core: usize, when: Cycle) {
+        self.inner.on_squash(core, when)
+    }
+    fn commit_fetch(&mut self, ctx: &MemAccessCtx) {
+        self.inner.commit_fetch(ctx)
+    }
+    fn set_page_table(&mut self, core: usize, table: memsys::PageTable) {
+        self.inner.set_page_table(core, table)
+    }
+    fn on_domain_switch(&mut self, core: usize, kind: DomainSwitch, when: Cycle) {
+        self.inner.on_domain_switch(core, kind, when)
+    }
+    fn tick(&mut self, core: usize, now: Cycle) {
+        if !self.inner.is_idle(core) {
+            self.ticks += 1;
+            self.at += now.raw() * 64 + core as u64;
+        }
+        self.inner.tick(core, now)
+    }
+    fn is_idle(&self, core: usize) -> bool {
+        self.inner.is_idle(core)
+    }
+    fn next_event(&self, core: usize, now: Cycle) -> Cycle {
+        self.inner.next_event(core, now)
+    }
+    fn stats(&self) -> StatSet {
+        let mut stats = self.inner.stats();
+        stats.add("drains.ticks", self.ticks);
+        stats.add("drains.at", self.at);
+        stats
+    }
+}
+
+/// Runs `threads` (one shared-memory process when `shared`, else one
+/// process each) under `kind`, once through the event-driven `run` and once
+/// ticking every cycle, and asserts the two reports are identical, down to
+/// the cycles on which background work was drained (see [`DrainLog`]).
+fn assert_loops_agree(
+    cfg: &SystemConfig,
+    kind: DefenseKind,
+    threads: &[uarch_isa::Program],
+    shared: bool,
+) {
+    const BUDGET: u64 = 10_000_000;
+    let run = |tick_every_cycle: bool| {
+        let log = DrainLog {
+            inner: kind.build(cfg),
+            ticks: 0,
+            at: 0,
+        };
+        let mut sys = System::new(cfg, Box::new(log));
+        sys.load_workload(threads, shared);
+        while tick_every_cycle && !sys.all_finished() && sys.now().raw() < BUDGET {
+            sys.tick();
+        }
+        sys.run(BUDGET)
+    };
+    let event_driven = run(false);
+    let naive = run(true);
+    assert_eq!(event_driven.cycles, naive.cycles, "cycle counts diverged");
+    assert_eq!(event_driven.committed, naive.committed);
+    assert_eq!(event_driven.completed, naive.completed);
+    assert_eq!(event_driven.context_switches, naive.context_switches);
+    assert_eq!(event_driven.stats, naive.stats, "statistics diverged");
+}
+
 #[test]
 fn event_driven_and_naive_loops_report_identical_timing() {
     // The event queue is a pure wall-clock optimisation: skipping idle cycles
@@ -362,24 +458,57 @@ fn event_driven_and_naive_loops_report_identical_timing() {
         } else {
             DefenseKind::MuonTrap
         };
-        let cfg = SystemConfig::small_test();
-        const BUDGET: u64 = 10_000_000;
-        let run = |tick_every_cycle: bool| {
-            let mut sys = System::new(&cfg, kind.build(&cfg));
-            let process = sys.add_process();
-            sys.add_thread(process, program.clone());
-            while tick_every_cycle && !sys.all_finished() && sys.now().raw() < BUDGET {
-                sys.tick();
-            }
-            sys.run(BUDGET)
-        };
-        let event_driven = run(false);
-        let naive = run(true);
-        assert_eq!(event_driven.cycles, naive.cycles, "cycle counts diverged");
-        assert_eq!(event_driven.committed, naive.committed);
-        assert_eq!(event_driven.completed, naive.completed);
-        assert_eq!(event_driven.context_switches, naive.context_switches);
-        assert_eq!(event_driven.stats, naive.stats, "statistics diverged");
+        assert_loops_agree(&SystemConfig::small_test(), kind, &[program], false);
+    });
+}
+
+/// A thread of one shared-memory process: each iteration increments a
+/// shared counter line (a store other cores' filter caches must be
+/// invalidated for) and then waits on a load from a fresh private page, so
+/// its core sleeps while the others' stores queue invalidations for it.
+fn sharing_thread(thread: u64, iterations: u64, stride: u64, lines: u64) -> uarch_isa::Program {
+    let mut b = ProgramBuilder::new("sharing");
+    let top = b.new_label();
+    b.li(Reg::X1, 0x20_0000); // shared lines
+    b.li(Reg::X6, 0x100_0000 + thread * 0x40_0000); // private pages
+    b.li(Reg::X8, stride);
+    b.li(Reg::X2, 0);
+    b.bind_label(top);
+    b.mul(Reg::X7, Reg::X2, Reg::X8);
+    b.andi(Reg::X7, Reg::X7, lines as i64 - 1);
+    b.shli(Reg::X7, Reg::X7, 6);
+    b.add(Reg::X7, Reg::X1, Reg::X7);
+    b.load(Reg::X5, Reg::X7, 0);
+    b.addi(Reg::X5, Reg::X5, 1);
+    b.store(Reg::X5, Reg::X7, 0);
+    b.shli(Reg::X10, Reg::X2, 12);
+    b.add(Reg::X10, Reg::X6, Reg::X10);
+    b.load(Reg::X11, Reg::X10, 0);
+    b.addi(Reg::X11, Reg::X11, 3);
+    b.div(Reg::X12, Reg::X5, Reg::X11);
+    b.addi(Reg::X2, Reg::X2, 1);
+    b.blt_imm(Reg::X2, iterations, top);
+    b.halt();
+    b.build().unwrap()
+}
+
+#[test]
+fn event_driven_and_naive_loops_agree_when_stores_invalidate_sleeping_cores() {
+    // MuonTrap queues an invalidation for every other core's filter caches
+    // when a committed store upgrades a shared line. A sleeping core must
+    // tick on exactly the cycles `tick` would drain that queue, whichever
+    // core (earlier- or later-indexed) queued it, and across preemptions
+    // when there are more threads than cores.
+    for_each_case(6, |rng| {
+        let mut cfg = SystemConfig::small_test();
+        cfg.scheduler_quantum = rng.in_range(2_000, 6_000);
+        let threads: Vec<_> = (0..rng.in_range(2, cfg.cores as u64 + 2))
+            .map(|t| {
+                let lines = 1 << rng.in_range(1, 4);
+                sharing_thread(t, rng.in_range(20, 60), 2 * rng.below(8) + 1, lines)
+            })
+            .collect();
+        assert_loops_agree(&cfg, DefenseKind::MuonTrap, &threads, true);
     });
 }
 
